@@ -5,8 +5,8 @@ example name, inline JSON (anything starting with "["), or a path to a
 matrix file.  ``--json`` switches every subcommand to machine output.
 
 Exit codes: 0 clean, 1 usage or input error, 2 anomaly (a violated rank
-bound, a Keller map that failed inversion, or a search that surfaced
-anomalies).
+bound, a Keller map that failed inversion, a search that surfaced
+anomalies, or a failed internal check).
 """
 
 from __future__ import annotations
@@ -231,6 +231,10 @@ def main(argv=None) -> int:
     except (MatrixParseError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except RuntimeError as exc:
+        # an internal check failed; searches name the candidate index
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ANOMALY
 
 
 if __name__ == "__main__":

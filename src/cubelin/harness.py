@@ -107,9 +107,14 @@ class SearchConfig:
         missing = {"n", "alphabet", "mode"} - set(data)
         if missing:
             raise ValueError(f"search config missing keys: {sorted(missing)}")
+        raw = data["alphabet"]
+        if not isinstance(raw, (list, tuple)) or not all(
+            isinstance(entry, (str, GaussianRational)) for entry in raw
+        ):
+            raise ValueError(f"alphabet must be a list of string literals, got {raw!r}")
         alphabet = tuple(
             entry if isinstance(entry, GaussianRational) else parse_gaussian(entry)
-            for entry in data["alphabet"]
+            for entry in raw
         )
         config = cls(
             n=data["n"],
@@ -125,6 +130,10 @@ class SearchConfig:
         return config
 
     def validate(self) -> None:
+        # JSON true/false load as bool, which Python counts as int
+        for name in ("n", "count", "seed", "workers"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be an integer, not a boolean")
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not self.alphabet:
@@ -259,18 +268,20 @@ def _iter_digit_vectors(
             yield [splitmix64(seed, offset + e) % base for e in range(width)]
 
 
+def _candidate_matrix(
+    alphabet: tuple[GaussianRational, ...], n: int, digits: list[int]
+) -> ScalarMatrix:
+    rows = range(n)
+    entries = tuple(tuple(alphabet[digits[i * n + j]] for j in rows) for i in rows)
+    return ScalarMatrix._raw(entries, n)
+
+
 def iter_candidate_matrices(config: SearchConfig) -> Iterator[tuple[int, ScalarMatrix]]:
     """All (index, matrix) pairs of a run, in canonical order."""
     config.validate()
     config.check_ceiling()
-    n = config.n
-    rows = range(n)
-    alphabet = config.alphabet
     for index, digits in enumerate(_iter_digit_vectors(config, 0, config.total_candidates())):
-        entries = tuple(
-            tuple(alphabet[digits[i * n + j]] for j in rows) for i in rows
-        )
-        yield index, ScalarMatrix._raw(entries, n)
+        yield index, _candidate_matrix(config.alphabet, config.n, digits)
 
 
 def _empty_totals(config: SearchConfig) -> dict:
@@ -297,136 +308,146 @@ def _merge_totals(into: dict, part: dict) -> None:
             into[key] += value
 
 
+def _certificate(
+    n: int, flat: list[int] | None, matrix: ScalarMatrix | None, need_rank: bool
+) -> tuple[bool, int, int | None]:
+    """(trace condition, delta, rank).  The rank matters only where the
+    trace condition holds or in a record, so the scan asks for it
+    (``need_rank``) only when it collects records."""
+    if flat is not None:
+        return certificate_ints(n, flat, need_rank)
+    full = _reference_certificate(matrix)
+    return full.trace_condition_holds, full.delta, full.rank
+
+
+def _checked_keller(
+    n: int,
+    flat: list[int] | None,
+    matrix: ScalarMatrix,
+    cert: tuple[bool, int, int | None] | None,
+) -> tuple[bool, tuple[bool, int, int | None] | None]:
+    """``is_keller`` plus the certificate when it is positive: a Keller map
+    satisfies the trace condition, and a disagreement is a bug."""
+    keller = is_keller(matrix)
+    if keller:
+        if cert is None:
+            cert = _certificate(n, flat, matrix, False)
+        if not cert[0]:
+            raise RuntimeError(
+                "internal check failed: Keller candidate violates the "
+                "trace condition"
+            )
+    return keller, cert
+
+
 def _scan_range(
     config: SearchConfig, start: int, stop: int, collect_records: bool
 ) -> tuple[dict, list[dict], list[dict]]:
     n = config.n
     alphabet = config.alphabet
-    base = len(alphabet)
-    checks = set(config.checks)
-    filters = set(config.filters)
     totals = _empty_totals(config)
     anomalies: list[dict] = []
     records: list[dict] = []
 
-    # per-alphabet integer pairs enable the fast certificate path
-    alpha_pairs: list[tuple[int, int]] | None = []
-    for c in alphabet:
-        if c.re.denominator != 1 or c.im.denominator != 1:
-            alpha_pairs = None
-            break
-        alpha_pairs.append((c.re.numerator, c.im.numerator))
+    # per-alphabet integer pairs enable the integer certificate path
+    pairs: list[tuple[int, int]] | None = None
+    if all(c.re.denominator == 1 and c.im.denominator == 1 for c in alphabet):
+        pairs = [(c.re.numerator, c.im.numerator) for c in alphabet]
 
-    want_cert = (
-        "rank_bound" in checks or "trace_zero_only" in filters or collect_records
-    )
-    want_invert = "invert" in checks
-    want_corollary = "corollary" in checks
+    trace_filter = "trace_zero_only" in config.filters
+    keller_filter = "keller_only" in config.filters
+    want_rank_bound = "rank_bound" in config.checks
+    want_invert = "invert" in config.checks
+    want_corollary = "corollary" in config.checks
+    # every record holds the Keller bit, so collecting computes it up front
+    want_keller = keller_filter or want_invert or collect_records
+    want_matrix = want_keller or want_corollary
 
     for index, digits in zip(
         range(start, stop), _iter_digit_vectors(config, start, stop)
     ):
         totals["visited"] += 1
+        try:
+            flat = matrix = cert = keller = None
+            if pairs is None:
+                matrix = _candidate_matrix(alphabet, n, digits)
+            else:
+                flat = [x for d in digits for x in pairs[d]]
+            if trace_filter:
+                cert = _certificate(n, flat, matrix, collect_records)
+                if not cert[0]:
+                    continue
+            if want_matrix and matrix is None:
+                matrix = _candidate_matrix(alphabet, n, digits)
+            if want_keller:
+                keller, cert = _checked_keller(n, flat, matrix, cert)
+                if keller_filter and not keller:
+                    continue
+            totals["passed_filters"] += 1
 
-        matrix: ScalarMatrix | None = None
-        keller: bool | None = None
-        cert: tuple[bool, int, int] | None = None
+            anomaly = False
+            inverse_degree: int | None = None
 
-        def get_matrix() -> ScalarMatrix:
-            nonlocal matrix
-            if matrix is None:
-                entries = tuple(
-                    tuple(alphabet[digits[i * n + j]] for j in range(n))
-                    for i in range(n)
-                )
-                matrix = ScalarMatrix._raw(entries, n)
-            return matrix
-
-        def get_cert() -> tuple[bool, int, int]:
-            nonlocal cert
-            if cert is None:
-                if alpha_pairs is not None:
-                    flat: list[int] = []
-                    for d in digits:
-                        pair = alpha_pairs[d]
-                        flat.append(pair[0])
-                        flat.append(pair[1])
-                    cert = certificate_ints(n, flat)
-                else:
-                    full = _reference_certificate(get_matrix())
-                    cert = (full.trace_condition_holds, full.delta, full.rank)
-            return cert
-
-        def get_keller() -> bool:
-            nonlocal keller
-            if keller is None:
-                keller = is_keller(get_matrix())
-                if keller and not get_cert()[0]:
-                    raise RuntimeError(
-                        "internal check failed: Keller candidate violates the "
-                        "trace condition"
-                    )
-            return keller
-
-        if "trace_zero_only" in filters and not get_cert()[0]:
-            continue
-        if "keller_only" in filters and not get_keller():
-            continue
-        totals["passed_filters"] += 1
-
-        anomaly = False
-        inverse_degree: int | None = None
-
-        if "rank_bound" in checks:
-            holds, delta, rank_ = get_cert()
-            totals["rank_bound"]["checked"] += 1
-            if holds and 2 * rank_ > n + delta:
-                totals["rank_bound"]["anomalies"] += 1
-                anomaly = True
-
-        if want_invert:
-            totals["invert"]["checked"] += 1
-            if get_keller():
-                totals["invert"]["keller"] += 1
-                result = decide_automorphism(get_matrix())
-                if result.invertible:
-                    totals["invert"]["invertible"] += 1
-                    inverse_degree = result.inverse_degree
-                else:
-                    totals["invert"]["failures"] += 1
+            if want_rank_bound:
+                if cert is None:
+                    cert = _certificate(n, flat, matrix, collect_records)
+                holds, delta, rank_ = cert
+                totals["rank_bound"]["checked"] += 1
+                if holds and 2 * rank_ > n + delta:
+                    totals["rank_bound"]["anomalies"] += 1
                     anomaly = True
 
-        if want_corollary:
-            totals["corollary"]["checked"] += 1
-            report = corollary_pipeline(get_matrix())
-            if report.hypotheses_hold:
-                totals["corollary"]["applicable"] += 1
-            if report.verified:
-                totals["corollary"]["verified"] += 1
-            if report.is_anomaly:
-                totals["corollary"]["anomalies"] += 1
-                anomaly = True
+            if want_invert:
+                totals["invert"]["checked"] += 1
+                if keller:
+                    totals["invert"]["keller"] += 1
+                    result = decide_automorphism(matrix)
+                    if result.invertible:
+                        totals["invert"]["invertible"] += 1
+                        inverse_degree = result.inverse_degree
+                    else:
+                        totals["invert"]["failures"] += 1
+                        anomaly = True
 
-        if anomaly or collect_records:
-            holds, delta, rank_ = get_cert()
-            record = CandidateRecord(
-                index=index,
-                matrix=get_matrix(),
-                certificate=RankBoundCertificate(
-                    n=n,
-                    trace_condition_holds=holds,
-                    delta=delta,
-                    rank=rank_,
-                    bound_times_two=n + delta,
-                ),
-                keller=get_keller(),
-                inverse_degree=inverse_degree,
-                anomaly=anomaly,
-            ).to_dict()
-            if anomaly:
-                anomalies.append(record)
-            if collect_records:
-                records.append(record)
+            if want_corollary:
+                totals["corollary"]["checked"] += 1
+                report = corollary_pipeline(matrix)
+                if report.hypotheses_hold:
+                    totals["corollary"]["applicable"] += 1
+                if report.verified:
+                    totals["corollary"]["verified"] += 1
+                if report.is_anomaly:
+                    totals["corollary"]["anomalies"] += 1
+                    anomaly = True
+
+            if anomaly or collect_records:
+                if matrix is None:
+                    matrix = _candidate_matrix(alphabet, n, digits)
+                if keller is None:
+                    keller, cert = _checked_keller(n, flat, matrix, cert)
+                if cert is None or cert[2] is None:
+                    cert = _certificate(n, flat, matrix, True)
+                holds, delta, rank_ = cert
+                record = CandidateRecord(
+                    index=index,
+                    matrix=matrix,
+                    certificate=RankBoundCertificate(
+                        n=n,
+                        trace_condition_holds=holds,
+                        delta=delta,
+                        rank=rank_,
+                        bound_times_two=n + delta,
+                    ),
+                    keller=keller,
+                    inverse_degree=inverse_degree,
+                    anomaly=anomaly,
+                ).to_dict()
+                if anomaly:
+                    anomalies.append(record)
+                if collect_records:
+                    records.append(record)
+        except RuntimeError as exc:
+            raise RuntimeError(f"candidate {index}: {exc}") from exc
 
     return totals, anomalies, records
 

@@ -1,15 +1,16 @@
-"""Backend selection for the certificate hot path.
+"""The integer certificate path.
 
 The search harness evaluates the (trace condition, delta, rank) triple on
-up to millions of matrices.  When the compiled extension is importable
-and a matrix fits the int64 overflow guard, the triple comes from the
-Cython kernel; otherwise an equivalent pure-Python routine over unbounded
-integers takes over.  Both run the same fraction-free elimination, and
-both are cross-checked in tests against the Fraction-based reference in
+up to millions of Gaussian-integer matrices.  This module computes it over
+unbounded Python integers: the trace condition from the Gram sums, and the
+rank by fraction-free (Bareiss) elimination, whose every division is exact
+and checked.  Tests cross-check it against the Fraction-based reference in
 :mod:`cubelin.druzkowski`.
 
-``BACKEND`` records what import-time selection produced: "compiled" when
-the extension loaded, "pure" otherwise.
+The harness calls :func:`certificate_ints`, which calls
+:func:`certificate_ints_pure`.  They stay two distinct functions because
+the benchmark in ``cubench/`` traces each as its own span, and its run
+metadata reads ``BACKEND``, which is always "pure".
 """
 
 from __future__ import annotations
@@ -20,22 +21,9 @@ from .druzkowski import RankBoundCertificate, _as_matrix, _require_square
 from .druzkowski import rank_bound_certificate as _reference_certificate
 from .linalg import ScalarMatrix
 
-try:
-    from . import _certkernel
-except ImportError:
-    _certkernel = None
-
 logger = logging.getLogger(__name__)
 
-BACKEND = "pure" if _certkernel is None else "compiled"
-
-# 8*B^3 < 2^63 for every Bareiss intermediate when B bounds all minors,
-# and the Gram triple products stay far below that for the same B.
-_MINOR_BOUND_CAP = 1 << 20
-_ENTRY_CAP = 10_000
-# Mirrors ``DEF MAX_N = 16`` in _certkernel.pyx, so the guard can be asked
-# whether or not the extension is loaded.
-_KERNEL_MAX_N = 16
+BACKEND = "pure"
 
 
 def flatten_gaussian_ints(M: ScalarMatrix) -> list[int] | None:
@@ -51,52 +39,29 @@ def flatten_gaussian_ints(M: ScalarMatrix) -> list[int] | None:
     return flat
 
 
-def int_guard_ok(n: int, flat: list[int]) -> bool:
-    """Whether int64 arithmetic is provably safe for this matrix.
-
-    The answer depends on the matrix alone: the entry cap, the Bareiss
-    minor bound and the size cap, which mirrors ``MAX_N`` in
-    _certkernel.pyx.  Whether the extension is loaded is checked by
-    :func:`certificate_ints`, not here.
-    """
-    if n > _KERNEL_MAX_N:
-        return False
-    bound = 1
-    for i in range(n):
-        row_sum = 0
-        for j in range(n):
-            row_sum += abs(flat[2 * (i * n + j)]) + abs(flat[2 * (i * n + j) + 1])
-            if abs(flat[2 * (i * n + j)]) > _ENTRY_CAP:
-                return False
-            if abs(flat[2 * (i * n + j) + 1]) > _ENTRY_CAP:
-                return False
-        bound *= max(row_sum, 1)
-        if bound > _MINOR_BOUND_CAP:
-            return False
-    return True
-
-
-def certificate_ints(n: int, flat: list[int]) -> tuple[bool, int, int]:
+def certificate_ints(
+    n: int, flat: list[int], need_rank: bool = True
+) -> tuple[bool, int, int | None]:
     """(trace condition holds, delta, rank) for a Gaussian-integer matrix.
 
-    Dispatches to the compiled kernel when safe; any kernel exactness
-    failure falls back to the pure path, so answers never depend on the
-    int64 guard being tight.
+    With ``need_rank`` false the rank is computed only when the trace
+    condition holds, the one case in which the rank bound says anything;
+    otherwise it is None.
     """
-    if _certkernel is not None and int_guard_ok(n, flat):
-        try:
-            return _certkernel.certificate_int(n, flat)
-        except RuntimeError:
-            pass
-    return certificate_ints_pure(n, flat)
+    return certificate_ints_pure(n, flat, need_rank)
 
 
-def certificate_ints_pure(n: int, flat: list[int]) -> tuple[bool, int, int]:
-    """Pure-Python twin of the kernel over unbounded integers."""
-    are = [[flat[2 * (i * n + j)] for j in range(n)] for i in range(n)]
-    aim = [[flat[2 * (i * n + j) + 1] for j in range(n)] for i in range(n)]
-
-    delta = sum(1 for i in range(n) if are[i][i] == 0 and aim[i][i] == 0)
+def certificate_ints_pure(
+    n: int, flat: list[int], need_rank: bool = True
+) -> tuple[bool, int, int | None]:
+    """The triple of :func:`certificate_ints` over unbounded integers."""
+    are = [flat[2 * i * n : 2 * (i + 1) * n : 2] for i in range(n)]
+    aim = [flat[2 * i * n + 1 : 2 * (i + 1) * n : 2] for i in range(n)]
+    # (re row, im row, re a_ii, im a_ii) for each row with a_ii != 0
+    diag = [
+        (r, s, r[i], s[i]) for i, (r, s) in enumerate(zip(are, aim)) if r[i] or s[i]
+    ]
+    delta = n - len(diag)
 
     holds = True
     for j in range(n):
@@ -105,19 +70,19 @@ def certificate_ints_pure(n: int, flat: list[int]) -> tuple[bool, int, int]:
         for k in range(j, n):
             sre = 0
             sim = 0
-            for i in range(n):
-                dre = are[i][i]
-                dim_ = aim[i][i]
-                if dre == 0 and dim_ == 0:
-                    continue
-                t1re = dre * are[i][j] - dim_ * aim[i][j]
-                t1im = dre * aim[i][j] + dim_ * are[i][j]
-                sre += t1re * are[i][k] - t1im * aim[i][k]
-                sim += t1re * aim[i][k] + t1im * are[i][k]
+            for r, s, dre, dim_ in diag:
+                t1re = dre * r[j] - dim_ * s[j]
+                t1im = dre * s[j] + dim_ * r[j]
+                sre += t1re * r[k] - t1im * s[k]
+                sim += t1re * s[k] + t1im * r[k]
             if sre or sim:
                 holds = False
                 break
+    if not (holds or need_rank):
+        return holds, delta, None
 
+    # fraction-free elimination: every division by the previous pivot is
+    # exact, so a remainder is a bug and raises instead of guessing
     rank_ = 0
     row = 0
     prev_re, prev_im = 1, 0
@@ -169,7 +134,7 @@ def certificate_ints_pure(n: int, flat: list[int]) -> tuple[bool, int, int]:
 
 
 def certificate(A) -> RankBoundCertificate:
-    """Rank-bound certificate via the fastest applicable backend.
+    """Rank-bound certificate via the integer path when it applies.
 
     Identical output to :func:`cubelin.druzkowski.rank_bound_certificate`
     on every input; non-integer matrices go straight to the reference.

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cubelin import RankBoundCertificate
+from cubelin import RankBoundCertificate, parse_matrix
 from cubelin.cli import main
 from helpers import PAPER_EXAMPLE_ROWS
 
@@ -250,6 +250,38 @@ class TestSearch:
         code, _, err = run(capsys, "search", str(path))
         assert code == 1
         assert "unknown search config keys" in err
+
+    def test_boolean_config_value(self, capsys, tmp_path):
+        path = self.write_config(
+            tmp_path, {"n": True, "alphabet": ["0", "1"], "mode": "enumerate"}
+        )
+        code, out, err = run(capsys, "search", path, "--json")
+        assert code == 1
+        assert out == ""
+        assert "n must be an integer, not a boolean" in err
+
+    def test_internal_check_failure_names_the_candidate(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import cubelin.harness as harness_module
+
+        path = self.write_config(
+            tmp_path,
+            {"n": 2, "alphabet": ["0", "1"], "mode": "enumerate", "checks": ["invert"]},
+        )
+        target = parse_matrix('[["0", "1"], ["0", "1"]]')  # candidate 5
+        real = harness_module.is_keller
+
+        def planted(M):
+            if M == target:
+                raise RuntimeError("internal check failed: planted")
+            return real(M)
+
+        monkeypatch.setattr(harness_module, "is_keller", planted)
+        code, out, err = run(capsys, "search", path, "--json")
+        assert code == 2
+        assert out == ""
+        assert err == "error: candidate 5: internal check failed: planted\n"
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "search", str(tmp_path / "nope.json"))

@@ -11,6 +11,7 @@ from cubelin import (
     run_search,
     splitmix64,
 )
+from cubelin import harness
 from cubelin.harness import (
     CEILING_ENV_VAR,
     DEFAULT_CEILING,
@@ -100,6 +101,14 @@ class TestSearchConfig:
             ({"checks": ["bogus"]}, "unknown check"),
             ({"workers": 0}, "workers"),
             ({"n": 10, "checks": ["corollary"]}, "dimension"),
+            # JSON true/false are not integers, and a string is not an alphabet
+            ({"n": True}, "n must be an integer, not a boolean"),
+            ({"mode": "sample", "count": True, "seed": 1}, "count must be"),
+            ({"mode": "sample", "count": 5, "seed": False}, "seed must be"),
+            ({"workers": True}, "workers must be"),
+            ({"alphabet": "01"}, "alphabet must be a list"),
+            ({"alphabet": {"0": 1}}, "alphabet must be a list"),
+            ({"alphabet": [0, 1]}, "alphabet must be a list of string literals"),
         ],
     )
     def test_validation_errors(self, overrides, message):
@@ -388,3 +397,19 @@ class TestReportShape:
     def test_invalid_worker_override(self):
         with pytest.raises(ValueError, match="workers"):
             run_search(config(), workers=0)
+
+
+class TestInternalCheckErrors:
+    def test_failure_names_the_candidate(self, monkeypatch):
+        cfg = config(checks=["invert"])
+        target = dict(iter_candidate_matrices(cfg))[5]
+        real = harness.is_keller
+
+        def planted(M):
+            if M == target:
+                raise RuntimeError("internal check failed: planted")
+            return real(M)
+
+        monkeypatch.setattr(harness, "is_keller", planted)
+        with pytest.raises(RuntimeError, match="^candidate 5: internal check failed: planted$"):
+            run_search(cfg)

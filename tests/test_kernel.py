@@ -1,10 +1,20 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from cubelin import GaussianRational, ScalarMatrix, parse_gaussian, rank_bound_certificate
-from cubelin import kernel
+from cubelin import (
+    GaussianRational,
+    ScalarMatrix,
+    SearchConfig,
+    is_keller,
+    iter_candidate_matrices,
+    parse_gaussian,
+    rank_bound_certificate,
+    run_search,
+)
+from cubelin import harness, kernel
 
 
 def g(text):
@@ -19,6 +29,13 @@ def reference_triple(M):
     return (cert.trace_condition_holds, cert.delta, cert.rank)
 
 
+def skipped_rank(triple):
+    # what certificate_ints returns without need_rank: no rank where the
+    # trace condition fails
+    holds, delta, _ = triple
+    return triple if holds else (holds, delta, None)
+
+
 def gaussian_int_matrix(rng, n, span):
     return ScalarMatrix(
         [
@@ -30,15 +47,7 @@ def gaussian_int_matrix(rng, n, span):
 
 class TestBackendSelection:
     def test_backend_label(self):
-        assert kernel.BACKEND in ("compiled", "pure")
-
-    def test_compiled_extension_present(self):
-        # the build ships the extension; fall back only if it failed to load
-        if kernel._certkernel is None:
-            pytest.skip("extension not built in this environment")
-        assert kernel.BACKEND == "compiled"
-        assert kernel._certkernel.kernel_max_n() >= 9
-        assert kernel._certkernel.kernel_max_n() == kernel._KERNEL_MAX_N
+        assert kernel.BACKEND == "pure"
 
 
 class TestAgreement:
@@ -50,6 +59,7 @@ class TestAgreement:
             expected = reference_triple(M)
             assert kernel.certificate_ints(2, flat) == expected
             assert kernel.certificate_ints_pure(2, flat) == expected
+            assert kernel.certificate_ints(2, flat, need_rank=False) == skipped_rank(expected)
 
     def test_random_matrices(self):
         rng = random.Random(90)
@@ -60,11 +70,11 @@ class TestAgreement:
             expected = reference_triple(M)
             assert kernel.certificate_ints(n, flat) == expected
             assert kernel.certificate_ints_pure(n, flat) == expected
+            assert kernel.certificate_ints(n, flat, need_rank=False) == skipped_rank(expected)
 
     def test_rank_deficient_products(self):
         # low-rank matrices force pivot skips and row swaps in elimination
         rng = random.Random(91)
-        guarded = 0
         for _ in range(200):
             n = rng.randint(2, 5)
             r = rng.randint(0, n)
@@ -82,14 +92,7 @@ class TestAgreement:
             M = ScalarMatrix(built)
             flat = kernel.flatten_gaussian_ints(M)
             assert flat is not None
-            expected = reference_triple(M)
-            # the pure path has no int64 limit, so it is checked on every matrix
-            assert kernel.certificate_ints_pure(n, flat) == expected
-            if kernel.int_guard_ok(n, flat):
-                guarded += 1
-                assert kernel.certificate_ints(n, flat) == expected
-        # a guard that rejected everything would leave the fast path untested
-        assert guarded > 0
+            assert kernel.certificate_ints(n, flat) == reference_triple(M)
 
     def test_leading_zero_pivots(self):
         M = ScalarMatrix(
@@ -121,32 +124,7 @@ class TestAgreement:
 
 
 class TestGuard:
-    def test_small_entries_pass(self):
-        flat = kernel.flatten_gaussian_ints(ScalarMatrix.identity(4))
-        assert kernel.int_guard_ok(4, flat)
-
-    def test_huge_entries_fail(self):
-        M = ScalarMatrix([[GaussianRational(10 ** 6)]])
-        flat = kernel.flatten_gaussian_ints(M)
-        assert not kernel.int_guard_ok(1, flat)
-        # 1x1 entries just past the entry cap stay far below the minor cap
-        assert kernel.int_guard_ok(1, [kernel._ENTRY_CAP, 0])
-        assert not kernel.int_guard_ok(1, [kernel._ENTRY_CAP + 1, 0])
-        assert not kernel.int_guard_ok(1, [0, -kernel._ENTRY_CAP - 1])
-
-    def test_growth_bound(self):
-        # many moderate rows push the minor bound past the cap
-        n = 9
-        M = ScalarMatrix([[GaussianRational(9)] * n for _ in range(n)])
-        flat = kernel.flatten_gaussian_ints(M)
-        assert not kernel.int_guard_ok(n, flat)
-
-    def test_oversize_matrix_fails(self):
-        # the zero matrix passes every other bound, so only size rejects it
-        assert kernel.int_guard_ok(16, [0] * (2 * 16 * 16))
-        n = 17
-        flat = [0] * (2 * n * n)
-        assert not kernel.int_guard_ok(n, flat)
+    """The integer path's one guard: only Gaussian-integer matrices flatten."""
 
     def test_non_integer_matrix_flattens_to_none(self):
         M = ScalarMatrix([[g("1/2")]])
@@ -173,3 +151,57 @@ class TestPublicCertificate:
             n = rng.randint(1, 5)
             M = gaussian_int_matrix(rng, n, 2)
             assert kernel.certificate(M) == rank_bound_certificate(M)
+
+
+def sampled_config(n, count, seed, filters, checks):
+    return SearchConfig.from_dict(
+        {
+            "n": n,
+            "alphabet": ["0", "1", "-1", "i", "-i"],
+            "mode": "sample",
+            "count": count,
+            "seed": seed,
+            "filters": filters,
+            "checks": checks,
+        }
+    )
+
+
+def report_body(report):
+    payload = report.to_dict()
+    payload.pop("duration_seconds")
+    return payload
+
+
+class TestRankSkip:
+    # a search without records skips the rank wherever the trace fails; the
+    # trace-filtered configs reach the candidates where it holds
+    @pytest.mark.parametrize(
+        "n,count,filters",
+        [(3, 30, []), (3, 1000, ["trace_zero_only"]), (4, 2, []), (4, 3000, ["trace_zero_only"])],
+    )
+    def test_records_do_not_change_the_report(self, n, count, filters):
+        config = sampled_config(n, count, 40 + n, filters, ["rank_bound"])
+        plain = run_search(config)
+        recorded = run_search(config, collect_records=True)
+        assert report_body(plain) == report_body(recorded)
+        assert len(recorded.records) == recorded.totals["passed_filters"] > 0
+        matrices = dict(iter_candidate_matrices(config))
+        for record in recorded.records:
+            M = matrices[record["index"]]
+            assert record["certificate"] == rank_bound_certificate(M).to_dict()
+            assert record["keller"] == is_keller(M)
+
+    def test_anomaly_record_has_the_skipped_rank(self, monkeypatch):
+        # a planted corollary anomaly on every candidate, most of which fail
+        # the trace condition, so their rank was skipped by the search
+        anomaly = SimpleNamespace(hypotheses_hold=False, verified=False, is_anomaly=True)
+        monkeypatch.setattr(harness, "corollary_pipeline", lambda M: anomaly)
+        config = sampled_config(3, 10, 43, [], ["corollary", "rank_bound"])
+        report = run_search(config)
+        assert len(report.anomalies) == 10
+        assert not all(r["certificate"]["trace_condition_holds"] for r in report.anomalies)
+        matrices = dict(iter_candidate_matrices(config))
+        for record in report.anomalies:
+            M = matrices[record["index"]]
+            assert record["certificate"] == rank_bound_certificate(M).to_dict()
