@@ -9,129 +9,50 @@ compositions, rank reduction to dimension rank(A), and a deterministic
 search harness over matrix alphabets.
 """
 
-from .scalars import (
-    GaussianRational,
-    ParseError,
-    Rational,
-    format_gaussian,
-    parse_gaussian,
-)
-from .poly import (
-    ArityMismatchError,
-    Polynomial,
-    PolyMap,
-    PolyMatrix,
-    UnsupportedSizeError,
-    compose,
-    compose_polynomial,
-    cube_linear_form,
-    det,
-    linear_combination,
-    jacobian,
-)
-from .linalg import ScalarMatrix, rank, rank_factorization, rref
-from .druzkowski import (
-    DruzkowskiMap,
-    RankBoundCertificate,
-    cubic_part,
-    delta,
-    expand_map,
-    gram_and_condition,
-    linear_forms,
-    rank_bound_certificate,
-    trace_condition_holds,
-    trace_poly,
-    zero_diagonal_count,
-)
+from .scalars import GaussianRational, ParseError, parse_gaussian
+from .poly import Polynomial, PolyMap
+from .linalg import ScalarMatrix
+from .druzkowski import RankBoundCertificate, rank_bound_certificate
 from .invert import (
+    GZPair,
     InverseResult,
     decide_automorphism,
-    default_degree_bound,
-    formal_inverse,
-    is_keller,
-    nilpotency_index,
-)
-from .pairing import (
-    CorollaryReport,
-    GZPair,
-    corollary_pipeline,
     gz_reduce,
+    is_keller,
     lift_inverse,
 )
-from .kernel import BACKEND, certificate
-from .matrixio import (
-    MatrixParseError,
-    builtin_example,
-    builtin_example_names,
-    format_matrix,
-    parse_matrix,
-)
-from .harness import (
-    CandidateRecord,
-    CeilingExceededError,
-    SearchConfig,
-    SearchReport,
-    iter_candidate_matrices,
-    run_search,
-    splitmix64,
-)
+from .pairing import CorollaryReport, corollary_pipeline
+from .kernel import BACKEND
+from .matrixio import MatrixParseError, builtin_example, parse_matrix
+from .harness import CeilingExceededError, SearchConfig, SearchReport, run_search
 
 __version__ = "1.0.0"
 
+# The library entry points and the types they take and return; the lower
+# layers stay importable from their modules.  BACKEND is read by cubench.
 __all__ = [
-    "ArityMismatchError",
     "BACKEND",
-    "CandidateRecord",
     "CeilingExceededError",
     "CorollaryReport",
-    "DruzkowskiMap",
     "GZPair",
     "GaussianRational",
     "InverseResult",
     "MatrixParseError",
     "ParseError",
     "PolyMap",
-    "PolyMatrix",
     "Polynomial",
-    "Rational",
     "RankBoundCertificate",
     "ScalarMatrix",
     "SearchConfig",
     "SearchReport",
-    "UnsupportedSizeError",
     "builtin_example",
-    "builtin_example_names",
-    "certificate",
-    "compose",
-    "compose_polynomial",
     "corollary_pipeline",
-    "cube_linear_form",
-    "cubic_part",
     "decide_automorphism",
-    "default_degree_bound",
-    "delta",
-    "det",
-    "expand_map",
-    "formal_inverse",
-    "format_gaussian",
-    "format_matrix",
-    "gram_and_condition",
     "gz_reduce",
     "is_keller",
-    "iter_candidate_matrices",
-    "jacobian",
     "lift_inverse",
-    "linear_forms",
-    "nilpotency_index",
     "parse_gaussian",
     "parse_matrix",
-    "rank",
     "rank_bound_certificate",
-    "rank_factorization",
-    "rref",
     "run_search",
-    "splitmix64",
-    "trace_condition_holds",
-    "trace_poly",
-    "zero_diagonal_count",
 ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .linalg import ScalarMatrix, rank
 from .poly import Polynomial, PolyMap, cube_linear_form, linear_combination
-from .scalars import GaussianRational, ZERO
+from .scalars import ZERO
 
 logger = logging.getLogger(__name__)
 
@@ -52,29 +52,6 @@ def expand_map(A) -> PolyMap:
         ],
         nvars=n,
     )
-
-
-def cubic_part(A) -> PolyMap:
-    """Just (AX)^{*3}, the homogeneous degree-3 part of the map."""
-    A = _require_square(_as_matrix(A))
-    return PolyMap(
-        [cube_linear_form(row) for row in A.entries], nvars=A.rows
-    )
-
-
-def trace_poly(A) -> Polynomial:
-    """Trace of the Jacobian of the cubic part: 3 * sum_i a_ii * t_i^2."""
-    A = _require_square(_as_matrix(A))
-    n = A.rows
-    total = Polynomial.zero(n)
-    three = GaussianRational(3)
-    for i in range(n):
-        d = A.entries[i][i]
-        if not d:
-            continue
-        t = Polynomial.linear_form(A.entries[i])
-        total = total + (t * t).scale(three * d)
-    return total
 
 
 def gram_matrix(A) -> ScalarMatrix:
@@ -109,9 +86,6 @@ def zero_diagonal_count(A) -> int:
     """delta: how many diagonal entries of A are zero."""
     A = _require_square(_as_matrix(A))
     return sum(1 for c in A.diagonal() if not c)
-
-
-delta = zero_diagonal_count
 
 
 @dataclass(frozen=True)
@@ -168,45 +142,22 @@ def rank_bound_certificate(A) -> RankBoundCertificate:
     return certificate
 
 
-@dataclass(frozen=True)
-class DruzkowskiMap:
-    """A cubic-linear map bundled with its defining matrix."""
-
-    matrix: ScalarMatrix
-
-    @property
-    def n(self) -> int:
-        return self.matrix.rows
-
-    def polynomial_map(self) -> PolyMap:
-        return expand_map(self.matrix)
-
-    def certificate(self) -> RankBoundCertificate:
-        return rank_bound_certificate(self.matrix)
-
-
-def mixed_cubic_map(mix: ScalarMatrix, comb: ScalarMatrix | None) -> PolyMap:
+def mixed_cubic_map(mix: ScalarMatrix, comb: ScalarMatrix) -> PolyMap:
     """The map Y -> Y + comb @ (mix @ Y)^{*3} in dim(Y) = mix.cols variables.
 
-    With ``comb`` None this is X + (AX)^{*3} for mix = A (square).  With a
-    rectangular pair (comb r x m, mix m x r) it covers the reduced maps
-    produced by pairing.
+    comb is r x m and mix is m x r; the reduced maps of the rank reduction
+    have this shape.
     """
     nvars = mix.cols
-    cubes = [cube_linear_form(row) for row in mix.entries]
-    if comb is None:
-        if mix.rows != nvars:
-            raise ValueError("square matrix required when no combination matrix given")
-        return PolyMap(
-            [Polynomial.variable(nvars, i) + cubes[i] for i in range(nvars)],
-            nvars=nvars,
-        )
     if comb.cols != mix.rows:
         raise ValueError("shape mismatch between combination and mixing matrices")
-    components = []
-    for i in range(comb.rows):
-        body = linear_combination(comb.entries[i], cubes, nvars)
-        components.append(Polynomial.variable(nvars, i) + body)
     if comb.rows != nvars:
         raise ValueError("combination matrix must be square in the reduced dimension")
-    return PolyMap(components, nvars=nvars)
+    cubes = [cube_linear_form(row) for row in mix.entries]
+    return PolyMap(
+        [
+            Polynomial.variable(nvars, i) + linear_combination(comb.entries[i], cubes, nvars)
+            for i in range(nvars)
+        ],
+        nvars=nvars,
+    )

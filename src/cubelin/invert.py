@@ -1,18 +1,23 @@
-"""Keller test and exact inversion for cubic-linear maps.
+"""Keller test and exact inversion of cubic-linear maps through the rank reduction.
 
-Inversion runs the fixed-point recurrence G <- X - H(G), truncated at a
-degree bound, which converges to the truncated formal inverse series in
-finitely many steps.  For maps of the shape X + comb @ (mix @ X)^{*3} the
-recurrence is evaluated in structured form: collapse the linear forms
-u_j = mix_j . G first, then cube.  The collapse is where all the
-cancellation lives, so iterates stay small even when the generic
-composition would blow up.
+A rank factorization A = B @ C (B made of pivot columns, C of the nonzero
+reduced-echelon rows) pairs F = X + (AX)^{*3} in dimension n with the
+smaller map G = Y + C (BY)^{*3} in dimension r = rank(A).  The projection
+C intertwines them, C o F == G o C, F and G are invertible together
+(Gorni-Zampieri), and an inverse of G lifts back:
 
-Once the iteration is stationary, F o G == id reduces to an exact identity
-on the collapsed forms (no truncation), and G o F == id follows from
-F o G == id because maps with identity linear part form a group under
-formal composition; it is still re-verified here through one cheap scalar
-composition per row of the mixing matrix.
+    F^{-1}(Z) = Z - (B @ G^{-1}(C Z))^{*3}.
+
+Inversion takes that route only: reduce, decide G, lift.  G is decided by
+the fixed-point recurrence G^{-1} <- Y - C (B G^{-1})^{*3}, truncated at a
+degree bound, evaluated in structured form: collapse the linear forms
+u_j = B_j . G^{-1} first, then cube.  The collapse is where all the
+cancellation lives, so iterates stay small.  Once the iteration is
+stationary, G o G^{-1} == id reduces to an exact identity on the
+collapsed forms (no truncation).  The lift re-verifies G^{-1} in both
+composition orders and checks F o F^{-1} == id exactly; F^{-1} o F == id
+then follows from the identities the route has checked (see
+:func:`decide_automorphism`).
 """
 
 from __future__ import annotations
@@ -20,15 +25,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .druzkowski import cubic_part, expand_map, mixed_cubic_map, _as_matrix, _require_square
-from .linalg import ScalarMatrix
+from .druzkowski import _as_matrix, _require_square, expand_map, mixed_cubic_map
+from .linalg import ScalarMatrix, rank_factorization
+from .matrixio import matrix_entries_text
 from .poly import (
     Polynomial,
     PolyMap,
     PolyMatrix,
     compose,
-    compose_polynomial,
-    cube_linear_form,
     det,
     jacobian,
     linear_combination,
@@ -64,17 +68,16 @@ def is_keller(A) -> bool:
     """Whether det J(X + (AX)^{*3}) == 1, tested through nilpotency.
 
     For cubic homogeneous H the Jacobian determinant is identically 1
-    exactly when JH is nilpotent.  In small dimensions the determinant is
-    also expanded directly and compared; a disagreement would mean a bug,
-    not a mathematical finding, so it raises.
+    exactly when JH = JF - I is nilpotent.  In small dimensions the
+    determinant is also expanded directly and compared; a disagreement
+    would mean a bug, not a mathematical finding, so it raises.
     """
     A = _require_square(_as_matrix(A))
     n = A.rows
-    JH = jacobian(cubic_part(A))
-    nilpotent = nilpotency_index(JH) is not None
+    JF = jacobian(expand_map(A))
+    nilpotent = nilpotency_index(JF - PolyMatrix.identity(n, n)) is not None
     if n <= _DET_CROSS_CHECK_CAP:
-        d = det(jacobian(expand_map(A)))
-        det_says = d == Polynomial.one(n)
+        det_says = det(JF) == Polynomial.one(n)
         if det_says != nilpotent:
             raise RuntimeError(
                 "internal check failed: Jacobian determinant and nilpotency "
@@ -120,133 +123,177 @@ class InverseResult:
         return json.dumps(self.to_dict())
 
 
-def _identity_components(n: int) -> list[Polynomial]:
-    return [Polynomial.variable(n, i) for i in range(n)]
+@dataclass(frozen=True)
+class GZPair:
+    """A cubic-linear map together with its reduced partner."""
 
+    matrix: ScalarMatrix
+    B: ScalarMatrix
+    C: ScalarMatrix
+    G: PolyMap
 
-def formal_inverse(F: PolyMap, degree_bound: int) -> PolyMap:
-    """Truncated formal inverse series of F = X + (degree >= 2 terms).
+    @property
+    def n(self) -> int:
+        return self.matrix.rows
 
-    No invertibility claim is made: the returned map satisfies
-    F(G(X)) == X modulo degrees above the bound, nothing more.  Raises
-    ValueError when F's shape breaks the precondition.
-    """
-    n = F.nvars
-    if F.dimension != n:
-        raise ValueError("formal inverse needs a square map")
-    if degree_bound < 1:
-        raise ValueError("degree bound must be at least 1")
-    identity = _identity_components(n)
-    higher = []
-    for i, p in enumerate(F.components):
-        h = p - identity[i]
-        if any(sum(e) < 2 for e in h.terms):
-            raise ValueError(
-                "formal inverse needs identity linear part plus terms of "
-                f"degree >= 2; component {i + 1} violates this"
-            )
-        higher.append(h)
-    H = PolyMap(higher, nvars=n)
-    G = PolyMap(identity, nvars=n)
-    for _ in range(degree_bound + 2):
-        HG = compose(H, G, truncate_above=degree_bound)
-        new = PolyMap(
-            [identity[i] - HG.components[i] for i in range(n)], nvars=n
+    @property
+    def r(self) -> int:
+        return self.B.cols
+
+    def projection(self) -> PolyMap:
+        """The linear map Y = C X as a polynomial map."""
+        return PolyMap(
+            [Polynomial.linear_form(row) for row in self.C.entries],
+            nvars=self.n,
         )
-        if new == G:
-            return G
-        G = new
-    raise RuntimeError("fixed-point iteration failed to stabilize")
+
+    def to_dict(self) -> dict:
+        return {
+            "r": self.r,
+            "B": matrix_entries_text(self.B),
+            "C": matrix_entries_text(self.C),
+            "G": [p.to_text() for p in self.G.components],
+        }
 
 
-def _decide(mix: ScalarMatrix, comb: ScalarMatrix | None, bound: int) -> InverseResult:
-    """Decide invertibility of X + comb @ (mix @ X)^{*3} within a bound.
+def gz_reduce(A) -> GZPair:
+    """Factor A and build the reduced map, verifying the intertwining.
 
-    comb None means the identity combination (mix must then be square).
+    Both the factorization B @ C == A and the identity C o F == G o C are
+    checked exactly on every call; a failure would be a bug in the
+    reduction, so it raises.
     """
-    dim = mix.cols
-    nrows = mix.rows
-    if comb is None:
-        if nrows != dim:
-            raise ValueError("square mixing matrix required without a combination matrix")
-    elif comb.rows != dim or comb.cols != nrows:
-        raise ValueError("combination matrix shape does not match the mixing matrix")
-    if bound < 1:
-        raise ValueError("degree bound must be at least 1")
-    identity = _identity_components(dim)
+    A = _require_square(_as_matrix(A))
+    B, C = rank_factorization(A)
+    if B * C != A:
+        raise RuntimeError(
+            "internal check failed: rank factorization does not multiply back"
+        )
+    G = mixed_cubic_map(B, C)
+    F = expand_map(A)
+    projection = PolyMap(
+        [Polynomial.linear_form(row) for row in C.entries], nvars=A.rows
+    )
+    C_after_F = PolyMap(
+        [
+            linear_combination(C.entries[i], F.components, A.rows)
+            for i in range(C.rows)
+        ],
+        nvars=A.rows,
+    )
+    G_after_C = compose(G, projection)
+    if C_after_F != G_after_C:
+        raise RuntimeError("internal check failed: reduction does not intertwine")
+    return GZPair(matrix=A, B=B, C=C, G=G)
 
-    def step(components: list[Polynomial]) -> tuple[list[Polynomial], list[Polynomial]]:
-        forms = [
-            linear_combination(mix.entries[j], components, dim) for j in range(nrows)
-        ]
-        cubes = [u.cube(truncate_above=bound) for u in forms]
-        if comb is None:
-            new = [identity[i] - cubes[i] for i in range(dim)]
-        else:
-            new = [
-                identity[i] - linear_combination(comb.entries[i], cubes, dim)
-                for i in range(dim)
-            ]
-        return new, forms
 
-    components = list(identity)
-    stable = False
+def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
+    """Lift an inverse of the reduced map to an inverse of the full map.
+
+    ``g_inverse`` is re-verified against the reduced map in both
+    composition orders before lifting (ValueError if it is not actually
+    the inverse), and the lifted map is checked against F exactly.
+    """
+    r = pair.r
+    G = pair.G
+    if g_inverse.dimension != r or g_inverse.nvars != r:
+        raise ValueError(f"reduced inverse must be a square map in dimension {r}")
+    identity_r = PolyMap.identity(r)
+    if compose(G, g_inverse) != identity_r or compose(g_inverse, G) != identity_r:
+        raise ValueError("supplied map is not a verified inverse of the reduced map")
+    n = pair.n
+    projection = pair.projection()
+    g_of_CZ = compose(g_inverse, projection)
+    lifted = [
+        linear_combination(pair.B.entries[j], g_of_CZ.components, n)
+        for j in range(n)
+    ]
+    inverse = PolyMap(
+        [Polynomial.variable(n, i) - lifted[i].cube() for i in range(n)],
+        nvars=n,
+    )
+    # exact check F(F^{-1}) == id via the collapsed linear forms
+    for i in range(n):
+        u = linear_combination(pair.matrix.entries[i], inverse.components, n)
+        if inverse.components[i] + u.cube() != Polynomial.variable(n, i):
+            raise RuntimeError("internal check failed: lifted map does not invert F")
+    return inverse
+
+
+def _decide(B: ScalarMatrix, C: ScalarMatrix, bound: int) -> InverseResult:
+    """Decide whether G(Y) = Y + C (BY)^{*3} has an inverse of degree <= bound."""
+    r = B.cols
+    identity = [Polynomial.variable(r, i) for i in range(r)]
+
+    def forms(components: list[Polynomial]) -> list[Polynomial]:
+        return [linear_combination(row, components, r) for row in B.entries]
+
+    components = identity
     for _ in range(bound + 2):
-        new, _ = step(components)
+        cubes = [u.cube(truncate_above=bound) for u in forms(components)]
+        new = [
+            identity[i] - linear_combination(C.entries[i], cubes, r) for i in range(r)
+        ]
         if new == components:
-            stable = True
             break
         components = new
-    if not stable:
+    else:
         raise RuntimeError("fixed-point iteration failed to stabilize")
 
-    # Exact right-composition check: F(G) == X iff the untruncated cube
-    # combination reproduces X - G.
-    forms = [linear_combination(mix.entries[j], components, dim) for j in range(nrows)]
-    exact_cubes = [u.cube() for u in forms]
-    for i in range(dim):
-        if comb is None:
-            body = exact_cubes[i]
-        else:
-            body = linear_combination(comb.entries[i], exact_cubes, dim)
-        if body != identity[i] - components[i]:
+    # Exact right-composition check: G(G^{-1}) == Y iff the untruncated
+    # cube combination reproduces Y - G^{-1}.
+    exact_cubes = [u.cube() for u in forms(components)]
+    for i in range(r):
+        if linear_combination(C.entries[i], exact_cubes, r) != identity[i] - components[i]:
             return InverseResult(status=NOT_INVERTIBLE, degree_bound_used=bound)
+    return InverseResult(
+        status=INVERTIBLE, degree_bound_used=bound, inverse=PolyMap(components, nvars=r)
+    )
 
-    # Exact left-composition check: G(F) == X iff composing the collapsed
-    # forms with F turns each cube back into the cube of the original row.
-    F = mixed_cubic_map(mix, comb)
-    target_cubes = [cube_linear_form(mix.entries[j]) for j in range(nrows)]
-    memo: dict[tuple[int, ...], Polynomial] = {}
-    for j in range(nrows):
-        w = compose_polynomial(forms[j], F, _memo=memo)
-        composed_cube = w.cube()
-        if comb is None:
-            if composed_cube != target_cubes[j]:
-                raise RuntimeError(
-                    "internal check failed: right inverse is not a left inverse"
-                )
-        else:
-            # compare per-row; combined below for rectangular comb
-            target_cubes[j] = target_cubes[j] - composed_cube
-    if comb is not None:
-        for i in range(dim):
-            residue = linear_combination(comb.entries[i], target_cubes, dim)
-            if not residue.is_zero():
-                raise RuntimeError(
-                    "internal check failed: right inverse is not a left inverse"
-                )
 
-    inverse = PolyMap(components, nvars=dim)
-    return InverseResult(status=INVERTIBLE, degree_bound_used=bound, inverse=inverse)
+def _invert_by_reduction(
+    A: ScalarMatrix, degree_bound: int | None = None
+) -> tuple[GZPair, InverseResult, PolyMap | None]:
+    """Reduce A, decide G at min(degree_bound, 3^(r-1)), lift its inverse.
+
+    Returns the pair, the decision on G and the verified inverse of F, or
+    None in its place when G has no inverse within the bound.
+    """
+    pair = gz_reduce(A)
+    bound = default_degree_bound(pair.r)
+    if degree_bound is not None:
+        bound = min(bound, degree_bound)
+    g_result = _decide(pair.B, pair.C, bound)
+    f_inverse = lift_inverse(pair, g_result.inverse) if g_result.invertible else None
+    return pair, g_result, f_inverse
 
 
 def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
-    """Decide whether X + (AX)^{*3} has a polynomial inverse.
+    """Decide whether X + (AX)^{*3} has a polynomial inverse of degree <= d.
 
-    The default bound 3^(n-1) is the maximum possible inverse degree, so
-    with it the answer is unconditional; a caller-supplied bound decides
-    invertibility-within-that-bound instead.
+    d is ``degree_bound``, by default 3^(n-1), the maximum possible inverse
+    degree (Bass-Connell-Wright), so with it the answer is unconditional.
+    The map is reduced to G in dimension r = rank(A) and G is decided at
+    min(d, 3^(r-1)): C o F^{-1} == G^{-1} o C with C onto gives
+    deg G^{-1} <= deg F^{-1}, so a G with no inverse of degree <= d means an
+    F with none either.  A lifted inverse of degree above d is reported as
+    NotInvertible.
+
+    Both composition orders are verified exactly.  F o F^{-1} == id is
+    checked directly by the lift.  F^{-1} o F == id follows from B C == A
+    and C o F == G o C (checked by the reduction) and G^{-1} o G == id
+    (checked by the lift):
+
+        F^{-1}(F(X)) = F(X) - (B G^{-1}(C F(X)))^{*3}
+                     = F(X) - (B G^{-1}(G(C X)))^{*3}
+                     = F(X) - (B C X)^{*3}
+                     = F(X) - (A X)^{*3} = X.
     """
     A = _require_square(_as_matrix(A))
     bound = default_degree_bound(A.rows) if degree_bound is None else degree_bound
-    return _decide(A, None, bound)
+    if bound < 1:
+        raise ValueError("degree bound must be at least 1")
+    _, _, inverse = _invert_by_reduction(A, bound)
+    if inverse is None or inverse.max_degree() > bound:
+        return InverseResult(status=NOT_INVERTIBLE, degree_bound_used=bound)
+    return InverseResult(status=INVERTIBLE, degree_bound_used=bound, inverse=inverse)

@@ -15,13 +15,7 @@ metadata reads ``BACKEND``, which is always "pure".
 
 from __future__ import annotations
 
-import logging
-
-from .druzkowski import RankBoundCertificate, _as_matrix, _require_square
-from .druzkowski import rank_bound_certificate as _reference_certificate
 from .linalg import ScalarMatrix
-
-logger = logging.getLogger(__name__)
 
 BACKEND = "pure"
 
@@ -132,26 +126,3 @@ def certificate_ints_pure(
 
     return holds, delta, rank_
 
-
-def certificate(A) -> RankBoundCertificate:
-    """Rank-bound certificate via the integer path when it applies.
-
-    Identical output to :func:`cubelin.druzkowski.rank_bound_certificate`
-    on every input; non-integer matrices go straight to the reference.
-    """
-    A = _require_square(_as_matrix(A))
-    flat = flatten_gaussian_ints(A)
-    if flat is None:
-        return _reference_certificate(A)
-    n = A.rows
-    holds, delta, rank_ = certificate_ints(n, flat)
-    result = RankBoundCertificate(
-        n=n,
-        trace_condition_holds=holds,
-        delta=delta,
-        rank=rank_,
-        bound_times_two=n + delta,
-    )
-    if not result.theorem_satisfied:
-        logger.error("rank bound violated for %r: %s", A, result.to_json())
-    return result

@@ -79,18 +79,6 @@ class ScalarMatrix:
     def diagonal(self) -> tuple[GaussianRational, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self._cols)))
 
-    def diag_of(self) -> "ScalarMatrix":
-        """The diagonal matrix sharing this matrix's diagonal."""
-        return ScalarMatrix._raw(
-            tuple(
-                tuple(
-                    self.entries[i][i] if i == j else ZERO for j in range(self._cols)
-                )
-                for i in range(self.rows)
-            ),
-            self._cols,
-        )
-
     def transpose(self) -> "ScalarMatrix":
         return ScalarMatrix._raw(
             tuple(self.column(j) for j in range(self._cols)), self.rows

@@ -1,18 +1,16 @@
-"""Rank reduction of cubic-linear maps and the dimension-bound pipeline.
+"""The dimension-bound pipeline: Keller maps in dimension <= 9 are invertible.
 
-A rank factorization A = B @ C (B made of pivot columns, C of the nonzero
-reduced-echelon rows) pairs F = X + (AX)^{*3} in dimension n with the
-smaller map G = Y + C (BY)^{*3} in dimension r = rank(A).  The projection
-C intertwines them, C o F == G o C, and an inverse of G lifts back:
+``corollary_pipeline`` chains the pieces of the argument: when every
+diagonal entry of A is nonzero and F = X + (AX)^{*3} is Keller, the rank
+bound forces r = rank(A) <= 4 in dimension at most 9, so the reduced map
+G = Y + C (BY)^{*3} of :func:`gz_reduce` lives in a tiny space and the lift
+gives a fully verified polynomial inverse of F.  Any matrix that satisfies
+those hypotheses yet fails a later stage is flagged as an anomaly instead
+of raising, so searches can log it and move on.
 
-    F^{-1}(Z) = Z - (B @ G^{-1}(C Z))^{*3}.
-
-``corollary_pipeline`` chains the pieces: when every diagonal entry of A
-is nonzero and F is Keller, the rank bound forces r <= 4 in dimension at
-most 9, so the reduced inverse lives in a tiny space and the lift gives a
-fully verified polynomial inverse of F.  Any matrix that satisfies those
-hypotheses yet fails a later stage is flagged as an anomaly instead of
-raising, so searches can log it and move on.
+The reduction itself (``GZPair``, ``gz_reduce``, ``lift_inverse``) lives in
+:mod:`cubelin.invert`, whose one inversion route it is; it is re-exported
+here.
 """
 
 from __future__ import annotations
@@ -24,116 +22,23 @@ from dataclasses import dataclass
 from .druzkowski import (
     _as_matrix,
     _require_square,
-    expand_map,
-    mixed_cubic_map,
     rank_bound_certificate,
     zero_diagonal_count,
 )
-from .invert import _decide, default_degree_bound, is_keller, nilpotency_index
-from .linalg import ScalarMatrix, rank_factorization
-from .matrixio import matrix_entries_text
-from .poly import Polynomial, PolyMap, compose, jacobian, linear_combination
+# gz_reduce and lift_inverse are imported to re-export them
+from .invert import (
+    GZPair,
+    _invert_by_reduction,
+    gz_reduce,
+    is_keller,
+    lift_inverse,
+    nilpotency_index,
+)
+from .poly import PolyMap, PolyMatrix, jacobian
 
 logger = logging.getLogger(__name__)
 
 _DIMENSION_CAP = 9
-
-
-@dataclass(frozen=True)
-class GZPair:
-    """A cubic-linear map together with its reduced partner."""
-
-    matrix: ScalarMatrix
-    B: ScalarMatrix
-    C: ScalarMatrix
-    G: PolyMap
-
-    @property
-    def n(self) -> int:
-        return self.matrix.rows
-
-    @property
-    def r(self) -> int:
-        return self.B.cols
-
-    def projection(self) -> PolyMap:
-        """The linear map Y = C X as a polynomial map."""
-        return PolyMap(
-            [Polynomial.linear_form(row) for row in self.C.entries],
-            nvars=self.n,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "B": matrix_entries_text(self.B),
-            "C": matrix_entries_text(self.C),
-            "G": [p.to_text() for p in self.G.components],
-        }
-
-
-def gz_reduce(A) -> GZPair:
-    """Factor A and build the reduced map, verifying the intertwining.
-
-    Both the factorization B @ C == A and the identity C o F == G o C are
-    checked exactly on every call; a failure would be a bug in the
-    reduction, so it raises.
-    """
-    A = _require_square(_as_matrix(A))
-    B, C = rank_factorization(A)
-    if B * C != A:
-        raise RuntimeError(
-            "internal check failed: rank factorization does not multiply back"
-        )
-    G = mixed_cubic_map(B, C)
-    F = expand_map(A)
-    projection = PolyMap(
-        [Polynomial.linear_form(row) for row in C.entries], nvars=A.rows
-    )
-    C_after_F = PolyMap(
-        [
-            linear_combination(C.entries[i], F.components, A.rows)
-            for i in range(C.rows)
-        ],
-        nvars=A.rows,
-    )
-    G_after_C = compose(G, projection)
-    if C_after_F != G_after_C:
-        raise RuntimeError("internal check failed: reduction does not intertwine")
-    return GZPair(matrix=A, B=B, C=C, G=G)
-
-
-def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
-    """Lift an inverse of the reduced map to an inverse of the full map.
-
-    ``g_inverse`` is re-verified against the reduced map in both
-    composition orders before lifting (ValueError if it is not actually
-    the inverse), and the lifted map is checked against F exactly.
-    """
-    r = pair.r
-    G = pair.G
-    if g_inverse.dimension != r or g_inverse.nvars != r:
-        raise ValueError(f"reduced inverse must be a square map in dimension {r}")
-    identity_r = PolyMap.identity(r)
-    if compose(G, g_inverse) != identity_r or compose(g_inverse, G) != identity_r:
-        raise ValueError("supplied map is not a verified inverse of the reduced map")
-    n = pair.n
-    projection = pair.projection()
-    g_of_CZ = compose(g_inverse, projection)
-    lifted = [
-        linear_combination(pair.B.entries[j], g_of_CZ.components, n)
-        for j in range(n)
-    ]
-    inverse = PolyMap(
-        [Polynomial.variable(n, i) - lifted[i].cube() for i in range(n)],
-        nvars=n,
-    )
-    # exact check F(F^{-1}) == id via the collapsed linear forms
-    for i in range(n):
-        u = linear_combination(pair.matrix.entries[i], inverse.components, n)
-        if inverse.components[i] + u.cube() != Polynomial.variable(n, i):
-            raise RuntimeError("internal check failed: lifted map does not invert F")
-    return inverse
 
 
 @dataclass(frozen=True)
@@ -193,10 +98,11 @@ def corollary_pipeline(A) -> CorollaryReport:
 
     Stages, in order: dimension cap (hard error above nine), nonzero
     diagonal, Keller condition, trace condition and rank at most four,
-    reduction, nilpotency of the reduced Jacobian, reduced-map inversion,
-    lift, verification.  A failed hypothesis gate (diagonal or Keller)
-    ends the run quietly; any failure after both hypotheses hold is
-    reported as an anomaly.
+    then reduction, reduced-map inversion and lift, the one inversion
+    route that :func:`decide_automorphism` takes too.  Its outcome is
+    reported after the nilpotency of the reduced Jacobian.  A failed
+    hypothesis gate (diagonal or Keller) ends the run quietly; any failure
+    after both hypotheses hold is reported as an anomaly.
     """
     A = _require_square(_as_matrix(A))
     n = A.rows
@@ -223,7 +129,7 @@ def corollary_pipeline(A) -> CorollaryReport:
         logger.warning("anomaly: rank above four for %r: %s", A, report.to_json())
         return report
 
-    pair = gz_reduce(A)
+    pair, g_result, f_inverse = _invert_by_reduction(A)
     base = dict(
         n=n,
         diag_nonzero=diag_nonzero,
@@ -232,18 +138,13 @@ def corollary_pipeline(A) -> CorollaryReport:
         rank_le_4=True,
         pair=pair,
     )
-    cubic = PolyMap(
-        [pair.G.components[i] - Polynomial.variable(r, i) for i in range(r)],
-        nvars=r,
-    )
-    if nilpotency_index(jacobian(cubic)) is None:
+    if nilpotency_index(jacobian(pair.G) - PolyMatrix.identity(r, r)) is None:
         report = CorollaryReport(**base)
         logger.warning(
             "anomaly: reduced Jacobian not nilpotent for %r: %s", A, report.to_json()
         )
         return report
 
-    g_result = _decide(pair.B, pair.C, default_degree_bound(r))
     if not g_result.invertible:
         report = CorollaryReport(**base)
         logger.warning(
@@ -251,7 +152,6 @@ def corollary_pipeline(A) -> CorollaryReport:
         )
         return report
 
-    f_inverse = lift_inverse(pair, g_result.inverse)
     return CorollaryReport(
         **base,
         g_inverse_degree=g_result.inverse_degree,

@@ -1,7 +1,10 @@
-"""Shared fixtures-adjacent helpers: sympy bridges and deterministic random data.
+"""Shared fixtures-adjacent helpers: sympy bridges, oracles and deterministic random data.
 
 sympy is used as an independent oracle: conversions go through strings or raw
-integer pairs, never through the code paths under test.
+integer pairs, never through the code paths under test.  The generic
+fixed-point inverse, the cubic part and the trace polynomial below are
+second routes to what the library computes its own way, kept here as
+oracles only.
 """
 
 import random
@@ -9,7 +12,8 @@ from fractions import Fraction
 
 import sympy
 
-from cubelin import GaussianRational, Polynomial, ScalarMatrix, parse_gaussian
+from cubelin import GaussianRational, PolyMap, Polynomial, ScalarMatrix, parse_gaussian
+from cubelin.poly import compose, cube_linear_form
 
 PAPER_EXAMPLE_ROWS = [
     ["1", "i", "1", "1"],
@@ -110,3 +114,57 @@ def random_polynomial(
         if not coeff.is_zero():
             total = total + Polynomial(nvars, {tuple(exps): coeff})
     return total
+
+
+def cubic_part(A: ScalarMatrix) -> PolyMap:
+    """(AX)^{*3}, the homogeneous degree-3 part of X + (AX)^{*3}."""
+    return PolyMap([cube_linear_form(row) for row in A.entries], nvars=A.rows)
+
+
+def trace_poly(A: ScalarMatrix) -> Polynomial:
+    """Trace of the Jacobian of the cubic part: 3 * sum_i a_ii * t_i^2."""
+    n = A.rows
+    total = Polynomial.zero(n)
+    three = GaussianRational(3)
+    for i in range(n):
+        d = A.entries[i][i]
+        if not d:
+            continue
+        t = Polynomial.linear_form(A.entries[i])
+        total = total + (t * t).scale(three * d)
+    return total
+
+
+def formal_inverse(F: PolyMap, degree_bound: int) -> PolyMap:
+    """Truncated formal inverse series of F = X + (degree >= 2 terms).
+
+    Generic fixed-point iteration G <- X - H(G) with full truncated
+    composition, in F's own dimension.  No invertibility claim is made:
+    the returned map satisfies F(G(X)) == X modulo degrees above the
+    bound, nothing more.  Raises ValueError when F's shape breaks the
+    precondition.
+    """
+    n = F.nvars
+    if F.dimension != n:
+        raise ValueError("formal inverse needs a square map")
+    if degree_bound < 1:
+        raise ValueError("degree bound must be at least 1")
+    identity = [Polynomial.variable(n, i) for i in range(n)]
+    higher = []
+    for i, p in enumerate(F.components):
+        h = p - identity[i]
+        if any(sum(e) < 2 for e in h.terms):
+            raise ValueError(
+                "formal inverse needs identity linear part plus terms of "
+                f"degree >= 2; component {i + 1} violates this"
+            )
+        higher.append(h)
+    H = PolyMap(higher, nvars=n)
+    G = PolyMap(identity, nvars=n)
+    for _ in range(degree_bound + 2):
+        HG = compose(H, G, truncate_above=degree_bound)
+        new = PolyMap([identity[i] - HG.components[i] for i in range(n)], nvars=n)
+        if new == G:
+            return G
+        G = new
+    raise RuntimeError("fixed-point iteration failed to stabilize")

@@ -17,30 +17,27 @@ import sympy
 from cubelin import (
     Polynomial,
     SearchConfig,
-    compose_polynomial,
     corollary_pipeline,
-    cubic_part,
     decide_automorphism,
-    det,
-    expand_map,
-    gram_and_condition,
     gz_reduce,
-    iter_candidate_matrices,
-    jacobian,
-    nilpotency_index,
     parse_gaussian,
     parse_matrix,
     rank_bound_certificate,
     run_search,
-    trace_poly,
 )
+from cubelin.druzkowski import expand_map, gram_and_condition
+from cubelin.harness import iter_candidate_matrices
+from cubelin.invert import nilpotency_index
+from cubelin.poly import compose_polynomial, det, jacobian
 from helpers import (
     coordinate_symbols,
+    cubic_part,
     paper_example,
     poly_to_sympy,
     sympy_det_jf_is_one,
     sympy_map,
     sympy_trace_is_zero,
+    trace_poly,
 )
 
 FULL_ALPHABET = ["0", "1", "-1", "i", "-i"]

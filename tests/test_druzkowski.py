@@ -5,23 +5,29 @@ import random
 import pytest
 
 from cubelin import (
-    DruzkowskiMap,
     PolyMap,
     Polynomial,
     ScalarMatrix,
-    cubic_part,
-    delta,
-    expand_map,
-    gram_and_condition,
-    jacobian,
-    linear_forms,
     parse_gaussian,
     rank_bound_certificate,
+)
+from cubelin.druzkowski import (
+    expand_map,
+    gram_and_condition,
+    gram_matrix,
+    linear_forms,
+    mixed_cubic_map,
     trace_condition_holds,
+    zero_diagonal_count,
+)
+from cubelin.poly import PolyMatrix, jacobian
+from helpers import (
+    cubic_part,
+    random_scalar_matrix,
+    shear_matrix,
+    sympy_trace_is_zero,
     trace_poly,
 )
-from cubelin.druzkowski import gram_matrix, mixed_cubic_map, zero_diagonal_count
-from helpers import random_scalar_matrix, shear_matrix, sympy_trace_is_zero
 
 
 def g(text):
@@ -66,6 +72,8 @@ class TestExpandMap:
         H = cubic_part(paper)
         for i in range(4):
             assert F.components[i] - Polynomial.variable(4, i) == H.components[i]
+        # is_keller takes JH as JF - I
+        assert jacobian(F) - PolyMatrix.identity(4, 4) == jacobian(H)
 
     def test_linear_forms_row_wise(self):
         forms = linear_forms(mat([["1", "2"], ["0", "-i"]]))
@@ -130,7 +138,11 @@ class TestGram:
         rng = random.Random(25)
         for _ in range(25):
             A = random_scalar_matrix(rng, rng.randint(1, 4), den=2)
-            assert gram_matrix(A) == A.transpose() * A.diag_of() * A
+            n = A.rows
+            D = ScalarMatrix(
+                [[A.entries[i][i] if i == j else g("0") for j in range(n)] for i in range(n)]
+            )
+            assert gram_matrix(A) == A.transpose() * D * A
 
     def test_trace_iff_gram_exhaustive(self):
         for A in all_two_by_two(ALPHABET):
@@ -139,10 +151,9 @@ class TestGram:
 
 class TestDelta:
     def test_counts(self, paper):
-        assert delta(paper) == 0
-        assert delta(ScalarMatrix.zeros(3, 3)) == 3
-        assert delta(mat([["1", "5"], ["7", "0"]])) == 1
-        assert zero_diagonal_count is delta
+        assert zero_diagonal_count(paper) == 0
+        assert zero_diagonal_count(ScalarMatrix.zeros(3, 3)) == 3
+        assert zero_diagonal_count(mat([["1", "5"], ["7", "0"]])) == 1
 
 
 class TestCertificate:
@@ -192,17 +203,9 @@ class TestCertificate:
             assert rank_bound_certificate(A).theorem_satisfied
 
 
-class TestDruzkowskiMap:
-    def test_wrapper(self, paper):
-        dm = DruzkowskiMap(paper)
-        assert dm.n == 4
-        assert dm.polynomial_map() == expand_map(paper)
-        assert dm.certificate() == rank_bound_certificate(paper)
-
-
 class TestMixedCubicMap:
     def test_square_case_matches_expand(self, paper):
-        assert mixed_cubic_map(paper, None) == expand_map(paper)
+        assert mixed_cubic_map(paper, ScalarMatrix.identity(4)) == expand_map(paper)
 
     def test_rectangular_pair(self):
         # mix 1x2, comb 2x1: components are y_i + c_i * (m . y)^3

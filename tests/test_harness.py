@@ -6,10 +6,8 @@ from cubelin import (
     CeilingExceededError,
     ScalarMatrix,
     SearchConfig,
-    iter_candidate_matrices,
     parse_gaussian,
     run_search,
-    splitmix64,
 )
 from cubelin import harness
 from cubelin.harness import (
@@ -17,6 +15,8 @@ from cubelin.harness import (
     DEFAULT_CEILING,
     _chunk_bounds,
     enumeration_ceiling,
+    iter_candidate_matrices,
+    splitmix64,
 )
 
 

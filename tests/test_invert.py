@@ -5,25 +5,16 @@ import pytest
 
 from cubelin import (
     PolyMap,
-    PolyMatrix,
     Polynomial,
     ScalarMatrix,
-    compose,
-    compose_polynomial,
-    cubic_part,
     decide_automorphism,
-    default_degree_bound,
-    det,
-    expand_map,
-    formal_inverse,
     is_keller,
-    jacobian,
-    nilpotency_index,
     parse_gaussian,
-    trace_condition_holds,
 )
-from cubelin.invert import INVERTIBLE, NOT_INVERTIBLE
-from helpers import shear_matrix, sympy_det_jf_is_one
+from cubelin.druzkowski import expand_map, trace_condition_holds
+from cubelin.invert import INVERTIBLE, NOT_INVERTIBLE, default_degree_bound, nilpotency_index
+from cubelin.poly import PolyMatrix, compose, compose_polynomial, det, jacobian
+from helpers import cubic_part, formal_inverse, shear_matrix, sympy_det_jf_is_one
 
 
 def g(text):
@@ -275,3 +266,88 @@ class TestKellerDeterminantEquivalence:
             assert nil == unit
             hits += nil
         assert hits >= 20
+
+
+def three_by_three_keller_corpus():
+    """Keller matrices over {0, +-1, +-i} in dimension 3, seeded.
+
+    Ten strictly upper-triangular matrices (always Keller) and the first
+    three Keller matrices of a trace-filtered sample, plus one
+    non-integral multiple: c A is Keller whenever A is, since JH scales
+    by c^3.
+    """
+    rng = random.Random(53)
+    zero = g("0")
+    triangular = [
+        ScalarMatrix([[zero, a, b], [zero, zero, c], [zero, zero, zero]])
+        for a, b, c in itertools.product(ALPHABET, repeat=3)
+    ]
+    corpus = rng.sample(triangular, 10)
+    sampled = []
+    while len(sampled) < 3:
+        A = ScalarMatrix([[rng.choice(ALPHABET) for _ in range(3)] for _ in range(3)])
+        if trace_condition_holds(A) and is_keller(A):
+            sampled.append(A)
+    corpus += sampled
+    c = g("1/2+1/2i")
+    corpus.append(ScalarMatrix([[c * a for a in row] for row in sampled[0].entries]))
+    return corpus
+
+
+class TestReducedRoute:
+    """decide_automorphism inverts through the rank reduction; the generic
+    full-dimension fixed-point series is the oracle."""
+
+    def test_three_by_three_agrees_with_generic_series(self):
+        corpus = three_by_three_keller_corpus()
+        assert any(not c.is_gaussian_integer() for row in corpus[-1].entries for c in row)
+        for A in corpus:
+            result = decide_automorphism(A)
+            assert result.invertible and result.degree_bound_used == 9
+            F = expand_map(A)
+            assert result.inverse == formal_inverse(F, 9)
+            assert compose(F, result.inverse).is_identity()
+            assert compose(result.inverse, F).is_identity()
+
+    @pytest.mark.parametrize("bound", [1, 3, 8])
+    def test_paper_example_below_its_degree(self, paper, bound):
+        # G's inverse has degree 3, so bounds 3 and 8 reach the lift and
+        # are refused by the lifted degree 9
+        result = decide_automorphism(paper, degree_bound=bound)
+        assert result.status == NOT_INVERTIBLE
+        assert result.degree_bound_used == bound
+        assert result.inverse is None
+
+    @pytest.mark.parametrize("bound", [9, 27, 30])
+    def test_paper_example_at_or_above_its_degree(self, paper, paper_decision, bound):
+        result = decide_automorphism(paper, degree_bound=bound)
+        assert result.status == INVERTIBLE
+        assert result.degree_bound_used == bound
+        assert result.inverse == paper_decision.inverse
+        assert result.inverse_degree == 9
+
+    def test_bound_below_one_rejected(self, paper):
+        for bound in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                decide_automorphism(paper, degree_bound=bound)
+
+    def test_rank_zero(self):
+        for bound in (None, 1, 5):
+            result = decide_automorphism(ScalarMatrix.zeros(3, 3), degree_bound=bound)
+            assert result.invertible
+            assert result.inverse.is_identity()
+            assert result.degree_bound_used == (9 if bound is None else bound)
+
+    @pytest.mark.parametrize("rows", [[["1"]], [["1", "0"], ["0", "1"]]])
+    def test_non_keller_full_rank(self, rows):
+        A = mat(rows)
+        assert not is_keller(A)
+        for bound in (None, 1, 30):
+            result = decide_automorphism(A, degree_bound=bound)
+            assert result.status == NOT_INVERTIBLE
+            assert result.inverse is None
+            expected = default_degree_bound(A.rows) if bound is None else bound
+            assert result.degree_bound_used == expected
+        # the generic series does not close up either
+        F = expand_map(A)
+        assert not compose(F, formal_inverse(F, 9)).is_identity()

@@ -9,12 +9,12 @@ from cubelin import (
     ScalarMatrix,
     SearchConfig,
     is_keller,
-    iter_candidate_matrices,
     parse_gaussian,
     rank_bound_certificate,
     run_search,
 )
 from cubelin import harness, kernel
+from cubelin.harness import iter_candidate_matrices
 
 
 def g(text):
@@ -131,26 +131,36 @@ class TestGuard:
         assert kernel.flatten_gaussian_ints(M) is None
 
 
+def integer_triple(M):
+    flat = kernel.flatten_gaussian_ints(M)
+    assert flat is not None
+    return kernel.certificate_ints(M.rows, flat)
+
+
 class TestPublicCertificate:
+    """The integer path against rank_bound_certificate, the one public
+    certificate entry point."""
+
     def test_matches_reference_on_integers(self, paper):
-        cert = kernel.certificate(paper)
-        assert cert == rank_bound_certificate(paper)
+        assert integer_triple(paper) == reference_triple(paper)
 
     def test_matches_reference_on_fractions(self):
+        # no integer path: the search takes the reference's triple
         M = ScalarMatrix([[g("1/2"), g("i")], [g("-i"), g("1/3")]])
-        assert kernel.certificate(M) == rank_bound_certificate(M)
+        assert kernel.flatten_gaussian_ints(M) is None
+        assert harness._certificate(2, None, M, False) == reference_triple(M)
 
     def test_matches_reference_above_guard(self):
         M = ScalarMatrix([[GaussianRational(10 ** 7), GaussianRational(1)],
                           [GaussianRational(0), GaussianRational(3)]])
-        assert kernel.certificate(M) == rank_bound_certificate(M)
+        assert integer_triple(M) == reference_triple(M)
 
     def test_random_sweep(self):
         rng = random.Random(92)
         for _ in range(150):
             n = rng.randint(1, 5)
             M = gaussian_int_matrix(rng, n, 2)
-            assert kernel.certificate(M) == rank_bound_certificate(M)
+            assert integer_triple(M) == reference_triple(M)
 
 
 def sampled_config(n, count, seed, filters, checks):

@@ -3,8 +3,8 @@ import random
 import pytest
 import sympy
 
-from cubelin import ScalarMatrix, parse_gaussian, rank, rank_factorization, rref
-from cubelin.linalg import rref_with_pivots
+from cubelin import ScalarMatrix, parse_gaussian
+from cubelin.linalg import rank, rank_factorization, rref, rref_with_pivots
 from helpers import matrix_to_sympy, paper_example, random_scalar_matrix
 
 
@@ -110,13 +110,6 @@ class TestRankFactorization:
 
 
 class TestMatrixOps:
-    def test_diag_of(self, paper):
-        D = paper.diag_of()
-        assert D.diagonal() == tuple(g(v) for v in ("1", "1", "1", "-1"))
-        assert all(
-            D.entries[i][j].is_zero() for i in range(4) for j in range(4) if i != j
-        )
-
     def test_diagonal_tuple(self):
         assert mat([["1", "2"], ["3", "4i"]]).diagonal() == (g("1"), g("4i"))
 

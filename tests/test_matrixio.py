@@ -3,15 +3,8 @@ import random
 
 import pytest
 
-from cubelin import (
-    MatrixParseError,
-    ScalarMatrix,
-    builtin_example,
-    builtin_example_names,
-    format_matrix,
-    parse_matrix,
-)
-from cubelin.matrixio import matrix_entries_text
+from cubelin import MatrixParseError, ScalarMatrix, builtin_example, parse_matrix
+from cubelin.matrixio import builtin_example_names, format_matrix, matrix_entries_text
 from helpers import PAPER_EXAMPLE_ROWS, paper_example, random_scalar_matrix
 
 

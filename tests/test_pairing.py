@@ -6,15 +6,14 @@ from cubelin import (
     PolyMap,
     Polynomial,
     ScalarMatrix,
-    compose,
     corollary_pipeline,
-    expand_map,
     gz_reduce,
     lift_inverse,
-    linear_combination,
     parse_gaussian,
-    rank,
 )
+from cubelin.druzkowski import expand_map
+from cubelin.linalg import rank
+from cubelin.poly import compose, linear_combination
 from helpers import random_scalar_matrix, shear_matrix
 
 

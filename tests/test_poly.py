@@ -3,11 +3,11 @@ import random
 import pytest
 import sympy
 
-from cubelin import (
+from cubelin import PolyMap, Polynomial, parse_gaussian
+from cubelin.druzkowski import expand_map, linear_forms
+from cubelin.poly import (
     ArityMismatchError,
-    PolyMap,
     PolyMatrix,
-    Polynomial,
     UnsupportedSizeError,
     compose,
     compose_polynomial,
@@ -15,7 +15,6 @@ from cubelin import (
     det,
     jacobian,
     linear_combination,
-    parse_gaussian,
 )
 from helpers import (
     coordinate_symbols,
@@ -212,8 +211,6 @@ class TestJacobian:
 
     def test_cubic_structure(self):
         # rows of J(F) - I are 3 t_i^2 * a_ij for t_i the i-th linear form
-        from cubelin import expand_map, linear_forms
-
         A = paper_example()
         F = expand_map(A)
         J = jacobian(F)
@@ -284,8 +281,6 @@ class TestDeterminant:
         assert det(PolyMatrix([], nvars=3)) == Polynomial.one(3)
 
     def test_keller_map_jacobian(self):
-        from cubelin import expand_map
-
         F = expand_map(paper_example())
         assert det(jacobian(F)) == Polynomial.one(4)
 

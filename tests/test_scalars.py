@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from cubelin import GaussianRational, ParseError, format_gaussian, parse_gaussian
-from cubelin.scalars import I, MINUS_ONE, ONE, ZERO
+from cubelin import GaussianRational, ParseError, parse_gaussian
+from cubelin.scalars import I, MINUS_ONE, ONE, ZERO, format_gaussian
 
 
 def g(text: str) -> GaussianRational:
