@@ -1,9 +1,15 @@
 """Exact arithmetic over the Gaussian rationals Q(i).
 
 Every coefficient in this package is a :class:`GaussianRational`: a complex
-number whose real and imaginary parts are exact rationals backed by
-``fractions.Fraction`` (arbitrary precision, always reduced, denominator
-positive).  There is no floating point anywhere.
+number whose real and imaginary parts are exact rationals of arbitrary
+precision.  Each part is stored as a plain ``int`` when it is integral and
+as a ``fractions.Fraction`` (reduced, denominator positive and > 1)
+otherwise.  Every constructor and operation keeps that invariant, so the
+integral values that dominate this package (matrices over {0, ±1, ±i},
+the usual search alphabet) run on int arithmetic, and ``Fraction`` is only paid
+for where a denominator exists.  ``int`` has ``numerator``/``denominator`` and hashes
+like the equal ``Fraction``, so callers may treat a part as a rational
+either way.  There is no floating point anywhere.
 
 Values have a canonical whitespace-free text form, shared with the CLI
 matrix files:
@@ -20,11 +26,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-# The rational substrate.  Fraction already guarantees the invariants we
-# need: positive denominator, gcd-reduced, arbitrary precision.
-Rational = Fraction
 
-_ZERO_FRACTION = Fraction(0)
+def _part(value):
+    # The stored form of a rational part: k for Fraction(k, 1), else as is.
+    return value.numerator if value.denominator == 1 else value
+
+
+def _quotient(p, q):
+    # p / q as a stored part; q is a positive norm
+    if type(p) is int and type(q) is int:
+        return Fraction(p, q) if p % q else p // q
+    return _part(p / q)
 
 
 class ParseError(ValueError):
@@ -42,12 +54,12 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Fraction | int | str = 0, im: Fraction | int | str = 0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        self.re = re if type(re) is int else _part(Fraction(re))
+        self.im = im if type(im) is int else _part(Fraction(im))
 
     @classmethod
-    def _raw(cls, re: Fraction, im: Fraction) -> "GaussianRational":
-        # Internal fast constructor: arguments must already be Fractions.
+    def _raw(cls, re: Fraction | int, im: Fraction | int) -> "GaussianRational":
+        # Internal fast constructor: arguments must already be stored parts.
         out = object.__new__(cls)
         out.re = re
         out.im = im
@@ -73,7 +85,10 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational._raw(self.re + other.re, self.im + other.im)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
+            return GaussianRational._raw(a + c, b + d)
+        return GaussianRational._raw(_part(a + c), _part(b + d))
 
     __radd__ = __add__
 
@@ -81,13 +96,16 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational._raw(self.re - other.re, self.im - other.im)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
+            return GaussianRational._raw(a - c, b - d)
+        return GaussianRational._raw(_part(a - c), _part(b - d))
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational._raw(other.re - self.re, other.im - self.im)
+        return GaussianRational._raw(_part(other.re - self.re), _part(other.im - self.im))
 
     def __neg__(self):
         return GaussianRational._raw(-self.re, -self.im)
@@ -101,12 +119,14 @@ class GaussianRational:
         # Zero imaginary parts are the common case in this package; skip
         # the full complex product when possible.
         if not b:
-            if not d:
-                return GaussianRational._raw(a * c, _ZERO_FRACTION)
-            return GaussianRational._raw(a * c, a * d)
-        if not d:
-            return GaussianRational._raw(a * c, b * c)
-        return GaussianRational._raw(a * c - b * d, a * d + b * c)
+            re, im = a * c, (a * d if d else 0)
+        elif not d:
+            re, im = a * c, b * c
+        else:
+            re, im = a * c - b * d, a * d + b * c
+        if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
+            return GaussianRational._raw(re, im)
+        return GaussianRational._raw(_part(re), _part(im))
 
     __rmul__ = __mul__
 
@@ -119,7 +139,9 @@ class GaussianRational:
         c, d = other.re, other.im
         norm = c * c + d * d
         a, b = self.re, self.im
-        return GaussianRational._raw((a * c + b * d) / norm, (b * c - a * d) / norm)
+        return GaussianRational._raw(
+            _quotient(a * c + b * d, norm), _quotient(b * c - a * d, norm)
+        )
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -175,7 +197,7 @@ def _coerce(value) -> GaussianRational | None:
     if type(value) is GaussianRational:
         return value
     if isinstance(value, (int, Fraction)):
-        return GaussianRational._raw(Fraction(value), _ZERO_FRACTION)
+        return GaussianRational._raw(_part(value), 0)
     if isinstance(value, GaussianRational):
         return value
     return None
@@ -193,14 +215,14 @@ I = GaussianRational(0, 1)
 def _scan_digits(text: str, pos: int) -> tuple[int, int]:
     start = pos
     n = len(text)
-    while pos < n and text[pos].isdigit():
+    while pos < n and "0" <= text[pos] <= "9":
         pos += 1
     if pos == start:
         raise ParseError(text, start, "expected digits")
     return int(text[start:pos]), pos
 
 
-def _scan_unsigned_rational(text: str, pos: int) -> tuple[Fraction, int]:
+def _scan_unsigned_rational(text: str, pos: int) -> tuple[Fraction | int, int]:
     num, pos = _scan_digits(text, pos)
     if pos < len(text) and text[pos] == "/":
         den_start = pos + 1
@@ -208,7 +230,7 @@ def _scan_unsigned_rational(text: str, pos: int) -> tuple[Fraction, int]:
         if den == 0:
             raise ParseError(text, den_start, "zero denominator")
         return Fraction(num, den), pos
-    return Fraction(num), pos
+    return num, pos
 
 
 def parse_gaussian(text: str) -> GaussianRational:
@@ -241,7 +263,7 @@ def parse_gaussian(text: str) -> GaussianRational:
     sign = 1 if ch == "+" else -1
     pos += 1
     if pos < len(text) and text[pos] == "i":
-        magnitude = Fraction(1)
+        magnitude = 1
         pos += 1
     else:
         magnitude, pos = _scan_unsigned_rational(text, pos)
@@ -253,7 +275,7 @@ def parse_gaussian(text: str) -> GaussianRational:
     return GaussianRational(first, sign * magnitude)
 
 
-def _format_rational(value: Fraction) -> str:
+def _format_rational(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -88,6 +88,26 @@ def sympy_det_jf_is_one(M: ScalarMatrix) -> bool:
     return sympy.expand(J.det()) == 1
 
 
+def reference_arithmetic(op: str, x, y) -> tuple[Fraction, Fraction]:
+    """x op y in Q(i) on (re, im) pairs, with every part a Fraction.
+
+    The storage and formulas GaussianRational used before integral parts
+    became plain ints, kept as the oracle for the int-or-Fraction parts.
+    """
+    a, b = Fraction(x[0]), Fraction(x[1])
+    c, d = Fraction(y[0]), Fraction(y[1])
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    if op == "/":
+        norm = c * c + d * d
+        return (a * c + b * d) / norm, (b * c - a * d) / norm
+    raise ValueError(f"unknown operation {op!r}")
+
+
 def random_rational(rng: random.Random, span: int = 3, den: int = 1) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
 

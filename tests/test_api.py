@@ -1,5 +1,5 @@
 """The names other code reaches in the package: its export list and the
-functions the benchmark in ``cubench/`` wraps and reads.
+functions and scalar methods the benchmark in ``cubench/`` wraps and reads.
 
 The benchmark's own tests are not collected with this suite, so a rename
 or deletion that breaks its tracer would otherwise go unnoticed here.
@@ -12,15 +12,16 @@ from pathlib import Path
 import pytest
 
 import cubelin
+from cubelin.scalars import GaussianRational
 
 TRACING = Path(__file__).resolve().parent.parent / "cubench" / "tracing.py"
 
 
-def benchmark_spans():
+def benchmark_tracing():
     spec = importlib.util.spec_from_file_location("cubench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.SPANS
+    return tracing
 
 
 def test_export_list_resolves():
@@ -29,12 +30,19 @@ def test_export_list_resolves():
         assert getattr(cubelin, name) is not None, name
 
 
-@pytest.mark.parametrize("module,attribute,span", benchmark_spans())
+@pytest.mark.parametrize("module,attribute,span", benchmark_tracing().SPANS)
 def test_benchmark_span_resolves(module, attribute, span):
     owner = importlib.import_module(f"cubelin.{module}")
     for part in attribute.split("."):
         owner = getattr(owner, part)
     assert callable(owner), span
+
+
+@pytest.mark.parametrize("method,kind", benchmark_tracing().SCALAR_OPS)
+def test_benchmark_scalar_op_resolves(method, kind):
+    # the tracer wraps GaussianRational.__dict__[method], so the method must
+    # be defined on the class itself, not inherited or dispatched elsewhere
+    assert callable(GaussianRational.__dict__.get(method)), (method, kind)
 
 
 def test_backend_is_exported():

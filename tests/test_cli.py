@@ -315,6 +315,13 @@ class TestUsage:
         assert code == 1
         assert "row 1, column 1" in err
 
+    def test_non_ascii_digit_literal(self, capsys):
+        code, out, err = run(capsys, "verify", '[["\u0663"]]')
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "row 1, column 1" in err
+
     def test_missing_matrix_file(self, capsys):
         code, _, err = run(capsys, "verify", "no-such-file.json")
         assert code == 1

@@ -1,10 +1,13 @@
+import operator
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from cubelin import GaussianRational, ParseError, parse_gaussian
-from cubelin.scalars import I, MINUS_ONE, ONE, ZERO, format_gaussian
+from cubelin.scalars import I, MINUS_ONE, ONE, ZERO, _coerce, format_gaussian
+from helpers import reference_arithmetic
 
 
 def g(text: str) -> GaussianRational:
@@ -111,6 +114,19 @@ class TestParsing:
             parse_gaussian("1+bogus")
         assert info.value.pos == 2
 
+    @pytest.mark.parametrize(
+        "text,pos",
+        [
+            ("\u0663", 0),  # ARABIC-INDIC DIGIT THREE
+            ("\u00b2", 0),  # SUPERSCRIPT TWO: isdigit(), yet no int() literal
+            ("1/\u0662", 2),  # ARABIC-INDIC DIGIT TWO as a denominator
+        ],
+    )
+    def test_non_ascii_digits_rejected(self, text, pos):
+        with pytest.raises(ParseError) as info:
+            parse_gaussian(text)
+        assert info.value.pos == pos
+
     def test_round_trip(self):
         rng = random.Random(7)
         for _ in range(1000):
@@ -137,3 +153,86 @@ class TestHashing:
         table = {g("1+i"): "a", g("1-i"): "b"}
         assert table[g("2/2+i")] == "a"
         assert len({g("0"), ZERO, g("0+0i")}) == 1
+
+
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def assert_stored(value: GaussianRational, expected: tuple[Fraction, Fraction]):
+    """value equals the reference pair, with each part an int exactly when
+    it is integral, and hashes and prints as the all-Fraction storage did."""
+    assert (value.re, value.im) == expected
+    for part, want in zip((value.re, value.im), expected):
+        if want.denominator == 1:
+            assert type(part) is int, (value, part)
+        else:
+            assert type(part) is Fraction and part.denominator > 1, (value, part)
+    re, im = expected
+    assert hash(value) == (hash(re) if not im else hash((re, im)))
+    assert format_gaussian(value) == format_gaussian(SimpleNamespace(re=re, im=im))
+
+
+def random_operand(rng: random.Random):
+    """(operand, its reference pair): a Gaussian value with integral or
+    non-integral parts, a plain int, or a Fraction (integral or not)."""
+    kind = rng.randrange(4)
+    den = 1 if kind in (0, 2) else rng.choice((1, 2, 3, 4, 6))
+    re = Fraction(rng.randint(-12, 12), den)
+    if kind == 2:
+        return int(re), (re, Fraction(0))
+    if kind == 3:
+        return re, (re, Fraction(0))
+    im = Fraction(rng.randint(-12, 12), den)
+    return GaussianRational(re, im), (re, im)
+
+
+class TestIntegerParts:
+    """Parts are plain ints when integral, Fractions with denominator > 1
+    otherwise; every operation checked against the all-Fraction reference."""
+
+    def test_binary_operations(self):
+        rng = random.Random(505)
+        checked = 0
+        while checked < 4000:
+            (x, xp), (y, yp) = random_operand(rng), random_operand(rng)
+            if not (isinstance(x, GaussianRational) or isinstance(y, GaussianRational)):
+                continue
+            op = rng.choice("+-*/")
+            if op == "/" and not any(yp):
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+                continue
+            assert_stored(OPERATORS[op](x, y), reference_arithmetic(op, xp, yp))
+            checked += 1
+
+    def test_unary_operations_and_powers(self):
+        rng = random.Random(506)
+        for _ in range(600):
+            _, (re, im) = random_operand(rng)
+            x = GaussianRational(re, im)
+            assert_stored(-x, (-re, -im))
+            assert_stored(x.conjugate(), (re, -im))
+            if not (re or im):
+                continue
+            inverse = reference_arithmetic("/", (1, 0), (re, im))
+            assert_stored(x.inverse(), inverse)
+            exponent = rng.randint(-4, 4)
+            base = inverse if exponent < 0 else (re, im)
+            expected = (Fraction(1), Fraction(0))
+            for _ in range(abs(exponent)):
+                expected = reference_arithmetic("*", expected, base)
+            assert_stored(x ** exponent, expected)
+
+    @pytest.mark.parametrize(
+        "value", [0, 7, -3, True, Fraction(6, 3), Fraction(-8, 4), Fraction(1, 2), Fraction(-5, 6)]
+    )
+    def test_coerced_scalars(self, value):
+        assert_stored(_coerce(value), (Fraction(value), Fraction(0)))
+
+    def test_constructors(self):
+        assert_stored(GaussianRational(Fraction(4, 2), "6/3"), (Fraction(2), Fraction(2)))
+        assert_stored(GaussianRational("1/2", Fraction(3)), (Fraction(1, 2), Fraction(3)))
+        assert_stored(parse_gaussian("4/2-9/3i"), (Fraction(2), Fraction(-3)))
+        assert_stored(parse_gaussian("-2/4+i"), (Fraction(-1, 2), Fraction(1)))
+        assert_stored(ZERO, (Fraction(0), Fraction(0)))
+        assert_stored(I, (Fraction(0), Fraction(1)))
