@@ -29,14 +29,9 @@ from fractions import Fraction
 
 def _part(value):
     # The stored form of a rational part: k for Fraction(k, 1), else as is.
+    if type(value) is int:
+        return value
     return value.numerator if value.denominator == 1 else value
-
-
-def _quotient(p, q):
-    # p / q as a stored part; q is a positive norm
-    if type(p) is int and type(q) is int:
-        return Fraction(p, q) if p % q else p // q
-    return _part(p / q)
 
 
 class ParseError(ValueError):
@@ -85,10 +80,7 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
-            return GaussianRational._raw(a + c, b + d)
-        return GaussianRational._raw(_part(a + c), _part(b + d))
+        return GaussianRational._raw(_part(self.re + other.re), _part(self.im + other.im))
 
     __radd__ = __add__
 
@@ -96,10 +88,7 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
-            return GaussianRational._raw(a - c, b - d)
-        return GaussianRational._raw(_part(a - c), _part(b - d))
+        return GaussianRational._raw(_part(self.re - other.re), _part(self.im - other.im))
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -124,8 +113,6 @@ class GaussianRational:
             re, im = a * c, b * c
         else:
             re, im = a * c - b * d, a * d + b * c
-        if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
-            return GaussianRational._raw(re, im)
         return GaussianRational._raw(_part(re), _part(im))
 
     __rmul__ = __mul__
@@ -140,7 +127,7 @@ class GaussianRational:
         norm = c * c + d * d
         a, b = self.re, self.im
         return GaussianRational._raw(
-            _quotient(a * c + b * d, norm), _quotient(b * c - a * d, norm)
+            _part(Fraction(a * c + b * d, norm)), _part(Fraction(b * c - a * d, norm))
         )
 
     def __rtruediv__(self, other):
