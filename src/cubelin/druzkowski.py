@@ -35,12 +35,6 @@ def _require_square(A: ScalarMatrix) -> ScalarMatrix:
     return A
 
 
-def linear_forms(A) -> list[Polynomial]:
-    """The forms t_i = sum_j a_ij x_j, one per row of A."""
-    A = _require_square(_as_matrix(A))
-    return [Polynomial.linear_form(row) for row in A.entries]
-
-
 def expand_map(A) -> PolyMap:
     """The full polynomial map X + (AX)^{*3} with cubes expanded."""
     A = _require_square(_as_matrix(A))

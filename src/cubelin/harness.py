@@ -26,12 +26,12 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator
 
 from .druzkowski import RankBoundCertificate
-from .druzkowski import rank_bound_certificate as _reference_certificate
 from .invert import decide_automorphism, is_keller
-from .kernel import certificate_ints
+from .kernel import certificate_ints, integer_pairs
 from .linalg import ScalarMatrix
 from .matrixio import matrix_entries_text
 from .pairing import corollary_pipeline
@@ -187,28 +187,6 @@ class SearchConfig:
         return echo
 
 
-@dataclass(frozen=True)
-class CandidateRecord:
-    """Everything the harness knows about one visited candidate."""
-
-    index: int
-    matrix: ScalarMatrix
-    certificate: RankBoundCertificate
-    keller: bool
-    inverse_degree: int | None
-    anomaly: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "matrix": matrix_entries_text(self.matrix),
-            "certificate": self.certificate.to_dict(),
-            "keller": self.keller,
-            "inverse_degree": self.inverse_degree,
-            "anomaly": self.anomaly,
-        }
-
-
 @dataclass
 class SearchReport:
     """Summary of a search run plus optional per-candidate records."""
@@ -308,36 +286,16 @@ def _merge_totals(into: dict, part: dict) -> None:
             into[key] += value
 
 
-def _certificate(
-    n: int, flat: list[int] | None, matrix: ScalarMatrix | None, need_rank: bool
-) -> tuple[bool, int, int | None]:
-    """(trace condition, delta, rank).  The rank matters only where the
-    trace condition holds or in a record, so the scan asks for it
-    (``need_rank``) only when it collects records."""
-    if flat is not None:
-        return certificate_ints(n, flat, need_rank)
-    full = _reference_certificate(matrix)
-    return full.trace_condition_holds, full.delta, full.rank
-
-
-def _checked_keller(
-    n: int,
-    flat: list[int] | None,
-    matrix: ScalarMatrix,
-    cert: tuple[bool, int, int | None] | None,
-) -> tuple[bool, tuple[bool, int, int | None] | None]:
-    """``is_keller`` plus the certificate when it is positive: a Keller map
-    satisfies the trace condition, and a disagreement is a bug."""
+def _checked_keller(matrix: ScalarMatrix, holds: bool) -> bool:
+    """``is_keller``, checked against the trace condition that every
+    Keller map satisfies: a disagreement is a bug."""
     keller = is_keller(matrix)
-    if keller:
-        if cert is None:
-            cert = _certificate(n, flat, matrix, False)
-        if not cert[0]:
-            raise RuntimeError(
-                "internal check failed: Keller candidate violates the "
-                "trace condition"
-            )
-    return keller, cert
+    if keller and not holds:
+        raise RuntimeError(
+            "internal check failed: Keller candidate violates the "
+            "trace condition"
+        )
+    return keller
 
 
 def _scan_range(
@@ -345,14 +303,10 @@ def _scan_range(
 ) -> tuple[dict, list[dict], list[dict]]:
     n = config.n
     alphabet = config.alphabet
+    pairs = integer_pairs(alphabet)
     totals = _empty_totals(config)
     anomalies: list[dict] = []
     records: list[dict] = []
-
-    # per-alphabet integer pairs enable the integer certificate path
-    pairs: list[tuple[int, int]] | None = None
-    if all(c.re.denominator == 1 and c.im.denominator == 1 for c in alphabet):
-        pairs = [(c.re.numerator, c.im.numerator) for c in alphabet]
 
     trace_filter = "trace_zero_only" in config.filters
     keller_filter = "keller_only" in config.filters
@@ -361,26 +315,23 @@ def _scan_range(
     want_corollary = "corollary" in config.checks
     # every record holds the Keller bit, so collecting computes it up front
     want_keller = keller_filter or want_invert or collect_records
-    want_matrix = want_keller or want_corollary
 
     for index, digits in zip(
         range(start, stop), _iter_digit_vectors(config, start, stop)
     ):
         totals["visited"] += 1
         try:
-            flat = matrix = cert = keller = None
-            if pairs is None:
-                matrix = _candidate_matrix(alphabet, n, digits)
-            else:
-                flat = [x for d in digits for x in pairs[d]]
-            if trace_filter:
-                cert = _certificate(n, flat, matrix, collect_records)
-                if not cert[0]:
-                    continue
-            if want_matrix and matrix is None:
+            # the rank matters only where the trace condition holds or in a
+            # record, so it is asked for only when records are collected
+            flat = [x for d in digits for x in pairs[d]]
+            holds, delta, rank_ = certificate_ints(n, flat, collect_records)
+            if trace_filter and not holds:
+                continue
+            matrix = keller = None
+            if want_keller or want_corollary:
                 matrix = _candidate_matrix(alphabet, n, digits)
             if want_keller:
-                keller, cert = _checked_keller(n, flat, matrix, cert)
+                keller = _checked_keller(matrix, holds)
                 if keller_filter and not keller:
                     continue
             totals["passed_filters"] += 1
@@ -389,9 +340,6 @@ def _scan_range(
             inverse_degree: int | None = None
 
             if want_rank_bound:
-                if cert is None:
-                    cert = _certificate(n, flat, matrix, collect_records)
-                holds, delta, rank_ = cert
                 totals["rank_bound"]["checked"] += 1
                 if holds and 2 * rank_ > n + delta:
                     totals["rank_bound"]["anomalies"] += 1
@@ -424,24 +372,23 @@ def _scan_range(
                 if matrix is None:
                     matrix = _candidate_matrix(alphabet, n, digits)
                 if keller is None:
-                    keller, cert = _checked_keller(n, flat, matrix, cert)
-                if cert is None or cert[2] is None:
-                    cert = _certificate(n, flat, matrix, True)
-                holds, delta, rank_ = cert
-                record = CandidateRecord(
-                    index=index,
-                    matrix=matrix,
-                    certificate=RankBoundCertificate(
+                    keller = _checked_keller(matrix, holds)
+                if rank_ is None:
+                    rank_ = certificate_ints(n, flat)[2]
+                record = {
+                    "index": index,
+                    "matrix": matrix_entries_text(matrix),
+                    "certificate": RankBoundCertificate(
                         n=n,
                         trace_condition_holds=holds,
                         delta=delta,
                         rank=rank_,
                         bound_times_two=n + delta,
-                    ),
-                    keller=keller,
-                    inverse_degree=inverse_degree,
-                    anomaly=anomaly,
-                ).to_dict()
+                    ).to_dict(),
+                    "keller": keller,
+                    "inverse_degree": inverse_degree,
+                    "anomaly": anomaly,
+                }
                 if anomaly:
                     anomalies.append(record)
                 if collect_records:
@@ -450,13 +397,6 @@ def _scan_range(
             raise RuntimeError(f"candidate {index}: {exc}") from exc
 
     return totals, anomalies, records
-
-
-def _run_chunk(
-    config_data: dict, start: int, stop: int, collect_records: bool
-) -> tuple[dict, list[dict], list[dict]]:
-    config = SearchConfig.from_dict(config_data)
-    return _scan_range(config, start, stop, collect_records)
 
 
 def _chunk_bounds(total: int, chunks: int) -> list[tuple[int, int]]:
@@ -499,17 +439,14 @@ def run_search(
         anomalies.extend(part_anomalies)
         records.extend(part_records)
     else:
-        chunks = _chunk_bounds(total, min(effective_workers, total))
-        config_data = _config_transport(config)
+        starts, stops = zip(*_chunk_bounds(total, min(effective_workers, total)))
         with ProcessPoolExecutor(max_workers=effective_workers) as pool:
             results = pool.map(
-                _run_chunk,
-                *zip(
-                    *[
-                        (config_data, start, stop, collect_records)
-                        for start, stop in chunks
-                    ]
-                ),
+                _scan_range,
+                repeat(config),
+                starts,
+                stops,
+                repeat(collect_records),
             )
             for part_totals, part_anomalies, part_records in results:
                 _merge_totals(totals, part_totals)
@@ -525,9 +462,3 @@ def run_search(
         records=records if collect_records else None,
     )
 
-
-def _config_transport(config: SearchConfig) -> dict:
-    data = config.to_dict()
-    data["alphabet"] = [format_gaussian(c) for c in config.alphabet]
-    data["workers"] = 1
-    return data

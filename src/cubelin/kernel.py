@@ -1,11 +1,17 @@
 """The integer certificate path.
 
 The search harness evaluates the (trace condition, delta, rank) triple on
-up to millions of Gaussian-integer matrices.  This module computes it over
+up to millions of candidate matrices.  This module computes it over
 unbounded Python integers: the trace condition from the Gram sums, and the
 rank by fraction-free (Bareiss) elimination, whose every division is exact
-and checked.  Tests cross-check it against the Fraction-based reference in
-:mod:`cubelin.druzkowski`.
+and checked.
+
+A matrix over Q(i) reaches it through :func:`integer_pairs`, which
+multiplies every entry by one common denominator L.  Scaling A by L keeps
+delta and the rank and multiplies the Gram matrix A^T diag(a_ii) A by L^3,
+so the triple is unchanged; the harness has no other certificate route.
+Tests cross-check it against the reference in :mod:`cubelin.druzkowski`,
+which works on the int-or-Fraction parts of the entries directly.
 
 The harness calls :func:`certificate_ints`, which calls
 :func:`certificate_ints_pure`.  They stay two distinct functions because
@@ -15,28 +21,34 @@ metadata reads ``BACKEND``, which is always "pure".
 
 from __future__ import annotations
 
-from .linalg import ScalarMatrix
+import math
+from typing import Sequence
+
+from .scalars import GaussianRational
 
 BACKEND = "pure"
 
 
-def flatten_gaussian_ints(M: ScalarMatrix) -> list[int] | None:
-    """Row-major interleaved (re, im) integers, or None if any entry of M
-    is not a Gaussian integer."""
-    flat: list[int] = []
-    for row in M.entries:
-        for c in row:
-            if c.re.denominator != 1 or c.im.denominator != 1:
-                return None
-            flat.append(c.re.numerator)
-            flat.append(c.im.numerator)
-    return flat
+def integer_pairs(values: Sequence[GaussianRational]) -> list[tuple[int, int]]:
+    """The (re, im) integers of each value times L, the lcm of every
+    denominator among the values.
+
+    One L serves all of them: a scale per entry would change the trace
+    condition and the rank of a matrix built from the values.
+    """
+    scale = math.lcm(*(part.denominator for c in values for part in (c.re, c.im)))
+    return [
+        (c.re.numerator * (scale // c.re.denominator),
+         c.im.numerator * (scale // c.im.denominator))
+        for c in values
+    ]
 
 
 def certificate_ints(
     n: int, flat: list[int], need_rank: bool = True
 ) -> tuple[bool, int, int | None]:
-    """(trace condition holds, delta, rank) for a Gaussian-integer matrix.
+    """(trace condition holds, delta, rank) for a Gaussian-integer matrix,
+    given row-major as interleaved (re, im) integers.
 
     With ``need_rank`` false the rank is computed only when the trace
     condition holds, the one case in which the rank bound says anything;

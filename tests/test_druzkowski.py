@@ -15,7 +15,6 @@ from cubelin.druzkowski import (
     expand_map,
     gram_and_condition,
     gram_matrix,
-    linear_forms,
     mixed_cubic_map,
     trace_condition_holds,
     zero_diagonal_count,
@@ -76,9 +75,12 @@ class TestExpandMap:
         assert jacobian(F) - PolyMatrix.identity(4, 4) == jacobian(H)
 
     def test_linear_forms_row_wise(self):
-        forms = linear_forms(mat([["1", "2"], ["0", "-i"]]))
-        assert forms[0] == Polynomial.linear_form([g("1"), g("2")])
-        assert forms[1] == Polynomial.linear_form([g("0"), g("-i")])
+        # component i cubes the form of row i, not of column i
+        A = mat([["1", "2"], ["0", "-i"]])
+        F = expand_map(A)
+        for i, row in enumerate(A.entries):
+            t = Polynomial.linear_form(row)
+            assert F.components[i] == Polynomial.variable(2, i) + t * t * t
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

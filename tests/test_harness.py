@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 
@@ -124,6 +125,13 @@ class TestSearchConfig:
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             SearchConfig.from_dict({"n": 1})
+
+    def test_pickle_round_trip(self):
+        # worker processes receive the config itself
+        cfg = config(alphabet=["0", "1/2", "1+i"], checks=["rank_bound"], workers=2)
+        again = pickle.loads(pickle.dumps(cfg))
+        assert again == cfg
+        assert again.to_dict() == cfg.to_dict()
 
     def test_total_candidates(self):
         assert config().total_candidates() == 16
@@ -314,22 +322,24 @@ class TestDeterminism:
         return json.dumps(payload), report.records
 
     def test_workers_do_not_change_the_report(self):
-        cfg = SearchConfig.from_dict(
-            {
-                "n": 3,
-                "alphabet": FULL_ALPHABET,
-                "mode": "sample",
-                "count": 400,
-                "seed": 5,
-                "checks": ["rank_bound", "invert"],
-            }
-        )
-        base = self._strip_duration(run_search(cfg, workers=1, collect_records=True))
-        for workers in (2, 5):
-            other = self._strip_duration(
-                run_search(cfg, workers=workers, collect_records=True)
+        # Keller tests on the non-integral alphabet cost four times as much
+        for alphabet, count in ((FULL_ALPHABET, 400), (["0", "1/2", "-1/3+i", "2i"], 100)):
+            cfg = SearchConfig.from_dict(
+                {
+                    "n": 3,
+                    "alphabet": alphabet,
+                    "mode": "sample",
+                    "count": count,
+                    "seed": 5,
+                    "checks": ["rank_bound", "invert"],
+                }
             )
-            assert other == base
+            base = self._strip_duration(run_search(cfg, workers=1, collect_records=True))
+            for workers in (2, 5):
+                other = self._strip_duration(
+                    run_search(cfg, workers=workers, collect_records=True)
+                )
+                assert other == base
 
     def test_chunk_bounds_partition(self):
         for total, chunks in ((10, 3), (7, 7), (5, 2), (0, 1), (3, 5)):

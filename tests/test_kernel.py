@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -36,6 +37,13 @@ def skipped_rank(triple):
     return triple if holds else (holds, delta, None)
 
 
+def flat_of(M):
+    """M as the harness hands it to the kernel: one common scale for all
+    entries, row-major, (re, im) interleaved."""
+    entries = [c for row in M.entries for c in row]
+    return [x for pair in kernel.integer_pairs(entries) for x in pair]
+
+
 def gaussian_int_matrix(rng, n, span):
     return ScalarMatrix(
         [
@@ -54,8 +62,7 @@ class TestAgreement:
     def test_exhaustive_two_by_two(self):
         for picks in itertools.product(ALPHABET, repeat=4):
             M = ScalarMatrix([picks[:2], picks[2:]])
-            flat = kernel.flatten_gaussian_ints(M)
-            assert flat is not None
+            flat = flat_of(M)
             expected = reference_triple(M)
             assert kernel.certificate_ints(2, flat) == expected
             assert kernel.certificate_ints_pure(2, flat) == expected
@@ -66,7 +73,7 @@ class TestAgreement:
         for _ in range(400):
             n = rng.randint(1, 6)
             M = gaussian_int_matrix(rng, n, 3)
-            flat = kernel.flatten_gaussian_ints(M)
+            flat = flat_of(M)
             expected = reference_triple(M)
             assert kernel.certificate_ints(n, flat) == expected
             assert kernel.certificate_ints_pure(n, flat) == expected
@@ -90,9 +97,7 @@ class TestAgreement:
                     acc = [acc[j] + c * rows[k][j] for j in range(n)]
                 built.append(acc)
             M = ScalarMatrix(built)
-            flat = kernel.flatten_gaussian_ints(M)
-            assert flat is not None
-            assert kernel.certificate_ints(n, flat) == reference_triple(M)
+            assert kernel.certificate_ints(n, flat_of(M)) == reference_triple(M)
 
     def test_leading_zero_pivots(self):
         M = ScalarMatrix(
@@ -102,7 +107,7 @@ class TestAgreement:
                 [g("0"), g("0"), g("0")],
             ]
         )
-        flat = kernel.flatten_gaussian_ints(M)
+        flat = flat_of(M)
         assert kernel.certificate_ints(3, flat) == reference_triple(M)
 
     def test_complex_pivot_division(self):
@@ -114,7 +119,7 @@ class TestAgreement:
                 [g("-i"), g("2"), g("1")],
             ]
         )
-        flat = kernel.flatten_gaussian_ints(M)
+        flat = flat_of(M)
         assert kernel.certificate_ints(3, flat) == reference_triple(M)
 
     def test_degenerate_sizes(self):
@@ -123,18 +128,59 @@ class TestAgreement:
         assert kernel.certificate_ints(1, [0, 0]) == (True, 1, 0)
 
 
-class TestGuard:
-    """The integer path's one guard: only Gaussian-integer matrices flatten."""
+def mixed_denominator_matrix(rng, n, shape):
+    """Entries with denominators 1 to 4.  ``shape`` 0 is a random matrix,
+    1 a product of rank below n, and 2 a rank-one u w^T with
+    sum_i u_i^3 w_i = 0, which satisfies the trace condition: its Gram
+    matrix is (sum_i u_i^3 w_i) w w^T."""
 
-    def test_non_integer_matrix_flattens_to_none(self):
-        M = ScalarMatrix([[g("1/2")]])
-        assert kernel.flatten_gaussian_ints(M) is None
+    def part():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+
+    def vector(size):
+        return [GaussianRational(part(), part()) for _ in range(size)]
+
+    if shape == 0:
+        return ScalarMatrix([vector(n) for _ in range(n)])
+    if shape == 1:
+        if n == 1:
+            return ScalarMatrix.zeros(1, 1)
+        P = ScalarMatrix([vector(n - 1) for _ in range(n)])
+        return P * ScalarMatrix([vector(n) for _ in range(n - 1)])
+    u, w = vector(n), vector(n)
+    u[-1] = GaussianRational(rng.randint(1, 3), part())
+    rest = sum((u[i] * u[i] * u[i] * w[i] for i in range(n - 1)), GaussianRational(0))
+    w[-1] = -rest / (u[-1] * u[-1] * u[-1])
+    return ScalarMatrix([[a * b for b in w] for a in u])
+
+
+class TestIntegerPairs:
+    def test_one_scale_for_all_values(self):
+        pairs = kernel.integer_pairs([g("1/2"), g("-1/3+i"), g("2i"), g("0")])
+        assert pairs == [(3, 0), (-2, 6), (0, 12), (0, 0)]
+        assert all(type(x) is int for pair in pairs for x in pair)
+
+    def test_integer_values_are_unscaled(self):
+        assert kernel.integer_pairs(ALPHABET) == [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+        assert kernel.integer_pairs([]) == []
+
+    def test_mixed_denominators_match_reference(self):
+        rng = random.Random(93)
+        holds = 0
+        for k in range(200):
+            n = rng.randint(1, 5)
+            M = mixed_denominator_matrix(rng, n, k % 3)
+            flat = flat_of(M)
+            expected = reference_triple(M)
+            holds += expected[0] and expected[1] < n
+            assert kernel.certificate_ints(n, flat) == expected
+            assert kernel.certificate_ints(n, flat, need_rank=False) == skipped_rank(expected)
+        # the rank-one shape meets the trace condition off a zero diagonal
+        assert holds >= 50
 
 
 def integer_triple(M):
-    flat = kernel.flatten_gaussian_ints(M)
-    assert flat is not None
-    return kernel.certificate_ints(M.rows, flat)
+    return kernel.certificate_ints(M.rows, flat_of(M))
 
 
 class TestPublicCertificate:
@@ -145,10 +191,12 @@ class TestPublicCertificate:
         assert integer_triple(paper) == reference_triple(paper)
 
     def test_matches_reference_on_fractions(self):
-        # no integer path: the search takes the reference's triple
         M = ScalarMatrix([[g("1/2"), g("i")], [g("-i"), g("1/3")]])
-        assert kernel.flatten_gaussian_ints(M) is None
-        assert harness._certificate(2, None, M, False) == reference_triple(M)
+        assert integer_triple(M) == reference_triple(M)
+        # diag(1, 1/2) [[1, i], [-i, 1]] diag(1, 8) conjugates a Keller map
+        # by diag(1, 8); a scale per entry would break its trace condition
+        K = ScalarMatrix([[g("1"), g("8i")], [GaussianRational(0, Fraction(-1, 2)), g("4")]])
+        assert integer_triple(K) == reference_triple(K) == (True, 0, 1)
 
     def test_matches_reference_above_guard(self):
         M = ScalarMatrix([[GaussianRational(10 ** 7), GaussianRational(1)],
@@ -163,11 +211,14 @@ class TestPublicCertificate:
             assert integer_triple(M) == reference_triple(M)
 
 
-def sampled_config(n, count, seed, filters, checks):
+MIXED_ALPHABET = ["0", "1/2", "-1/3+i", "2i"]
+
+
+def sampled_config(n, count, seed, filters, checks, alphabet=("0", "1", "-1", "i", "-i")):
     return SearchConfig.from_dict(
         {
             "n": n,
-            "alphabet": ["0", "1", "-1", "i", "-i"],
+            "alphabet": list(alphabet),
             "mode": "sample",
             "count": count,
             "seed": seed,
@@ -191,7 +242,15 @@ class TestRankSkip:
         [(3, 30, []), (3, 1000, ["trace_zero_only"]), (4, 2, []), (4, 3000, ["trace_zero_only"])],
     )
     def test_records_do_not_change_the_report(self, n, count, filters):
-        config = sampled_config(n, count, 40 + n, filters, ["rank_bound"])
+        self._check_records(sampled_config(n, count, 40 + n, filters, ["rank_bound"]))
+
+    @pytest.mark.parametrize("count,filters", [(30, []), (1000, ["trace_zero_only"])])
+    def test_records_on_a_non_integral_alphabet(self, count, filters):
+        # the kernel sees these entries times their common denominator 6
+        config = sampled_config(3, count, 44, filters, ["rank_bound"], MIXED_ALPHABET)
+        self._check_records(config)
+
+    def _check_records(self, config):
         plain = run_search(config)
         recorded = run_search(config, collect_records=True)
         assert report_body(plain) == report_body(recorded)

@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -11,7 +12,9 @@ from cubelin import (
     lift_inverse,
     parse_gaussian,
 )
+from cubelin import pairing
 from cubelin.druzkowski import expand_map
+from cubelin.invert import NOT_INVERTIBLE, InverseResult
 from cubelin.linalg import rank
 from cubelin.poly import compose, linear_combination
 from helpers import random_scalar_matrix, shear_matrix
@@ -190,6 +193,21 @@ class TestCorollaryPipeline:
         assert not report.hypotheses_hold
         assert not report.verified
         assert not report.is_anomaly
+
+    def test_reduced_map_not_invertible_is_an_anomaly(self, paper, monkeypatch, caplog):
+        # no input reaches this stage; a planted failure of G's decision does
+        def planted(A):
+            return gz_reduce(A), InverseResult(NOT_INVERTIBLE, 3), None
+
+        monkeypatch.setattr(pairing, "_invert_by_reduction", planted)
+        with caplog.at_level(logging.WARNING, logger="cubelin.pairing"):
+            report = corollary_pipeline(paper)
+        assert report.hypotheses_hold
+        assert report.is_anomaly
+        assert not report.verified
+        assert report.rank == 2 and report.pair is not None
+        assert report.g_inverse_degree is None and report.f_inverse is None
+        assert "anomaly: reduced map not invertible" in caplog.text
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="dimension"):

@@ -4,7 +4,7 @@ import pytest
 import sympy
 
 from cubelin import PolyMap, Polynomial, parse_gaussian
-from cubelin.druzkowski import expand_map, linear_forms
+from cubelin.druzkowski import expand_map
 from cubelin.poly import (
     ArityMismatchError,
     PolyMatrix,
@@ -214,7 +214,7 @@ class TestJacobian:
         A = paper_example()
         F = expand_map(A)
         J = jacobian(F)
-        forms = linear_forms(A)
+        forms = [Polynomial.linear_form(row) for row in A.entries]
         for i in range(4):
             square = (forms[i] * forms[i]).scale(g("3"))
             for j in range(4):
