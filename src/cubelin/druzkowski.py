@@ -9,7 +9,8 @@ That trace vanishes identically iff the Gram-style matrix A^T D A is zero,
 where D = diag(a_11, ..., a_nn) and the transpose is plain (no conjugation;
 the quadratic form t_i^2 is not a Hermitian norm).  When it vanishes,
 2 * rank(A) <= n + delta with delta the number of zero diagonal entries.
-The certificate below records both sides of that inequality.
+The certificate below records both sides of that inequality; it tests the
+Gram matrix through :mod:`cubelin.kernel`, the routine searches use.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import json
 import logging
 from dataclasses import dataclass
 
+from .kernel import certificate_ints, integer_pairs
 from .linalg import ScalarMatrix, rank
 from .poly import Polynomial, PolyMap, cube_linear_form, linear_combination
-from .scalars import ZERO
 
 logger = logging.getLogger(__name__)
 
@@ -46,34 +47,6 @@ def expand_map(A) -> PolyMap:
         ],
         nvars=n,
     )
-
-
-def gram_matrix(A) -> ScalarMatrix:
-    """A^T diag(a_11..a_nn) A, with plain (non-conjugating) transpose."""
-    A = _require_square(_as_matrix(A))
-    diag = A.diagonal()
-    scaled = ScalarMatrix._raw(
-        tuple(
-            tuple(d * c for c in row) if d else tuple(ZERO for _ in row)
-            for d, row in zip(diag, A.entries)
-        ),
-        A.cols,
-    )
-    return A.transpose() * scaled
-
-
-def gram_and_condition(A) -> tuple[ScalarMatrix, bool]:
-    """The Gram-style matrix together with whether it vanishes.
-
-    Vanishing is equivalent to the trace polynomial being identically
-    zero: the quadratic form sum_i a_ii t_i^2 has matrix A^T D A.
-    """
-    G = gram_matrix(A)
-    return G, G.is_zero()
-
-
-def trace_condition_holds(A) -> bool:
-    return gram_and_condition(A)[1]
 
 
 def zero_diagonal_count(A) -> int:
@@ -116,11 +89,15 @@ class RankBoundCertificate:
 
 
 def rank_bound_certificate(A) -> RankBoundCertificate:
-    """Evaluate every quantity in the rank bound exactly and package it."""
+    """Evaluate every quantity in the rank bound exactly and package it.
+
+    The trace condition and delta come from the integer kernel, on the
+    entries times one common denominator, as in a search.
+    """
     A = _require_square(_as_matrix(A))
     n = A.rows
-    _, holds = gram_and_condition(A)
-    delta = zero_diagonal_count(A)
+    pairs = integer_pairs([c for row in A.entries for c in row])
+    holds, delta = certificate_ints(n, [x for pair in pairs for x in pair])
     certificate = RankBoundCertificate(
         n=n,
         trace_condition_holds=holds,

@@ -31,7 +31,7 @@ from typing import Iterator
 
 from .druzkowski import RankBoundCertificate
 from .invert import decide_automorphism, is_keller
-from .kernel import certificate_ints, integer_pairs
+from .kernel import certificate_ints, integer_pairs, rank_ints
 from .linalg import ScalarMatrix
 from .matrixio import matrix_entries_text
 from .pairing import corollary_pipeline
@@ -322,9 +322,10 @@ def _scan_range(
         totals["visited"] += 1
         try:
             # the rank matters only where the trace condition holds or in a
-            # record, so it is asked for only when records are collected
+            # record, which computes it below if it is missing
             flat = [x for d in digits for x in pairs[d]]
-            holds, delta, rank_ = certificate_ints(n, flat, collect_records)
+            holds, delta = certificate_ints(n, flat)
+            rank_ = rank_ints(n, flat) if holds else None
             if trace_filter and not holds:
                 continue
             matrix = keller = None
@@ -374,7 +375,7 @@ def _scan_range(
                 if keller is None:
                     keller = _checked_keller(matrix, holds)
                 if rank_ is None:
-                    rank_ = certificate_ints(n, flat)[2]
+                    rank_ = rank_ints(n, flat)
                 record = {
                     "index": index,
                     "matrix": matrix_entries_text(matrix),
@@ -428,30 +429,21 @@ def run_search(
     total = config.total_candidates()
     started = time.perf_counter()
 
+    starts, stops = zip(*_chunk_bounds(total, min(effective_workers, total)))
+    args = (repeat(config), starts, stops, repeat(collect_records))
+    if len(starts) == 1:
+        results = list(map(_scan_range, *args))
+    else:
+        with ProcessPoolExecutor(max_workers=len(starts)) as pool:
+            results = list(pool.map(_scan_range, *args))
+
     totals = _empty_totals(config)
     anomalies: list[dict] = []
     records: list[dict] = []
-    if effective_workers == 1 or total <= 1:
-        part_totals, part_anomalies, part_records = _scan_range(
-            config, 0, total, collect_records
-        )
+    for part_totals, part_anomalies, part_records in results:
         _merge_totals(totals, part_totals)
         anomalies.extend(part_anomalies)
         records.extend(part_records)
-    else:
-        starts, stops = zip(*_chunk_bounds(total, min(effective_workers, total)))
-        with ProcessPoolExecutor(max_workers=effective_workers) as pool:
-            results = pool.map(
-                _scan_range,
-                repeat(config),
-                starts,
-                stops,
-                repeat(collect_records),
-            )
-            for part_totals, part_anomalies, part_records in results:
-                _merge_totals(totals, part_totals)
-                anomalies.extend(part_anomalies)
-                records.extend(part_records)
 
     duration = time.perf_counter() - started
     return SearchReport(

@@ -29,6 +29,7 @@ from .druzkowski import _as_matrix, _require_square, expand_map, mixed_cubic_map
 from .linalg import ScalarMatrix, rank_factorization
 from .matrixio import matrix_entries_text
 from .poly import (
+    _DET_SIZE_CAP,
     Polynomial,
     PolyMap,
     PolyMatrix,
@@ -40,8 +41,6 @@ from .poly import (
 
 INVERTIBLE = "Invertible"
 NOT_INVERTIBLE = "NotInvertible"
-
-_DET_CROSS_CHECK_CAP = 6
 
 
 def nilpotency_index(M: PolyMatrix) -> int | None:
@@ -76,7 +75,7 @@ def is_keller(A) -> bool:
     n = A.rows
     JF = jacobian(expand_map(A))
     nilpotent = nilpotency_index(JF - PolyMatrix.identity(n, n)) is not None
-    if n <= _DET_CROSS_CHECK_CAP:
+    if n <= _DET_SIZE_CAP:
         det_says = det(JF) == Polynomial.one(n)
         if det_says != nilpotent:
             raise RuntimeError(
@@ -169,11 +168,8 @@ def gz_reduce(A) -> GZPair:
         raise RuntimeError(
             "internal check failed: rank factorization does not multiply back"
         )
-    G = mixed_cubic_map(B, C)
+    pair = GZPair(matrix=A, B=B, C=C, G=mixed_cubic_map(B, C))
     F = expand_map(A)
-    projection = PolyMap(
-        [Polynomial.linear_form(row) for row in C.entries], nvars=A.rows
-    )
     C_after_F = PolyMap(
         [
             linear_combination(C.entries[i], F.components, A.rows)
@@ -181,10 +177,9 @@ def gz_reduce(A) -> GZPair:
         ],
         nvars=A.rows,
     )
-    G_after_C = compose(G, projection)
-    if C_after_F != G_after_C:
+    if C_after_F != compose(pair.G, pair.projection()):
         raise RuntimeError("internal check failed: reduction does not intertwine")
-    return GZPair(matrix=A, B=B, C=C, G=G)
+    return pair
 
 
 def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
@@ -193,6 +188,15 @@ def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
     ``g_inverse`` is re-verified against the reduced map in both
     composition orders before lifting (ValueError if it is not actually
     the inverse), and the lifted map is checked against F exactly.
+
+    The lift is F^{-1}_i = Z_i - l_i^3 with l_i = B_i . G^{-1}(C Z), so
+
+        F(F^{-1})_i = Z_i - l_i^3 + (A_i . F^{-1})^3.
+
+    F o F^{-1} == id therefore holds iff (A_i . F^{-1})^3 == l_i^3 for
+    every i, and since 1 is the only cube root of unity in Q(i), iff the
+    linear combination A_i . F^{-1} equals l_i.  The check compares those
+    forms instead of their cubes, which have three times their degree.
     """
     r = pair.r
     G = pair.G
@@ -215,7 +219,7 @@ def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
     # exact check F(F^{-1}) == id via the collapsed linear forms
     for i in range(n):
         u = linear_combination(pair.matrix.entries[i], inverse.components, n)
-        if inverse.components[i] + u.cube() != Polynomial.variable(n, i):
+        if u != lifted[i]:
             raise RuntimeError("internal check failed: lifted map does not invert F")
     return inverse
 

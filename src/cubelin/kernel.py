@@ -1,22 +1,23 @@
-"""The integer certificate path.
+"""The integer certificate path, the one route to the trace condition.
 
-The search harness evaluates the (trace condition, delta, rank) triple on
-up to millions of candidate matrices.  This module computes it over
-unbounded Python integers: the trace condition from the Gram sums, and the
-rank by fraction-free (Bareiss) elimination, whose every division is exact
-and checked.
+The search harness evaluates the trace condition and delta on up to
+millions of candidate matrices, and ``rank_bound_certificate`` in
+:mod:`cubelin.druzkowski` takes them from here too.  This module computes
+them over unbounded Python integers, the trace condition from the Gram
+sums.  :func:`rank_ints` gives the rank by fraction-free (Bareiss)
+elimination, whose every division is exact and checked; the harness asks
+for it only where the trace condition holds or a record needs it.
 
 A matrix over Q(i) reaches it through :func:`integer_pairs`, which
 multiplies every entry by one common denominator L.  Scaling A by L keeps
 delta and the rank and multiplies the Gram matrix A^T diag(a_ii) A by L^3,
-so the triple is unchanged; the harness has no other certificate route.
-Tests cross-check it against the reference in :mod:`cubelin.druzkowski`,
-which works on the int-or-Fraction parts of the entries directly.
+so neither answer changes.  Tests cross-check both against a Q(i) Gram
+product and RREF rank kept in ``tests/helpers.py`` as the reference.
 
-The harness calls :func:`certificate_ints`, which calls
-:func:`certificate_ints_pure`.  They stay two distinct functions because
-the benchmark in ``cubench/`` traces each as its own span, and its run
-metadata reads ``BACKEND``, which is always "pure".
+:func:`certificate_ints` calls :func:`certificate_ints_pure`.  They stay
+two distinct functions because the benchmark in ``cubench/`` traces each
+as its own span, and its run metadata reads ``BACKEND``, which is always
+"pure".
 """
 
 from __future__ import annotations
@@ -44,23 +45,14 @@ def integer_pairs(values: Sequence[GaussianRational]) -> list[tuple[int, int]]:
     ]
 
 
-def certificate_ints(
-    n: int, flat: list[int], need_rank: bool = True
-) -> tuple[bool, int, int | None]:
-    """(trace condition holds, delta, rank) for a Gaussian-integer matrix,
-    given row-major as interleaved (re, im) integers.
-
-    With ``need_rank`` false the rank is computed only when the trace
-    condition holds, the one case in which the rank bound says anything;
-    otherwise it is None.
-    """
-    return certificate_ints_pure(n, flat, need_rank)
+def certificate_ints(n: int, flat: list[int]) -> tuple[bool, int]:
+    """(trace condition holds, delta) for a Gaussian-integer matrix, given
+    row-major as interleaved (re, im) integers."""
+    return certificate_ints_pure(n, flat)
 
 
-def certificate_ints_pure(
-    n: int, flat: list[int], need_rank: bool = True
-) -> tuple[bool, int, int | None]:
-    """The triple of :func:`certificate_ints` over unbounded integers."""
+def certificate_ints_pure(n: int, flat: list[int]) -> tuple[bool, int]:
+    """The pair of :func:`certificate_ints` over unbounded integers."""
     are = [flat[2 * i * n : 2 * (i + 1) * n : 2] for i in range(n)]
     aim = [flat[2 * i * n + 1 : 2 * (i + 1) * n : 2] for i in range(n)]
     # (re row, im row, re a_ii, im a_ii) for each row with a_ii != 0
@@ -69,10 +61,7 @@ def certificate_ints_pure(
     ]
     delta = n - len(diag)
 
-    holds = True
     for j in range(n):
-        if not holds:
-            break
         for k in range(j, n):
             sre = 0
             sim = 0
@@ -82,11 +71,15 @@ def certificate_ints_pure(
                 sre += t1re * r[k] - t1im * s[k]
                 sim += t1re * s[k] + t1im * r[k]
             if sre or sim:
-                holds = False
-                break
-    if not (holds or need_rank):
-        return holds, delta, None
+                return False, delta
+    return True, delta
 
+
+def rank_ints(n: int, flat: list[int]) -> int:
+    """The rank of a Gaussian-integer matrix given as in
+    :func:`certificate_ints`."""
+    are = [flat[2 * i * n : 2 * (i + 1) * n : 2] for i in range(n)]
+    aim = [flat[2 * i * n + 1 : 2 * (i + 1) * n : 2] for i in range(n)]
     # fraction-free elimination: every division by the previous pivot is
     # exact, so a remainder is a bug and raises instead of guessing
     rank_ = 0
@@ -136,5 +129,5 @@ def certificate_ints_pure(
         rank_ += 1
         row += 1
 
-    return holds, delta, rank_
+    return rank_
 

@@ -2,9 +2,9 @@
 
 sympy is used as an independent oracle: conversions go through strings or raw
 integer pairs, never through the code paths under test.  The generic
-fixed-point inverse, the cubic part and the trace polynomial below are
-second routes to what the library computes its own way, kept here as
-oracles only.
+fixed-point inverse, the cubic part, the trace polynomial and the Q(i) Gram
+product below are second routes to what the library computes its own way,
+kept here as oracles only.
 """
 
 import random
@@ -13,6 +13,7 @@ from fractions import Fraction
 import sympy
 
 from cubelin import GaussianRational, PolyMap, Polynomial, ScalarMatrix, parse_gaussian
+from cubelin.linalg import rank
 from cubelin.poly import compose, cube_linear_form
 
 PAPER_EXAMPLE_ROWS = [
@@ -153,6 +154,63 @@ def trace_poly(A: ScalarMatrix) -> Polynomial:
         t = Polynomial.linear_form(A.entries[i])
         total = total + (t * t).scale(three * d)
     return total
+
+
+def gram_matrix(A: ScalarMatrix) -> ScalarMatrix:
+    """A^T diag(a_11..a_nn) A over Q(i), with plain (non-conjugating)
+    transpose.  The trace condition is its vanishing: the quadratic form
+    sum_i a_ii t_i^2 has this matrix."""
+    scaled = ScalarMatrix(
+        [[d * c for c in row] for d, row in zip(A.diagonal(), A.entries)], A.cols
+    )
+    return A.transpose() * scaled
+
+
+def reference_certificate(A: ScalarMatrix) -> tuple[bool, int, int]:
+    """(trace condition, delta, rank) from the Gram product, the diagonal
+    and RREF rank, without the integer kernel."""
+    return gram_matrix(A).is_zero(), sum(1 for c in A.diagonal() if not c), rank(A)
+
+
+def mixed_denominator_matrix(rng: random.Random, n: int, shape: int) -> ScalarMatrix:
+    """An n x n matrix with parts of denominators 1 to 4, by ``shape``:
+
+    0. random;
+    1. a product of rank below n;
+    2. a rank-one u w^T with sum_i u_i^3 w_i = 0, which satisfies the trace
+       condition: its Gram matrix is (sum_i u_i^3 w_i) w w^T;
+    3. random with a zero diagonal;
+    4. strictly upper triangular.
+    """
+
+    def part():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+
+    def vector(size):
+        return [GaussianRational(part(), part()) for _ in range(size)]
+
+    if shape == 0:
+        return ScalarMatrix([vector(n) for _ in range(n)], n)
+    if shape == 1:
+        if n <= 1:
+            return ScalarMatrix.zeros(n, n)
+        P = ScalarMatrix([vector(n - 1) for _ in range(n)])
+        return P * ScalarMatrix([vector(n) for _ in range(n - 1)])
+    if shape == 2:
+        if n == 0:
+            return ScalarMatrix.zeros(0, 0)
+        u, w = vector(n), vector(n)
+        u[-1] = GaussianRational(rng.randint(1, 3), part())
+        rest = sum((u[i] * u[i] * u[i] * w[i] for i in range(n - 1)), GaussianRational(0))
+        w[-1] = -rest / (u[-1] * u[-1] * u[-1])
+        return ScalarMatrix([[a * b for b in w] for a in u], n)
+    zero = GaussianRational(0)
+    rows = [vector(n) for _ in range(n)]
+    return ScalarMatrix(
+        [[zero if j == i or (shape == 4 and j < i) else c for j, c in enumerate(row)]
+         for i, row in enumerate(rows)],
+        n,
+    )
 
 
 def formal_inverse(F: PolyMap, degree_bound: int) -> PolyMap:

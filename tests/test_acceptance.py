@@ -25,13 +25,14 @@ from cubelin import (
     rank_bound_certificate,
     run_search,
 )
-from cubelin.druzkowski import expand_map, gram_and_condition
+from cubelin.druzkowski import expand_map
 from cubelin.harness import iter_candidate_matrices
 from cubelin.invert import nilpotency_index
 from cubelin.poly import compose_polynomial, det, jacobian
 from helpers import (
     coordinate_symbols,
     cubic_part,
+    gram_matrix,
     paper_example,
     poly_to_sympy,
     sympy_det_jf_is_one,
@@ -112,8 +113,7 @@ def test_criterion_1_certificate(capsys):
         # the bound is met with equality here
         assert 2 * cert.rank == cert.n + cert.delta == 4
         assert trace_poly(A).is_zero()
-        gram, holds = gram_and_condition(A)
-        assert holds and gram.is_zero()
+        assert gram_matrix(A).is_zero()
 
 
 def test_criterion_2_inversion(capsys):
@@ -214,9 +214,8 @@ def test_criterion_5_trace_iff_gram(capsys, n2_matrices, n3_matrices):
         for matrices in corpora:
             for A in matrices:
                 symbolic = trace_poly(A).is_zero()
-                gram, holds = gram_and_condition(A)
-                assert symbolic == holds
-                assert holds == gram.is_zero()
+                assert symbolic == gram_matrix(A).is_zero()
+                assert symbolic == rank_bound_certificate(A).trace_condition_holds
                 checked += 1
         assert checked == 625 + 20_000
 

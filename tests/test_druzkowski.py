@@ -11,18 +11,14 @@ from cubelin import (
     parse_gaussian,
     rank_bound_certificate,
 )
-from cubelin.druzkowski import (
-    expand_map,
-    gram_and_condition,
-    gram_matrix,
-    mixed_cubic_map,
-    trace_condition_holds,
-    zero_diagonal_count,
-)
+from cubelin.druzkowski import expand_map, mixed_cubic_map, zero_diagonal_count
 from cubelin.poly import PolyMatrix, jacobian
 from helpers import (
     cubic_part,
+    gram_matrix,
+    mixed_denominator_matrix,
     random_scalar_matrix,
+    reference_certificate,
     shear_matrix,
     sympy_trace_is_zero,
     trace_poly,
@@ -101,7 +97,7 @@ class TestTracePoly:
 
     def test_paper_example_vanishes(self, paper):
         assert trace_poly(paper).is_zero()
-        assert trace_condition_holds(paper)
+        assert rank_bound_certificate(paper).trace_condition_holds
 
     def test_equals_jacobian_trace(self):
         rng = random.Random(23)
@@ -122,19 +118,21 @@ class TestTracePoly:
 
 
 class TestGram:
+    """The Q(i) Gram product of the test helpers, the reference for the
+    trace condition that rank_bound_certificate takes from the kernel."""
+
     def test_paper_example_gram_vanishes(self, paper):
-        G, holds = gram_and_condition(paper)
-        assert holds and G.is_zero()
+        assert gram_matrix(paper).is_zero()
+        assert rank_bound_certificate(paper).trace_condition_holds
 
     def test_antidiagonal_matrix(self):
         A = mat([["0", "1"], ["1", "0"]])
-        G, holds = gram_and_condition(A)
-        assert holds and G.is_zero()
+        assert gram_matrix(A).is_zero()
+        assert rank_bound_certificate(A).trace_condition_holds
 
     def test_identity_fails(self):
-        G, holds = gram_and_condition(ScalarMatrix.identity(2))
-        assert not holds
-        assert G == ScalarMatrix.identity(2)
+        assert gram_matrix(ScalarMatrix.identity(2)) == ScalarMatrix.identity(2)
+        assert not rank_bound_certificate(ScalarMatrix.identity(2)).trace_condition_holds
 
     def test_gram_formula(self):
         rng = random.Random(25)
@@ -148,7 +146,8 @@ class TestGram:
 
     def test_trace_iff_gram_exhaustive(self):
         for A in all_two_by_two(ALPHABET):
-            assert trace_poly(A).is_zero() == gram_and_condition(A)[1]
+            holds = rank_bound_certificate(A).trace_condition_holds
+            assert trace_poly(A).is_zero() == gram_matrix(A).is_zero() == holds
 
 
 class TestDelta:
@@ -203,6 +202,23 @@ class TestCertificate:
     def test_exhaustive_two_by_two(self):
         for A in all_two_by_two(ALPHABET):
             assert rank_bound_certificate(A).theorem_satisfied
+
+    def test_matches_the_gram_oracle(self):
+        # the trace condition and delta come from the integer kernel on one
+        # common scale of the entries; a scale per entry, or delta counted
+        # from the real parts alone, would break the rank-one and random shapes
+        rng = random.Random(26)
+        holds = 0
+        for k in range(300):
+            n = rng.randint(0, 5)
+            A = mixed_denominator_matrix(rng, n, k % 5)
+            cert = rank_bound_certificate(A)
+            expected = reference_certificate(A)
+            assert (cert.trace_condition_holds, cert.delta, cert.rank) == expected
+            assert (cert.n, cert.bound_times_two) == (n, n + cert.delta)
+            holds += expected[0] and expected[1] < n
+        # the rank-one shape meets the trace condition off a zero diagonal
+        assert holds >= 30
 
 
 class TestMixedCubicMap:

@@ -10,8 +10,9 @@ from cubelin import (
     decide_automorphism,
     is_keller,
     parse_gaussian,
+    rank_bound_certificate,
 )
-from cubelin.druzkowski import expand_map, trace_condition_holds
+from cubelin.druzkowski import expand_map
 from cubelin.invert import INVERTIBLE, NOT_INVERTIBLE, default_degree_bound, nilpotency_index
 from cubelin.poly import PolyMatrix, compose, compose_polynomial, det, jacobian
 from helpers import cubic_part, formal_inverse, shear_matrix, sympy_det_jf_is_one
@@ -74,7 +75,7 @@ class TestIsKeller:
     def test_keller_implies_trace_condition(self):
         for A in all_two_by_two(ALPHABET):
             if is_keller(A):
-                assert trace_condition_holds(A)
+                assert rank_bound_certificate(A).trace_condition_holds
 
     def test_agrees_with_determinant(self):
         # is_keller goes through nilpotency; det(JF) == 1 is the definition
@@ -286,7 +287,7 @@ def three_by_three_keller_corpus():
     sampled = []
     while len(sampled) < 3:
         A = ScalarMatrix([[rng.choice(ALPHABET) for _ in range(3)] for _ in range(3)])
-        if trace_condition_holds(A) and is_keller(A):
+        if rank_bound_certificate(A).trace_condition_holds and is_keller(A):
             sampled.append(A)
     corpus += sampled
     c = g("1/2+1/2i")

@@ -16,6 +16,7 @@ from cubelin import (
 )
 from cubelin import harness, kernel
 from cubelin.harness import iter_candidate_matrices
+from helpers import mixed_denominator_matrix, reference_certificate
 
 
 def g(text):
@@ -25,23 +26,16 @@ def g(text):
 ALPHABET = [g(s) for s in ("0", "1", "-1", "i", "-i")]
 
 
-def reference_triple(M):
-    cert = rank_bound_certificate(M)
-    return (cert.trace_condition_holds, cert.delta, cert.rank)
-
-
-def skipped_rank(triple):
-    # what certificate_ints returns without need_rank: no rank where the
-    # trace condition fails
-    holds, delta, _ = triple
-    return triple if holds else (holds, delta, None)
-
-
 def flat_of(M):
     """M as the harness hands it to the kernel: one common scale for all
     entries, row-major, (re, im) interleaved."""
     entries = [c for row in M.entries for c in row]
     return [x for pair in kernel.integer_pairs(entries) for x in pair]
+
+
+def integer_triple(M):
+    flat = flat_of(M)
+    return (*kernel.certificate_ints(M.rows, flat), kernel.rank_ints(M.rows, flat))
 
 
 def gaussian_int_matrix(rng, n, span):
@@ -63,10 +57,10 @@ class TestAgreement:
         for picks in itertools.product(ALPHABET, repeat=4):
             M = ScalarMatrix([picks[:2], picks[2:]])
             flat = flat_of(M)
-            expected = reference_triple(M)
-            assert kernel.certificate_ints(2, flat) == expected
-            assert kernel.certificate_ints_pure(2, flat) == expected
-            assert kernel.certificate_ints(2, flat, need_rank=False) == skipped_rank(expected)
+            expected = reference_certificate(M)
+            assert kernel.certificate_ints(2, flat) == expected[:2]
+            assert kernel.certificate_ints_pure(2, flat) == expected[:2]
+            assert kernel.rank_ints(2, flat) == expected[2]
 
     def test_random_matrices(self):
         rng = random.Random(90)
@@ -74,10 +68,10 @@ class TestAgreement:
             n = rng.randint(1, 6)
             M = gaussian_int_matrix(rng, n, 3)
             flat = flat_of(M)
-            expected = reference_triple(M)
-            assert kernel.certificate_ints(n, flat) == expected
-            assert kernel.certificate_ints_pure(n, flat) == expected
-            assert kernel.certificate_ints(n, flat, need_rank=False) == skipped_rank(expected)
+            expected = reference_certificate(M)
+            assert kernel.certificate_ints(n, flat) == expected[:2]
+            assert kernel.certificate_ints_pure(n, flat) == expected[:2]
+            assert kernel.rank_ints(n, flat) == expected[2]
 
     def test_rank_deficient_products(self):
         # low-rank matrices force pivot skips and row swaps in elimination
@@ -97,7 +91,7 @@ class TestAgreement:
                     acc = [acc[j] + c * rows[k][j] for j in range(n)]
                 built.append(acc)
             M = ScalarMatrix(built)
-            assert kernel.certificate_ints(n, flat_of(M)) == reference_triple(M)
+            assert integer_triple(M) == reference_certificate(M)
 
     def test_leading_zero_pivots(self):
         M = ScalarMatrix(
@@ -107,8 +101,7 @@ class TestAgreement:
                 [g("0"), g("0"), g("0")],
             ]
         )
-        flat = flat_of(M)
-        assert kernel.certificate_ints(3, flat) == reference_triple(M)
+        assert integer_triple(M) == reference_certificate(M)
 
     def test_complex_pivot_division(self):
         # pivots -1 and +-i exercise the checked conjugate division
@@ -119,39 +112,15 @@ class TestAgreement:
                 [g("-i"), g("2"), g("1")],
             ]
         )
-        flat = flat_of(M)
-        assert kernel.certificate_ints(3, flat) == reference_triple(M)
+        assert integer_triple(M) == reference_certificate(M)
 
     def test_degenerate_sizes(self):
-        assert kernel.certificate_ints(0, []) == (True, 0, 0)
-        assert kernel.certificate_ints(1, [0, 1]) == (False, 0, 1)
-        assert kernel.certificate_ints(1, [0, 0]) == (True, 1, 0)
-
-
-def mixed_denominator_matrix(rng, n, shape):
-    """Entries with denominators 1 to 4.  ``shape`` 0 is a random matrix,
-    1 a product of rank below n, and 2 a rank-one u w^T with
-    sum_i u_i^3 w_i = 0, which satisfies the trace condition: its Gram
-    matrix is (sum_i u_i^3 w_i) w w^T."""
-
-    def part():
-        return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-
-    def vector(size):
-        return [GaussianRational(part(), part()) for _ in range(size)]
-
-    if shape == 0:
-        return ScalarMatrix([vector(n) for _ in range(n)])
-    if shape == 1:
-        if n == 1:
-            return ScalarMatrix.zeros(1, 1)
-        P = ScalarMatrix([vector(n - 1) for _ in range(n)])
-        return P * ScalarMatrix([vector(n) for _ in range(n - 1)])
-    u, w = vector(n), vector(n)
-    u[-1] = GaussianRational(rng.randint(1, 3), part())
-    rest = sum((u[i] * u[i] * u[i] * w[i] for i in range(n - 1)), GaussianRational(0))
-    w[-1] = -rest / (u[-1] * u[-1] * u[-1])
-    return ScalarMatrix([[a * b for b in w] for a in u])
+        assert kernel.certificate_ints(0, []) == (True, 0)
+        assert kernel.certificate_ints(1, [0, 1]) == (False, 0)
+        assert kernel.certificate_ints(1, [0, 0]) == (True, 1)
+        assert kernel.rank_ints(0, []) == 0
+        assert kernel.rank_ints(1, [0, 1]) == 1
+        assert kernel.rank_ints(1, [0, 0]) == 0
 
 
 class TestIntegerPairs:
@@ -170,45 +139,39 @@ class TestIntegerPairs:
         for k in range(200):
             n = rng.randint(1, 5)
             M = mixed_denominator_matrix(rng, n, k % 3)
-            flat = flat_of(M)
-            expected = reference_triple(M)
+            expected = reference_certificate(M)
             holds += expected[0] and expected[1] < n
-            assert kernel.certificate_ints(n, flat) == expected
-            assert kernel.certificate_ints(n, flat, need_rank=False) == skipped_rank(expected)
+            assert integer_triple(M) == expected
         # the rank-one shape meets the trace condition off a zero diagonal
         assert holds >= 50
 
 
-def integer_triple(M):
-    return kernel.certificate_ints(M.rows, flat_of(M))
-
-
 class TestPublicCertificate:
-    """The integer path against rank_bound_certificate, the one public
-    certificate entry point."""
+    """The integer path against the Q(i) reference, on the matrices the
+    public certificate entry point sees."""
 
     def test_matches_reference_on_integers(self, paper):
-        assert integer_triple(paper) == reference_triple(paper)
+        assert integer_triple(paper) == reference_certificate(paper)
 
     def test_matches_reference_on_fractions(self):
         M = ScalarMatrix([[g("1/2"), g("i")], [g("-i"), g("1/3")]])
-        assert integer_triple(M) == reference_triple(M)
+        assert integer_triple(M) == reference_certificate(M)
         # diag(1, 1/2) [[1, i], [-i, 1]] diag(1, 8) conjugates a Keller map
         # by diag(1, 8); a scale per entry would break its trace condition
         K = ScalarMatrix([[g("1"), g("8i")], [GaussianRational(0, Fraction(-1, 2)), g("4")]])
-        assert integer_triple(K) == reference_triple(K) == (True, 0, 1)
+        assert integer_triple(K) == reference_certificate(K) == (True, 0, 1)
 
     def test_matches_reference_above_guard(self):
         M = ScalarMatrix([[GaussianRational(10 ** 7), GaussianRational(1)],
                           [GaussianRational(0), GaussianRational(3)]])
-        assert integer_triple(M) == reference_triple(M)
+        assert integer_triple(M) == reference_certificate(M)
 
     def test_random_sweep(self):
         rng = random.Random(92)
         for _ in range(150):
             n = rng.randint(1, 5)
             M = gaussian_int_matrix(rng, n, 2)
-            assert integer_triple(M) == reference_triple(M)
+            assert integer_triple(M) == reference_certificate(M)
 
 
 MIXED_ALPHABET = ["0", "1/2", "-1/3+i", "2i"]

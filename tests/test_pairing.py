@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cubelin import (
+    GZPair,
     PolyMap,
     Polynomial,
     ScalarMatrix,
@@ -13,8 +14,8 @@ from cubelin import (
     parse_gaussian,
 )
 from cubelin import pairing
-from cubelin.druzkowski import expand_map
-from cubelin.invert import NOT_INVERTIBLE, InverseResult
+from cubelin.druzkowski import expand_map, mixed_cubic_map
+from cubelin.invert import NOT_INVERTIBLE, InverseResult, _decide
 from cubelin.linalg import rank
 from cubelin.poly import compose, linear_combination
 from helpers import random_scalar_matrix, shear_matrix
@@ -151,6 +152,18 @@ class TestLiftInverse:
         pair = gz_reduce(paper)
         with pytest.raises(ValueError, match="not a verified inverse"):
             lift_inverse(pair, PolyMap.identity(2))
+
+    def test_rejects_a_lift_that_does_not_invert_f(self, paper):
+        # B scaled by 2, with G and its verified inverse made for that B:
+        # the reduced map checks out, but 2 B C != A, so only the check of
+        # F o F^{-1} can catch the lift
+        pair = gz_reduce(paper)
+        B = pair.B.scale(g("2"))
+        scaled = GZPair(matrix=paper, B=B, C=pair.C, G=mixed_cubic_map(B, pair.C))
+        g_inverse = _decide(B, pair.C, 3).inverse
+        assert compose(scaled.G, g_inverse) == PolyMap.identity(2)
+        with pytest.raises(RuntimeError, match="does not invert F"):
+            lift_inverse(scaled, g_inverse)
 
 
 class TestCorollaryPipeline:
