@@ -67,7 +67,10 @@ class RankBoundCertificate:
     trace_condition_holds: bool
     delta: int
     rank: int
-    bound_times_two: int
+
+    @property
+    def bound_times_two(self) -> int:
+        return self.n + self.delta
 
     @property
     def theorem_satisfied(self) -> bool:
@@ -103,7 +106,6 @@ def rank_bound_certificate(A) -> RankBoundCertificate:
         trace_condition_holds=holds,
         delta=delta,
         rank=rank(A),
-        bound_times_two=n + delta,
     )
     if not certificate.theorem_satisfied:
         # would be a counterexample to the rank bound; surface it loudly

@@ -34,7 +34,7 @@ from .invert import decide_automorphism, is_keller
 from .kernel import certificate_ints, integer_pairs, rank_ints
 from .linalg import ScalarMatrix
 from .matrixio import matrix_entries_text
-from .pairing import corollary_pipeline
+from .pairing import _DIMENSION_CAP, corollary_pipeline
 from .scalars import GaussianRational, format_gaussian, parse_gaussian
 
 DEFAULT_CEILING = 10_000_000
@@ -116,7 +116,7 @@ class SearchConfig:
             entry if isinstance(entry, GaussianRational) else parse_gaussian(entry)
             for entry in raw
         )
-        config = cls(
+        return cls(
             n=data["n"],
             alphabet=alphabet,
             mode=data["mode"],
@@ -126,10 +126,8 @@ class SearchConfig:
             checks=tuple(sorted(set(data.get("checks", ())))),
             workers=data.get("workers", 1),
         )
-        config.validate()
-        return config
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # JSON true/false load as bool, which Python counts as int
         for name in ("n", "count", "seed", "workers"):
             if isinstance(getattr(self, name), bool):
@@ -156,8 +154,10 @@ class SearchConfig:
         for name in self.checks:
             if name not in CHECK_NAMES:
                 raise ValueError(f"unknown check {name!r}; known: {list(CHECK_NAMES)}")
-        if "corollary" in self.checks and self.n > 9:
-            raise ValueError("the corollary check applies in dimension <= 9 only")
+        if "corollary" in self.checks and self.n > _DIMENSION_CAP:
+            raise ValueError(
+                f"the corollary check applies in dimension <= {_DIMENSION_CAP} only"
+            )
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ValueError(f"workers must be a positive integer, got {self.workers!r}")
 
@@ -256,7 +256,6 @@ def _candidate_matrix(
 
 def iter_candidate_matrices(config: SearchConfig) -> Iterator[tuple[int, ScalarMatrix]]:
     """All (index, matrix) pairs of a run, in canonical order."""
-    config.validate()
     config.check_ceiling()
     for index, digits in enumerate(_iter_digit_vectors(config, 0, config.total_candidates())):
         yield index, _candidate_matrix(config.alphabet, config.n, digits)
@@ -384,7 +383,6 @@ def _scan_range(
                         trace_condition_holds=holds,
                         delta=delta,
                         rank=rank_,
-                        bound_times_two=n + delta,
                     ).to_dict(),
                     "keller": keller,
                     "inverse_degree": inverse_degree,
@@ -421,7 +419,6 @@ def run_search(
     The report (and the optional record stream) is identical for every
     worker count; only ``duration_seconds`` varies.
     """
-    config.validate()
     config.check_ceiling()
     effective_workers = config.workers if workers is None else workers
     if effective_workers < 1:

@@ -70,9 +70,6 @@ class ScalarMatrix:
     def is_zero(self) -> bool:
         return all(not c for row in self.entries for c in row)
 
-    def row(self, i: int) -> tuple[GaussianRational, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[GaussianRational, ...]:
         return tuple(row[j] for row in self.entries)
 
@@ -82,28 +79,6 @@ class ScalarMatrix:
     def transpose(self) -> "ScalarMatrix":
         return ScalarMatrix._raw(
             tuple(self.column(j) for j in range(self._cols)), self.rows
-        )
-
-    def __add__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        if self.rows != other.rows or self._cols != other._cols:
-            raise ValueError("shape mismatch in matrix addition")
-        return ScalarMatrix._raw(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-            self._cols,
-        )
-
-    def __sub__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        if self.rows != other.rows or self._cols != other._cols:
-            raise ValueError("shape mismatch in matrix subtraction")
-        return ScalarMatrix._raw(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-            self._cols,
         )
 
     def __mul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
@@ -123,16 +98,6 @@ class ScalarMatrix:
                 row.append(acc)
             out.append(tuple(row))
         return ScalarMatrix._raw(tuple(out), other._cols)
-
-    def scale(self, value: GaussianRational) -> "ScalarMatrix":
-        return ScalarMatrix._raw(
-            tuple(tuple(value * c for c in row) for row in self.entries), self._cols
-        )
-
-    def __neg__(self) -> "ScalarMatrix":
-        return ScalarMatrix._raw(
-            tuple(tuple(-c for c in row) for row in self.entries), self._cols
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScalarMatrix):

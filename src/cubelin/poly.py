@@ -13,6 +13,8 @@ mixed coefficient parenthesized: ``(1+i)x1x2^2``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .scalars import GaussianRational, ZERO, ONE, format_gaussian
 
 Exponents = tuple[int, ...]
@@ -165,40 +167,25 @@ class Polynomial:
 
     def mul(self, other: "Polynomial", truncate_above: int | None = None) -> "Polynomial":
         """Exact product; with ``truncate_above`` set, terms of total degree
-        above the cap are dropped (and never computed: term lists are walked
-        in increasing degree with early exit)."""
+        above the cap are dropped and never computed.
+
+        Each term of ``self`` is paired with a row of ``other``'s terms: all
+        of them for an exact product; under a cap, the prefix of ``other``'s
+        terms sorted by degree that fits under the cap less the term's own
+        degree, found by bisection.
+        """
         self._check_arity(other)
         out: dict[Exponents, GaussianRational] = {}
-        if not self.terms or not other.terms:
-            return Polynomial._raw(self.nvars, out)
-        if truncate_above is None:
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    e = tuple(x + y for x, y in zip(ea, eb))
-                    c = ca * cb
-                    acc = out.get(e)
-                    if acc is None:
-                        out[e] = c
-                    else:
-                        acc = acc + c
-                        if acc:
-                            out[e] = acc
-                        else:
-                            del out[e]
-            return Polynomial._raw(self.nvars, out)
-        cap = truncate_above
-        a_sorted = sorted(self.terms.items(), key=lambda kv: sum(kv[0]))
-        b_sorted = sorted(other.terms.items(), key=lambda kv: sum(kv[0]))
-        b_degrees = [sum(e) for e, _ in b_sorted]
-        min_b = b_degrees[0]
-        for ea, ca in a_sorted:
-            da = sum(ea)
-            if da + min_b > cap:
-                break
-            limit = cap - da
-            for (eb, cb), db in zip(b_sorted, b_degrees):
-                if db > limit:
-                    break
+        b_terms = other.terms.items()
+        if truncate_above is not None:
+            b_terms = sorted(b_terms, key=lambda kv: sum(kv[0]))
+            b_degrees = [sum(e) for e, _ in b_terms]
+        for ea, ca in self.terms.items():
+            if truncate_above is None:
+                row = b_terms
+            else:
+                row = b_terms[: bisect_right(b_degrees, truncate_above - sum(ea))]
+            for eb, cb in row:
                 e = tuple(x + y for x, y in zip(ea, eb))
                 c = ca * cb
                 acc = out.get(e)
@@ -523,17 +510,6 @@ class PolyMatrix:
             return NotImplemented
         return self.nvars == other.nvars and self.entries == other.entries
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch in polynomial matrix addition")
-        return PolyMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            nvars=self.nvars,
-        )
-
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in polynomial matrix subtraction")
@@ -561,16 +537,6 @@ class PolyMatrix:
                 row.append(acc)
             out.append(row)
         return PolyMatrix(out, nvars=self.nvars)
-
-    def power(self, k: int) -> "PolyMatrix":
-        if not self.is_square():
-            raise ValueError("power of a non-square polynomial matrix")
-        if k < 0:
-            raise ValueError("negative matrix power")
-        result = PolyMatrix.identity(self.rows, self.nvars)
-        for _ in range(k):
-            result = result * self
-        return result
 
     def evaluate(self, point):
         """Entrywise evaluation; returns a grid of GaussianRationals."""

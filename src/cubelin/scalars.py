@@ -68,9 +68,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self
 
-    def is_one(self) -> bool:
-        return self.re == 1 and not self.im
-
     def is_gaussian_integer(self) -> bool:
         return self.re.denominator == 1 and self.im.denominator == 1
 

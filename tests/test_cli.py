@@ -49,9 +49,7 @@ class TestVerify:
         import cubelin.cli as cli_module
 
         def fake(matrix):
-            return RankBoundCertificate(
-                n=2, trace_condition_holds=True, delta=0, rank=2, bound_times_two=2
-            )
+            return RankBoundCertificate(n=2, trace_condition_holds=True, delta=0, rank=2)
 
         monkeypatch.setattr(cli_module, "rank_bound_certificate", fake)
         code, out, _ = run(capsys, "verify", "shear-2", "--json")

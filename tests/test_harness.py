@@ -116,6 +116,15 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match=message):
             config(**overrides)
 
+    def test_direct_construction_validates(self):
+        # the config checks itself when built, not only when loaded from a dict
+        with pytest.raises(ValueError, match="n must be a positive integer, got 0"):
+            SearchConfig(n=0, alphabet=(g("0"),), mode="enumerate")
+        with pytest.raises(
+            ValueError, match=r"^the corollary check applies in dimension <= 9 only$"
+        ):
+            SearchConfig(n=10, alphabet=(g("0"),), mode="enumerate", checks=("corollary",))
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown search config keys"):
             SearchConfig.from_dict(

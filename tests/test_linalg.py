@@ -120,10 +120,6 @@ class TestMatrixOps:
 
     def test_arithmetic(self):
         M = mat([["1", "i"], ["0", "2"]])
-        N = mat([["1", "0"], ["1", "-1"]])
-        assert M + N == mat([["2", "i"], ["1", "1"]])
-        assert M - M == ScalarMatrix.zeros(2, 2)
-        assert -M == M.scale(g("-1"))
         assert M * ScalarMatrix.identity(2) == M
 
     def test_product_values(self):
@@ -133,8 +129,6 @@ class TestMatrixOps:
 
     def test_shape_errors(self):
         M = mat([["1", "2"]])
-        with pytest.raises(ValueError):
-            M + mat([["1"]])
         with pytest.raises(ValueError):
             M * M
         with pytest.raises(ValueError):

@@ -158,7 +158,7 @@ class TestLiftInverse:
         # the reduced map checks out, but 2 B C != A, so only the check of
         # F o F^{-1} can catch the lift
         pair = gz_reduce(paper)
-        B = pair.B.scale(g("2"))
+        B = ScalarMatrix([[g("2") * c for c in row] for row in pair.B.entries])
         scaled = GZPair(matrix=paper, B=B, C=pair.C, G=mixed_cubic_map(B, pair.C))
         g_inverse = _decide(B, pair.C, 3).inverse
         assert compose(scaled.G, g_inverse) == PolyMap.identity(2)
