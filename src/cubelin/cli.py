@@ -5,7 +5,7 @@ example name, inline JSON (anything starting with "["), or a path to a
 matrix file.  ``--json`` switches every subcommand to machine output.
 
 Exit codes: 0 clean, 1 usage or input error, 2 anomaly (a violated rank
-bound, a Keller map that failed inversion, a search that surfaced
+bound, a Keller map proved NotInvertible, a search that surfaced
 anomalies, or a failed internal check).
 """
 
@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .druzkowski import rank_bound_certificate
 from .harness import SearchConfig, run_search
-from .invert import decide_automorphism, is_keller
+from .invert import NOT_INVERTIBLE, decide_automorphism, is_keller
 from .linalg import ScalarMatrix
 from .matrixio import (
     MatrixParseError,
@@ -125,7 +125,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_invert(args) -> int:
     matrix = _resolve_matrix(args.matrix)
-    keller = is_keller(matrix)
     result = decide_automorphism(matrix, degree_bound=args.degree_bound)
     if args.json:
         print(result.to_json())
@@ -136,7 +135,8 @@ def _cmd_invert(args) -> int:
         if result.inverse is not None:
             for i, p in enumerate(result.inverse.components):
                 print(f"inverse[{i + 1}] = {p.to_text()}")
-    if keller and not result.invertible:
+    # a Keller map proved non-invertible would refute the Jacobian conjecture
+    if result.status == NOT_INVERTIBLE and is_keller(matrix):
         return EXIT_ANOMALY
     return EXIT_OK
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .kernel import certificate_ints, integer_pairs
 from .linalg import ScalarMatrix, rank
-from .poly import Polynomial, PolyMap, cube_linear_form, linear_combination
+from .poly import Polynomial, PolyMap, linear_combination
 
 logger = logging.getLogger(__name__)
 
@@ -40,13 +40,9 @@ def expand_map(A) -> PolyMap:
     """The full polynomial map X + (AX)^{*3} with cubes expanded."""
     A = _require_square(_as_matrix(A))
     n = A.rows
-    return PolyMap(
-        [
-            Polynomial.variable(n, i) + cube_linear_form(A.entries[i])
-            for i in range(n)
-        ],
-        nvars=n,
-    )
+    # the case (A, I) of cubic_terms, built directly: every is_keller runs it
+    cubes = [Polynomial.linear_form(row).cube() for row in A.entries]
+    return PolyMap([Polynomial.variable(n, i) + cubes[i] for i in range(n)], nvars=n)
 
 
 def zero_diagonal_count(A) -> int:
@@ -115,6 +111,20 @@ def rank_bound_certificate(A) -> RankBoundCertificate:
     return certificate
 
 
+def cubic_terms(mix, comb, inner, truncate_above: int | None = None) -> list[Polynomial]:
+    """comb @ (mix @ H)^{*3} for H = ``inner``, mix.cols polynomials in mix.cols
+    variables; with ``truncate_above`` set, each cube is truncated there.
+
+    The reduced map G is Y + cubic_terms(B, C, Y), and each fixed-point
+    step of its inversion is Y - cubic_terms(B, C, H, bound).
+    """
+    nvars = mix.cols  # not inner[0].nvars: a rank-0 reduction has no components
+    cubes = [
+        linear_combination(row, inner, nvars).cube(truncate_above) for row in mix.entries
+    ]
+    return [linear_combination(row, cubes, nvars) for row in comb.entries]
+
+
 def mixed_cubic_map(mix: ScalarMatrix, comb: ScalarMatrix) -> PolyMap:
     """The map Y -> Y + comb @ (mix @ Y)^{*3} in dim(Y) = mix.cols variables.
 
@@ -126,11 +136,5 @@ def mixed_cubic_map(mix: ScalarMatrix, comb: ScalarMatrix) -> PolyMap:
         raise ValueError("shape mismatch between combination and mixing matrices")
     if comb.rows != nvars:
         raise ValueError("combination matrix must be square in the reduced dimension")
-    cubes = [cube_linear_form(row) for row in mix.entries]
-    return PolyMap(
-        [
-            Polynomial.variable(nvars, i) + linear_combination(comb.entries[i], cubes, nvars)
-            for i in range(nvars)
-        ],
-        nvars=nvars,
-    )
+    Y = PolyMap.identity(nvars).components
+    return PolyMap([y + t for y, t in zip(Y, cubic_terms(mix, comb, Y))], nvars=nvars)

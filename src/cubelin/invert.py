@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .druzkowski import _as_matrix, _require_square, expand_map, mixed_cubic_map
+from .druzkowski import _as_matrix, _require_square, cubic_terms, expand_map, mixed_cubic_map
 from .linalg import ScalarMatrix, rank_factorization
 from .matrixio import matrix_entries_text
 from .poly import (
@@ -41,6 +41,7 @@ from .poly import (
 
 INVERTIBLE = "Invertible"
 NOT_INVERTIBLE = "NotInvertible"
+NO_INVERSE_WITHIN_BOUND = "NoInverseWithinBound"
 
 
 def nilpotency_index(M: PolyMatrix) -> int | None:
@@ -228,16 +229,10 @@ def _decide(B: ScalarMatrix, C: ScalarMatrix, bound: int) -> InverseResult:
     """Decide whether G(Y) = Y + C (BY)^{*3} has an inverse of degree <= bound."""
     r = B.cols
     identity = [Polynomial.variable(r, i) for i in range(r)]
-
-    def forms(components: list[Polynomial]) -> list[Polynomial]:
-        return [linear_combination(row, components, r) for row in B.entries]
-
     components = identity
     for _ in range(bound + 2):
-        cubes = [u.cube(truncate_above=bound) for u in forms(components)]
-        new = [
-            identity[i] - linear_combination(C.entries[i], cubes, r) for i in range(r)
-        ]
+        terms = cubic_terms(B, C, components, bound)
+        new = [y - t for y, t in zip(identity, terms)]
         if new == components:
             break
         components = new
@@ -245,11 +240,9 @@ def _decide(B: ScalarMatrix, C: ScalarMatrix, bound: int) -> InverseResult:
         raise RuntimeError("fixed-point iteration failed to stabilize")
 
     # Exact right-composition check: G(G^{-1}) == Y iff the untruncated
-    # cube combination reproduces Y - G^{-1}.
-    exact_cubes = [u.cube() for u in forms(components)]
-    for i in range(r):
-        if linear_combination(C.entries[i], exact_cubes, r) != identity[i] - components[i]:
-            return InverseResult(status=NOT_INVERTIBLE, degree_bound_used=bound)
+    # cubic terms reproduce Y - G^{-1}.
+    if cubic_terms(B, C, components) != [y - h for y, h in zip(identity, components)]:
+        return InverseResult(status=NOT_INVERTIBLE, degree_bound_used=bound)
     return InverseResult(
         status=INVERTIBLE, degree_bound_used=bound, inverse=PolyMap(components, nvars=r)
     )
@@ -280,8 +273,10 @@ def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
     The map is reduced to G in dimension r = rank(A) and G is decided at
     min(d, 3^(r-1)): C o F^{-1} == G^{-1} o C with C onto gives
     deg G^{-1} <= deg F^{-1}, so a G with no inverse of degree <= d means an
-    F with none either.  A lifted inverse of degree above d is reported as
-    NotInvertible.
+    F with none either.  The status is NotInvertible only when G has no
+    inverse at its full bound 3^(r-1), which proves F has no inverse at
+    all.  A G refused below that bound, or a lifted inverse of degree
+    above d, gives NoInverseWithinBound: F may still be invertible.
 
     Both composition orders are verified exactly.  F o F^{-1} == id is
     checked directly by the lift.  F^{-1} o F == id follows from B C == A
@@ -297,7 +292,9 @@ def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
     bound = default_degree_bound(A.rows) if degree_bound is None else degree_bound
     if bound < 1:
         raise ValueError("degree bound must be at least 1")
-    _, _, inverse = _invert_by_reduction(A, bound)
-    if inverse is None or inverse.max_degree() > bound:
-        return InverseResult(status=NOT_INVERTIBLE, degree_bound_used=bound)
-    return InverseResult(status=INVERTIBLE, degree_bound_used=bound, inverse=inverse)
+    pair, g_result, inverse = _invert_by_reduction(A, bound)
+    if inverse is not None and inverse.max_degree() <= bound:
+        return InverseResult(status=INVERTIBLE, degree_bound_used=bound, inverse=inverse)
+    proved = inverse is None and g_result.degree_bound_used >= default_degree_bound(pair.r)
+    status = NOT_INVERTIBLE if proved else NO_INVERSE_WITHIN_BOUND
+    return InverseResult(status=status, degree_bound_used=bound)

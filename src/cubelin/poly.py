@@ -307,43 +307,25 @@ class Polynomial:
 
 
 def linear_combination(coeffs, polys, nvars: int) -> Polynomial:
-    """Sum coeffs[k] * polys[k]; exact, zero coefficients skipped."""
-    total = Polynomial.zero(nvars)
+    """Sum coeffs[k] * polys[k] into one term dict; exact, zero coefficients skipped."""
+    out: dict[Exponents, GaussianRational] = {}
     for c, p in zip(coeffs, polys):
-        if c:
-            total = total + p.scale(c)
-    return total
-
-
-def cube_linear_form(row) -> Polynomial:
-    """Expand (sum_j row[j] * x_{j+1})^3 via multinomial coefficients 1/3/6."""
-    row = [c if isinstance(c, GaussianRational) else GaussianRational(c) for c in row]
-    nvars = len(row)
-    nonzero = [(j, c) for j, c in enumerate(row) if c]
-    terms: dict[Exponents, GaussianRational] = {}
-    for a in range(len(nonzero)):
-        ja, ca = nonzero[a]
-        for b in range(a, len(nonzero)):
-            jb, cb = nonzero[b]
-            for d in range(b, len(nonzero)):
-                jd, cd = nonzero[d]
-                if a == b == d:
-                    mult = 1
-                elif a == b or b == d:
-                    mult = 3
+        if not c:
+            continue
+        if p.nvars != nvars:
+            raise ArityMismatchError(f"polynomials in {nvars} and {p.nvars} variables")
+        for e, pc in p.terms.items():
+            term = c * pc
+            acc = out.get(e)
+            if acc is None:
+                out[e] = term
+            else:
+                acc = acc + term
+                if acc:
+                    out[e] = acc
                 else:
-                    mult = 6
-                exp = [0] * nvars
-                exp[ja] += 1
-                exp[jb] += 1
-                exp[jd] += 1
-                coeff = ca * cb * cd
-                if mult != 1:
-                    coeff = coeff * mult
-                key = tuple(exp)
-                acc = terms.get(key)
-                terms[key] = coeff if acc is None else acc + coeff
-    return Polynomial._raw(nvars, {e: c for e, c in terms.items() if c})
+                    del out[e]
+    return Polynomial._raw(nvars, out)
 
 
 class PolyMap:
@@ -437,9 +419,9 @@ def compose_polynomial(
     memo = _memo if _memo is not None else {}
     if not memo:
         memo[_zero_exp(outer.nvars)] = Polynomial.one(inner.nvars)
-    total = Polynomial.zero(inner.nvars)
-    for e, c in sorted(outer.terms.items(), key=lambda kv: _grlex_key(kv[0])):
-        total = total + _power_product(e, inner, truncate_above, memo).scale(c)
+    terms = sorted(outer.terms.items(), key=lambda kv: _grlex_key(kv[0]))
+    powers = [_power_product(e, inner, truncate_above, memo) for e, _ in terms]
+    total = linear_combination([c for _, c in terms], powers, inner.nvars)
     if truncate_above is not None:
         total = total.truncate(truncate_above)
     return total

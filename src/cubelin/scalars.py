@@ -34,6 +34,13 @@ def _part(value):
     return value.numerator if value.denominator == 1 else value
 
 
+def _exact_part(value):
+    # Fraction(0.1) would keep the binary float's value, not the decimal one
+    if isinstance(value, float):
+        raise TypeError(f"a part of a Q(i) value must be exact, got the float {value!r}")
+    return _part(Fraction(value))
+
+
 class ParseError(ValueError):
     """Malformed complex literal; carries the offending position."""
 
@@ -49,8 +56,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Fraction | int | str = 0, im: Fraction | int | str = 0):
-        self.re = re if type(re) is int else _part(Fraction(re))
-        self.im = im if type(im) is int else _part(Fraction(im))
+        self.re = re if type(re) is int else _exact_part(re)
+        self.im = im if type(im) is int else _exact_part(im)
 
     @classmethod
     def _raw(cls, re: Fraction | int, im: Fraction | int) -> "GaussianRational":

@@ -14,7 +14,7 @@ import sympy
 
 from cubelin import GaussianRational, PolyMap, Polynomial, ScalarMatrix, parse_gaussian
 from cubelin.linalg import rank
-from cubelin.poly import compose, cube_linear_form
+from cubelin.poly import compose
 
 PAPER_EXAMPLE_ROWS = [
     ["1", "i", "1", "1"],
@@ -139,7 +139,7 @@ def random_polynomial(
 
 def cubic_part(A: ScalarMatrix) -> PolyMap:
     """(AX)^{*3}, the homogeneous degree-3 part of X + (AX)^{*3}."""
-    return PolyMap([cube_linear_form(row) for row in A.entries], nvars=A.rows)
+    return PolyMap([Polynomial.linear_form(row) ** 3 for row in A.entries], nvars=A.rows)
 
 
 def trace_poly(A: ScalarMatrix) -> Polynomial:

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from cubelin import RankBoundCertificate, parse_matrix
+from cubelin import RankBoundCertificate, cli, parse_matrix
 from cubelin.cli import main
+from cubelin.invert import NOT_INVERTIBLE, InverseResult
 from helpers import PAPER_EXAMPLE_ROWS
 
 
@@ -84,11 +85,19 @@ class TestInvert:
         assert code == 0
         assert json.loads(out)["degree_bound_used"] == 5
 
-    def test_keller_inversion_failure_exits_two(self, capsys):
-        # a too-small bound makes a Keller map fail inversion within bound
+    def test_too_small_bound_is_not_an_anomaly(self, capsys):
+        # a too-small bound proves nothing about a Keller map, so it exits 0
         code, out, _ = run(
             capsys, "invert", "shear-2", "--degree-bound", "1", "--json"
         )
+        assert code == 0
+        assert json.loads(out)["status"] == "NoInverseWithinBound"
+
+    def test_keller_inversion_failure_exits_two(self, capsys, monkeypatch):
+        # no Keller map is known to be NotInvertible; stand one in for shear-2
+        refused = InverseResult(status=NOT_INVERTIBLE, degree_bound_used=3)
+        monkeypatch.setattr(cli, "decide_automorphism", lambda *a, **k: refused)
+        code, out, _ = run(capsys, "invert", "shear-2", "--json")
         assert code == 2
         assert json.loads(out)["status"] == "NotInvertible"
 

@@ -11,12 +11,14 @@ from cubelin import (
     parse_gaussian,
     rank_bound_certificate,
 )
-from cubelin.druzkowski import expand_map, mixed_cubic_map, zero_diagonal_count
+from cubelin.druzkowski import cubic_terms, expand_map, mixed_cubic_map, zero_diagonal_count
 from cubelin.poly import PolyMatrix, jacobian
 from helpers import (
     cubic_part,
     gram_matrix,
     mixed_denominator_matrix,
+    random_gaussian,
+    random_polynomial,
     random_scalar_matrix,
     reference_certificate,
     shear_matrix,
@@ -235,3 +237,19 @@ class TestMixedCubicMap:
         y1, y2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         assert F.components[0] == y1 + cubes.scale(g("2"))
         assert F.components[1] == y2
+
+
+class TestCubicTerms:
+    def test_truncation_matches_truncated_exact_terms(self):
+        # the fixed-point steps cap each cube; the cap must drop exactly the
+        # terms above it, whatever the shapes and the constant terms of H
+        rng = random.Random(71)
+        for _ in range(40):
+            r, m = rng.randint(1, 3), rng.randint(1, 3)
+            B = ScalarMatrix([[random_gaussian(rng, 2, 2) for _ in range(r)] for _ in range(m)])
+            C = ScalarMatrix([[random_gaussian(rng, 2, 2) for _ in range(m)] for _ in range(r)])
+            H = [random_polynomial(rng, r, max_degree=2, den=2) for _ in range(r)]
+            exact = cubic_terms(B, C, H)
+            full = max(t.total_degree() for t in exact)
+            for cap in range(full + 1):
+                assert cubic_terms(B, C, H, cap) == [t.truncate(cap) for t in exact]

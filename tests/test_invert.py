@@ -13,7 +13,13 @@ from cubelin import (
     rank_bound_certificate,
 )
 from cubelin.druzkowski import expand_map
-from cubelin.invert import INVERTIBLE, NOT_INVERTIBLE, default_degree_bound, nilpotency_index
+from cubelin.invert import (
+    INVERTIBLE,
+    NO_INVERSE_WITHIN_BOUND,
+    NOT_INVERTIBLE,
+    default_degree_bound,
+    nilpotency_index,
+)
 from cubelin.poly import PolyMatrix, compose, compose_polynomial, det, jacobian
 from helpers import cubic_part, formal_inverse, shear_matrix, sympy_det_jf_is_one
 
@@ -202,7 +208,7 @@ class TestDecideAutomorphism:
 
     def test_too_small_bound_is_honest(self):
         result = decide_automorphism(shear_matrix(), degree_bound=1)
-        assert result.status == NOT_INVERTIBLE
+        assert result.status == NO_INVERSE_WITHIN_BOUND
         assert result.degree_bound_used == 1
 
     def test_explicit_bound_recorded(self):
@@ -312,10 +318,11 @@ class TestReducedRoute:
 
     @pytest.mark.parametrize("bound", [1, 3, 8])
     def test_paper_example_below_its_degree(self, paper, bound):
-        # G's inverse has degree 3, so bounds 3 and 8 reach the lift and
-        # are refused by the lifted degree 9
+        # G's inverse has degree 3, so bound 1 stops G below its full bound
+        # 3, and bounds 3 and 8 reach the lift and are refused by the lifted
+        # degree 9; neither proves that F has no inverse
         result = decide_automorphism(paper, degree_bound=bound)
-        assert result.status == NOT_INVERTIBLE
+        assert result.status == NO_INVERSE_WITHIN_BOUND
         assert result.degree_bound_used == bound
         assert result.inverse is None
 
@@ -345,7 +352,9 @@ class TestReducedRoute:
         assert not is_keller(A)
         for bound in (None, 1, 30):
             result = decide_automorphism(A, degree_bound=bound)
-            assert result.status == NOT_INVERTIBLE
+            # bound 1 decides the rank-2 G below its full bound 3
+            below = bound is not None and bound < default_degree_bound(A.rows)
+            assert result.status == (NO_INVERSE_WITHIN_BOUND if below else NOT_INVERTIBLE)
             assert result.inverse is None
             expected = default_degree_bound(A.rows) if bound is None else bound
             assert result.degree_bound_used == expected

@@ -11,7 +11,6 @@ from cubelin.poly import (
     UnsupportedSizeError,
     compose,
     compose_polynomial,
-    cube_linear_form,
     det,
     jacobian,
     linear_combination,
@@ -22,6 +21,7 @@ from helpers import (
     poly_to_sympy,
     random_gaussian,
     random_polynomial,
+    scalar_to_sympy,
 )
 
 
@@ -133,23 +133,26 @@ class TestCalculus:
 
 class TestCubeOfLinearForm:
     def test_binomial_expansion(self):
-        cubed = cube_linear_form([g("1"), g("1")])
+        cubed = Polynomial.linear_form([g("1"), g("1")]).cube()
         assert cubed.to_text() == "x1^3+3x1^2x2+3x1x2^2+x2^3"
 
     def test_zero_row(self):
-        assert cube_linear_form([g("0"), g("0"), g("0")]).is_zero()
+        assert Polynomial.linear_form([g("0"), g("0"), g("0")]).cube().is_zero()
 
     def test_matches_generic_cube(self):
+        # sympy's multinomial expansion is the oracle for the cube of a form
         rng = random.Random(13)
         for _ in range(30):
             row = [random_gaussian(rng, den=2) for _ in range(rng.randint(1, 4))]
+            symbols = coordinate_symbols(len(row))
             t = Polynomial.linear_form(row)
-            assert cube_linear_form(row) == t * t * t
+            form = sum(scalar_to_sympy(c) * s for c, s in zip(row, symbols))
+            assert poly_to_sympy(t.cube(), symbols) == sympy.expand(form ** 3)
 
     def test_gaussian_coefficients(self):
         row = [g("-i"), g("1"), g("-i"), g("-i")]
         t = Polynomial.linear_form([g("1"), g("i"), g("1"), g("1")])
-        assert cube_linear_form(row) == (t * t * t).scale(g("i"))
+        assert Polynomial.linear_form(row).cube() == (t * t * t).scale(g("i"))
 
     def test_truncation_inside_cube(self):
         p = Polynomial.linear_form([g("1"), g("2")])
@@ -209,6 +212,32 @@ class TestComposition:
         polys = [x(2, 0) ** 2, x(2, 1)]
         combo = linear_combination([g("2"), g("-i")], polys, 2)
         assert combo == polys[0].scale(g("2")) + polys[1].scale(g("-i"))
+
+    def test_linear_combination_matches_naive_sum(self):
+        # each list ends with a combination of the others scaled by -1, so
+        # whole polynomials, and not just single terms, cancel
+        rng = random.Random(57)
+        cancelled = 0
+        for _ in range(200):
+            nvars = rng.randint(1, 3)
+            polys = [random_polynomial(rng, nvars, den=2) for _ in range(rng.randint(1, 4))]
+            coeffs = [random_gaussian(rng, 2, den=2) for _ in polys]
+            polys.append(linear_combination(coeffs, polys, nvars))
+            coeffs.append(g("-1"))
+            if rng.random() < 0.5:
+                coeffs[0] = g("0")
+            combo = linear_combination(coeffs, polys, nvars)
+            naive = Polynomial.zero(nvars)
+            for c, p in zip(coeffs, polys):
+                naive = naive + p.scale(c)
+            assert combo == naive
+            assert all(combo.terms.values())
+            cancelled += combo.is_zero()
+        assert cancelled >= 50
+
+    def test_linear_combination_arity(self):
+        with pytest.raises(ArityMismatchError):
+            linear_combination([g("1"), g("1")], [x(2, 0), x(3, 0)], 2)
 
 
 class TestJacobian:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cubelin import GaussianRational, ParseError, parse_gaussian
+from cubelin import GaussianRational, ParseError, ScalarMatrix, decide_automorphism, parse_gaussian
 from cubelin.scalars import I, MINUS_ONE, ONE, ZERO, _coerce, format_gaussian
 from helpers import reference_arithmetic
 
@@ -48,6 +48,16 @@ class TestArithmetic:
         assert g("1/2") + Fraction(1, 2) == ONE
         assert 3 * g("i") == g("3i")
         assert g("1") - 1 == ZERO
+
+    def test_float_parts_rejected(self):
+        # Fraction(0.1) is 3602879701896397/2^55, not 1/10
+        for args in ((0.1,), (1, 0.5), (2.0, 0)):
+            with pytest.raises(TypeError, match="exact"):
+                GaussianRational(*args)
+        with pytest.raises(TypeError, match="exact"):
+            ScalarMatrix([[0.1]])
+        with pytest.raises(TypeError, match="exact"):
+            decide_automorphism([[0.5]])
 
     def test_negation_and_conjugate(self):
         a = g("3/4-2i")
