@@ -1,8 +1,10 @@
 """Deterministic search over candidate matrices.
 
-Candidates come either from exhaustive enumeration (row-major entries,
-alphabet index order: candidate index read as a base-K numeral whose most
-significant digit is entry (1,1)) or from seeded sampling.  Sampling uses
+Candidates come either from exhaustive enumeration or from seeded
+sampling.  Enumeration is ``itertools.product`` over the K alphabet
+indices, one factor per entry in row-major order, so candidate c is c
+read as a base-K numeral whose most significant digit is entry (1,1); a
+chunk of candidates is an ``islice`` of that stream.  Sampling uses
 SplitMix64: the digit for entry e of candidate c is
 
     splitmix64(seed, c * n^2 + e) mod K
@@ -26,8 +28,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterator
+from itertools import islice, product, repeat
+from typing import Iterator, Sequence
 
 from .druzkowski import RankBoundCertificate
 from .invert import decide_automorphism, is_keller
@@ -100,6 +102,8 @@ class SearchConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"search config must be a JSON object, got {data!r}")
         allowed = {"n", "alphabet", "mode", "count", "seed", "filters", "checks", "workers"}
         unknown = set(data) - allowed
         if unknown:
@@ -116,6 +120,12 @@ class SearchConfig:
             entry if isinstance(entry, GaussianRational) else parse_gaussian(entry)
             for entry in raw
         )
+        for key in ("filters", "checks"):
+            names = data.get(key, ())
+            if not isinstance(names, (list, tuple)) or not all(
+                isinstance(name, str) for name in names
+            ):
+                raise ValueError(f"{key} must be a list of strings, got {names!r}")
         return cls(
             n=data["n"],
             alphabet=alphabet,
@@ -214,31 +224,13 @@ class SearchReport:
         return json.dumps(self.to_dict())
 
 
-def _digits_of(index: int, base: int, width: int) -> list[int]:
-    digits = [0] * width
-    for e in range(width - 1, -1, -1):
-        index, digits[e] = divmod(index, base)
-    return digits
-
-
-def _increment(digits: list[int], base: int) -> None:
-    for e in range(len(digits) - 1, -1, -1):
-        digits[e] += 1
-        if digits[e] < base:
-            return
-        digits[e] = 0
-
-
 def _iter_digit_vectors(
     config: SearchConfig, start: int, stop: int
-) -> Iterator[list[int]]:
+) -> Iterator[Sequence[int]]:
     width = config.n * config.n
     base = len(config.alphabet)
     if config.mode == "enumerate":
-        digits = _digits_of(start, base, width)
-        for _ in range(start, stop):
-            yield digits
-            _increment(digits, base)
+        yield from islice(product(range(base), repeat=width), start, stop)
     else:
         seed = config.seed
         for c in range(start, stop):
@@ -247,7 +239,7 @@ def _iter_digit_vectors(
 
 
 def _candidate_matrix(
-    alphabet: tuple[GaussianRational, ...], n: int, digits: list[int]
+    alphabet: tuple[GaussianRational, ...], n: int, digits: Sequence[int]
 ) -> ScalarMatrix:
     rows = range(n)
     entries = tuple(tuple(alphabet[digits[i * n + j]] for j in rows) for i in rows)
@@ -285,18 +277,6 @@ def _merge_totals(into: dict, part: dict) -> None:
             into[key] += value
 
 
-def _checked_keller(matrix: ScalarMatrix, holds: bool) -> bool:
-    """``is_keller``, checked against the trace condition that every
-    Keller map satisfies: a disagreement is a bug."""
-    keller = is_keller(matrix)
-    if keller and not holds:
-        raise RuntimeError(
-            "internal check failed: Keller candidate violates the "
-            "trace condition"
-        )
-    return keller
-
-
 def _scan_range(
     config: SearchConfig, start: int, stop: int, collect_records: bool
 ) -> tuple[dict, list[dict], list[dict]]:
@@ -331,7 +311,7 @@ def _scan_range(
             if want_keller or want_corollary:
                 matrix = _candidate_matrix(alphabet, n, digits)
             if want_keller:
-                keller = _checked_keller(matrix, holds)
+                keller = is_keller(matrix)
                 if keller_filter and not keller:
                     continue
             totals["passed_filters"] += 1
@@ -372,7 +352,7 @@ def _scan_range(
                 if matrix is None:
                     matrix = _candidate_matrix(alphabet, n, digits)
                 if keller is None:
-                    keller = _checked_keller(matrix, holds)
+                    keller = is_keller(matrix)
                 if rank_ is None:
                     rank_ = rank_ints(n, flat)
                 record = {

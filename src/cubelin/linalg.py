@@ -12,7 +12,7 @@ factorizations rely on this.
 
 from __future__ import annotations
 
-from .scalars import GaussianRational, ZERO, ONE
+from .scalars import GaussianRational, ONE, ZERO, parse_gaussian
 
 
 class ScalarMatrix:
@@ -25,7 +25,9 @@ class ScalarMatrix:
         width = cols
         for row in entries:
             row = tuple(
-                c if isinstance(c, GaussianRational) else GaussianRational(c)
+                c if isinstance(c, GaussianRational)
+                else parse_gaussian(c) if isinstance(c, str)
+                else GaussianRational(c)
                 for c in row
             )
             if width is None:

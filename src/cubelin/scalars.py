@@ -38,6 +38,8 @@ def _exact_part(value):
     # Fraction(0.1) would keep the binary float's value, not the decimal one
     if isinstance(value, float):
         raise TypeError(f"a part of a Q(i) value must be exact, got the float {value!r}")
+    if isinstance(value, str):
+        return _part(_parse_rational(value))
     return _part(Fraction(value))
 
 
@@ -222,6 +224,15 @@ def _scan_unsigned_rational(text: str, pos: int) -> tuple[Fraction | int, int]:
             raise ParseError(text, den_start, "zero denominator")
         return Fraction(num, den), pos
     return num, pos
+
+
+def _parse_rational(text: str) -> Fraction | int:
+    """Parse the ``rational`` production of the grammar, nothing more."""
+    pos = 1 if text.startswith("-") else 0
+    value, end = _scan_unsigned_rational(text, pos)
+    if end != len(text):
+        raise ParseError(text, end, f"unexpected character {text[end]!r}")
+    return -value if pos else value
 
 
 def parse_gaussian(text: str) -> GaussianRational:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -248,6 +252,27 @@ class TestSearch:
         code, _, err = run(capsys, "search", str(path))
         assert code == 1
         assert "error:" in err
+
+    def test_malformed_config_is_an_error_line(self, tmp_path):
+        # run as a process, so an uncaught exception would show its traceback
+        base = {"n": 2, "alphabet": ["0"], "mode": "enumerate"}
+        package_root = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(package_root)}
+        for data in (
+            5,
+            {**base, "filters": 5},
+            {**base, "filters": "keller_only"},
+            {**base, "checks": None},
+            {**base, "checks": [["x"]]},
+        ):
+            path = self.write_config(tmp_path, data)
+            done = subprocess.run(
+                [sys.executable, "-m", "cubelin.cli", "search", path],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert done.returncode == 1, done.stderr
+            assert done.stderr.startswith("error:"), done.stderr
+            assert "Traceback" not in done.stderr
 
     def test_unknown_config_key(self, capsys, tmp_path):
         path = self.write_config(

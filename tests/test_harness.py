@@ -110,6 +110,11 @@ class TestSearchConfig:
             ({"alphabet": "01"}, "alphabet must be a list"),
             ({"alphabet": {"0": 1}}, "alphabet must be a list"),
             ({"alphabet": [0, 1]}, "alphabet must be a list of string literals"),
+            # a string is not a list of names, and names are strings
+            ({"filters": 5}, "filters must be a list of strings"),
+            ({"filters": "keller_only"}, "filters must be a list of strings"),
+            ({"checks": None}, "checks must be a list of strings"),
+            ({"checks": [["x"]]}, "checks must be a list of strings"),
         ],
     )
     def test_validation_errors(self, overrides, message):
@@ -124,6 +129,11 @@ class TestSearchConfig:
             ValueError, match=r"^the corollary check applies in dimension <= 9 only$"
         ):
             SearchConfig(n=10, alphabet=(g("0"),), mode="enumerate", checks=("corollary",))
+
+    def test_non_object_rejected(self):
+        for data in (5, ["n", 2], "config", None):
+            with pytest.raises(ValueError, match="search config must be a JSON object"):
+                SearchConfig.from_dict(data)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown search config keys"):
@@ -331,18 +341,16 @@ class TestDeterminism:
         return json.dumps(payload), report.records
 
     def test_workers_do_not_change_the_report(self):
+        checks = ["rank_bound", "invert"]
+        sample = {"n": 3, "mode": "sample", "seed": 5, "checks": checks}
         # Keller tests on the non-integral alphabet cost four times as much
-        for alphabet, count in ((FULL_ALPHABET, 400), (["0", "1/2", "-1/3+i", "2i"], 100)):
-            cfg = SearchConfig.from_dict(
-                {
-                    "n": 3,
-                    "alphabet": alphabet,
-                    "mode": "sample",
-                    "count": count,
-                    "seed": 5,
-                    "checks": ["rank_bound", "invert"],
-                }
-            )
+        for data in (
+            {**sample, "alphabet": FULL_ALPHABET, "count": 400},
+            {**sample, "alphabet": ["0", "1/2", "-1/3+i", "2i"], "count": 100},
+            # worker chunks of an enumeration start mid-stream
+            {"n": 2, "alphabet": FULL_ALPHABET, "mode": "enumerate", "checks": checks},
+        ):
+            cfg = SearchConfig.from_dict(data)
             base = self._strip_duration(run_search(cfg, workers=1, collect_records=True))
             for workers in (2, 5):
                 other = self._strip_duration(

@@ -79,9 +79,14 @@ class TestIsKeller:
         assert is_keller(paper)
 
     def test_keller_implies_trace_condition(self):
+        # the runtime relies on this implication without checking it; the
+        # Keller bit here is the determinant, independent of is_keller
+        keller = 0
         for A in all_two_by_two(ALPHABET):
-            if is_keller(A):
+            if det(jacobian(expand_map(A))) == Polynomial.one(2):
+                keller += 1
                 assert rank_bound_certificate(A).trace_condition_holds
+        assert keller > 0
 
     def test_agrees_with_determinant(self):
         # is_keller goes through nilpotency; det(JF) == 1 is the definition
@@ -245,7 +250,7 @@ class TestDecideAutomorphism:
 
 class TestKellerDeterminantEquivalence:
     def test_exhaustive_small_alphabet(self):
-        for A in all_two_by_two([g("0"), g("1"), g("i")]):
+        for A in all_two_by_two(ALPHABET):
             nil = is_keller(A)
             unit = det(jacobian(expand_map(A))) == Polynomial.one(2)
             assert nil == unit

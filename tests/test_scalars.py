@@ -5,7 +5,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from cubelin import GaussianRational, ParseError, ScalarMatrix, decide_automorphism, parse_gaussian
+from cubelin import (
+    GaussianRational,
+    ParseError,
+    ScalarMatrix,
+    decide_automorphism,
+    is_keller,
+    parse_gaussian,
+)
 from cubelin.scalars import I, MINUS_ONE, ONE, ZERO, _coerce, format_gaussian
 from helpers import reference_arithmetic
 
@@ -136,6 +143,22 @@ class TestParsing:
         with pytest.raises(ParseError) as info:
             parse_gaussian(text)
         assert info.value.pos == pos
+
+    @pytest.mark.parametrize("text", ["1e2", " 1", "1_0", "\u0661"])
+    def test_library_entries_share_the_grammar(self, text):
+        # Fraction's own parser would read each of these as a number
+        for build in (
+            lambda: GaussianRational(text),
+            lambda: GaussianRational(0, text),
+            lambda: ScalarMatrix([[text]]),
+        ):
+            with pytest.raises(ParseError):
+                build()
+
+    def test_matrix_entries_accept_canonical_literals(self):
+        M = ScalarMatrix([["0", "i"], ["-1/2+i", "0"]])
+        assert M.entries == ((ZERO, I), (g("-1/2+i"), ZERO))
+        assert is_keller([["0", "i"], ["0", "0"]])
 
     def test_round_trip(self):
         rng = random.Random(7)
