@@ -83,6 +83,16 @@ class CeilingExceededError(ValueError):
         self.ceiling = ceiling
 
 
+def _require_names(key: str, names) -> None:
+    # a str is iterable too, and would be read as one name per character
+    if not isinstance(names, (list, tuple)) or not all(
+        isinstance(name, str) for name in names
+    ):
+        raise ValueError(
+            f"{key} must be a list of strings, got {type(names).__name__} {names!r}"
+        )
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Declarative description of one search run.
@@ -121,11 +131,7 @@ class SearchConfig:
             for entry in raw
         )
         for key in ("filters", "checks"):
-            names = data.get(key, ())
-            if not isinstance(names, (list, tuple)) or not all(
-                isinstance(name, str) for name in names
-            ):
-                raise ValueError(f"{key} must be a list of strings, got {names!r}")
+            _require_names(key, data.get(key, ()))
         return cls(
             n=data["n"],
             alphabet=alphabet,
@@ -158,6 +164,8 @@ class SearchConfig:
         else:
             if self.count is not None or self.seed is not None:
                 raise ValueError("count and seed apply to sample mode only")
+        _require_names("filters", self.filters)
+        _require_names("checks", self.checks)
         for name in self.filters:
             if name not in FILTER_NAMES:
                 raise ValueError(f"unknown filter {name!r}; known: {list(FILTER_NAMES)}")

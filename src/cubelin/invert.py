@@ -8,6 +8,9 @@ C intertwines them, C o F == G o C, F and G are invertible together
 
     F^{-1}(Z) = Z - (B @ G^{-1}(C Z))^{*3}.
 
+F and G are also Keller together, so :func:`is_keller` tests G, on an
+r x r Jacobian.
+
 Inversion takes that route only: reduce, decide G, lift.  G is decided by
 the fixed-point recurrence G^{-1} <- Y - C (B G^{-1})^{*3}, truncated at a
 degree bound, evaluated in structured form: collapse the linear forms
@@ -64,20 +67,47 @@ def nilpotency_index(M: PolyMatrix) -> int | None:
     return None
 
 
-def is_keller(A) -> bool:
-    """Whether det J(X + (AX)^{*3}) == 1, tested through nilpotency.
+def _checked_factorization(A: ScalarMatrix) -> tuple[ScalarMatrix, ScalarMatrix]:
+    """rank_factorization(A), with B @ C == A checked exactly."""
+    B, C = rank_factorization(A)
+    if B * C != A:
+        raise RuntimeError(
+            "internal check failed: rank factorization does not multiply back"
+        )
+    return B, C
 
-    For cubic homogeneous H the Jacobian determinant is identically 1
-    exactly when JH = JF - I is nilpotent.  In small dimensions the
-    determinant is also expanded directly and compared; a disagreement
-    would mean a bug, not a mathematical finding, so it raises.
+
+def is_keller(A) -> bool:
+    """Whether det J(X + (AX)^{*3}) == 1, tested on the reduced map.
+
+    With A = B @ C a rank factorization (B n x r, C r x n, r = rank(A)),
+    F = X + (AX)^{*3} is Keller exactly when G = Y + C (BY)^{*3} is.
+    JF(X) = I_n + 3 diag((AX)^2) B C and JG(Y) = I_r + 3 C diag((BY)^2) B,
+    so Sylvester's identity det(I_n + PQ) = det(I_r + QP) gives
+
+        det JG(Y) = det(I_n + 3 diag((BY)^2) B C),
+
+    which at Y = C X is det JF(X), because B C X = A X.  C has rank r, so
+    Y = C X ranges over all of Q(i)^r, and det JF == 1 identically exactly
+    when det JG == 1 identically.  G's cubic part is homogeneous, so that
+    holds exactly when JG - I_r is nilpotent, which is what is tested, on an
+    r x r matrix instead of an n x n one.  A = 0 (r = 0) is Keller.  At full
+    rank B = A and C = I_n, so G is F and is built by :func:`expand_map`.
+
+    Both the factorization B @ C == A and, for r up to the determinant's
+    size cap, det JG == 1 against the nilpotency answer are checked
+    exactly; a failure would mean a bug, not a mathematical finding, so it
+    raises.
     """
     A = _require_square(_as_matrix(A))
-    n = A.rows
-    JF = jacobian(expand_map(A))
-    nilpotent = nilpotency_index(JF - PolyMatrix.identity(n, n)) is not None
-    if n <= _DET_SIZE_CAP:
-        det_says = det(JF) == Polynomial.one(n)
+    B, C = _checked_factorization(A)
+    r = B.cols
+    if r == 0:
+        return True
+    JG = jacobian(expand_map(A) if r == A.rows else mixed_cubic_map(B, C))
+    nilpotent = nilpotency_index(JG - PolyMatrix.identity(r, r)) is not None
+    if r <= _DET_SIZE_CAP:
+        det_says = det(JG) == Polynomial.one(r)
         if det_says != nilpotent:
             raise RuntimeError(
                 "internal check failed: Jacobian determinant and nilpotency "
@@ -164,11 +194,7 @@ def gz_reduce(A) -> GZPair:
     reduction, so it raises.
     """
     A = _require_square(_as_matrix(A))
-    B, C = rank_factorization(A)
-    if B * C != A:
-        raise RuntimeError(
-            "internal check failed: rank factorization does not multiply back"
-        )
+    B, C = _checked_factorization(A)
     pair = GZPair(matrix=A, B=B, C=C, G=mixed_cubic_map(B, C))
     F = expand_map(A)
     C_after_F = PolyMap(

@@ -69,7 +69,7 @@ class TestExpandMap:
         H = cubic_part(paper)
         for i in range(4):
             assert F.components[i] - Polynomial.variable(4, i) == H.components[i]
-        # is_keller takes JH as JF - I
+        # JH = JF - I: at full rank is_keller tests this matrix for nilpotency
         assert jacobian(F) - PolyMatrix.identity(4, 4) == jacobian(H)
 
     def test_linear_forms_row_wise(self):

@@ -129,6 +129,10 @@ class TestSearchConfig:
             ValueError, match=r"^the corollary check applies in dimension <= 9 only$"
         ):
             SearchConfig(n=10, alphabet=(g("0"),), mode="enumerate", checks=("corollary",))
+        # a str would otherwise be read as one name per character
+        for key in ("filters", "checks"):
+            with pytest.raises(ValueError, match=f"{key} must be a list of strings, got str"):
+                SearchConfig(n=2, alphabet=(g("0"),), mode="enumerate", **{key: "keller_only"})
 
     def test_non_object_rejected(self):
         for data in (5, ["n", 2], "config", None):

@@ -12,6 +12,7 @@ from cubelin import (
     parse_gaussian,
     rank_bound_certificate,
 )
+from cubelin import invert
 from cubelin.druzkowski import expand_map
 from cubelin.invert import (
     INVERTIBLE,
@@ -20,6 +21,7 @@ from cubelin.invert import (
     default_degree_bound,
     nilpotency_index,
 )
+from cubelin.linalg import rank, rank_factorization
 from cubelin.poly import PolyMatrix, compose, compose_polynomial, det, jacobian
 from helpers import cubic_part, formal_inverse, shear_matrix, sympy_det_jf_is_one
 
@@ -90,7 +92,6 @@ class TestIsKeller:
 
     def test_agrees_with_determinant(self):
         # is_keller goes through nilpotency; det(JF) == 1 is the definition
-        rng = random.Random(50)
         seen_true = 0
         for A in all_two_by_two([g("0"), g("1"), g("i")]):
             expected = det(jacobian(expand_map(A))) == Polynomial.one(2)
@@ -99,10 +100,112 @@ class TestIsKeller:
         assert seen_true > 0
 
     def test_agrees_with_sympy(self):
-        rng = random.Random(51)
         mats = [m for m in all_two_by_two([g("0"), g("1"), g("-1")])]
         for A in random.Random(4).sample(mats, 20):
             assert is_keller(A) == sympy_det_jf_is_one(A)
+
+
+def full_size_keller(A):
+    """The two full-size answers is_keller no longer computes: det JF == 1
+    and nilpotency of J(AX)^{*3}, both n x n; they must agree."""
+    n = A.rows
+    by_det = det(jacobian(expand_map(A))) == Polynomial.one(n)
+    by_nilpotency = nilpotency_index(jacobian(cubic_part(A))) is not None
+    assert by_det == by_nilpotency
+    return by_det
+
+
+def low_rank_three_by_three():
+    """n=3 matrices over {0, +-1, +-i} of rank 1 and 2, seeded: sampled
+    outer products u v^T, sampled sums of two, and strictly upper
+    triangular e1 (0, a, b) + e2 (0, 0, c) with a, c nonzero (rank 2,
+    always Keller; sampled sums of two are rarely Keller)."""
+    rng = random.Random(54)
+    zero = g("0")
+    vectors = [v for v in itertools.product(ALPHABET, repeat=3) if any(v)]
+
+    def outer_sum(pairs):
+        return ScalarMatrix(
+            [[sum((u[i] * v[j] for u, v in pairs), zero) for j in range(3)] for i in range(3)]
+        )
+
+    units = ALPHABET[1:]
+    corpus = [outer_sum([(rng.choice(vectors), rng.choice(vectors))]) for _ in range(60)]
+    corpus += [
+        outer_sum([(rng.choice(vectors), rng.choice(vectors)) for _ in range(2)])
+        for _ in range(60)
+    ]
+    corpus += [
+        ScalarMatrix([[zero, rng.choice(units), rng.choice(ALPHABET)],
+                      [zero, zero, rng.choice(units)],
+                      [zero, zero, zero]])
+        for _ in range(10)
+    ]
+    return corpus
+
+
+class TestReducedKeller:
+    """is_keller tests the r x r Jacobian of the reduced map; the full-size
+    determinant and nilpotency of F are the oracles."""
+
+    def test_low_rank_three_by_three(self):
+        outcomes = {1: set(), 2: set()}
+        for A in low_rank_three_by_three():
+            r = rank(A)
+            assert r in outcomes
+            keller = is_keller(A)
+            assert keller == full_size_keller(A)
+            outcomes[r].add(keller)
+        assert outcomes == {1: {False, True}, 2: {False, True}}
+
+    def test_paper_example_and_one_entry_perturbations(self, paper):
+        assert rank(paper) == 2 and is_keller(paper) and full_size_keller(paper)
+        one = g("1")
+        for i, j in itertools.product(range(4), repeat=2):
+            rows = [list(row) for row in paper.entries]
+            rows[i][j] = rows[i][j] + one
+            A = ScalarMatrix(rows)
+            assert is_keller(A) == full_size_keller(A), (i, j)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_zero_matrix(self, n):
+        Z = ScalarMatrix.zeros(n, n)
+        assert is_keller(Z) and full_size_keller(Z)
+
+    def test_rank_deficient_non_integral(self, paper):
+        # c A is Keller with A, since JH scales by c^3; the rank-1 matrix
+        # has trace a_11 + a_22 = 1/2 + 2/3 != 0, so it is not Keller
+        c = g("1/2+1/3i")
+        keller = ScalarMatrix([[c * a for a in row] for row in paper.entries])
+        not_keller = mat([["1/2", "1/3"], ["1", "2/3"]])
+        for A, expected in ((keller, True), (not_keller, False)):
+            assert rank(A) < A.rows
+            assert any(not x.is_gaussian_integer() for row in A.entries for x in row)
+            assert is_keller(A) == full_size_keller(A) == expected
+
+    def test_determinant_cross_check_above_its_size_cap(self, monkeypatch):
+        # n = 7 is above the determinant's cap, rank 1 is not.  With u all
+        # ones and v_1 = 1, u v^T factors as B = u, C = v, so
+        # G(y) = y + (sum of v) y^3: Keller iff the entries of v sum to 0
+        calls = []
+        monkeypatch.setattr(invert, "det", lambda M: calls.append(M.rows) or det(M))
+        u = [g("1")] * 7
+        for v, expected in (
+            (["1", "-1", "1", "-1", "i", "-i", "0"], True),
+            (["1", "-1", "1", "-1", "i", "-i", "1"], False),
+        ):
+            A = ScalarMatrix([[a * g(b) for b in v] for a in u])
+            assert is_keller(A) == expected
+        assert calls == [1, 1]
+
+    def test_wrong_factorization_raises(self, monkeypatch, paper):
+        def wrong(M):
+            B, C = rank_factorization(M)
+            return B, ScalarMatrix([[x + g("1") for x in row] for row in C.entries])
+
+        monkeypatch.setattr(invert, "rank_factorization", wrong)
+        with pytest.raises(RuntimeError, match="does not multiply back"):
+            is_keller(paper)
 
 
 class TestDefaultDegreeBound:
