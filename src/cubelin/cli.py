@@ -108,10 +108,6 @@ def _resolve_matrix(text: str) -> ScalarMatrix:
     return parse_matrix(content)
 
 
-def _bool_text(value) -> str:
-    return json.dumps(value)
-
-
 def _cmd_verify(args) -> int:
     matrix = _resolve_matrix(args.matrix)
     certificate = rank_bound_certificate(matrix)
@@ -119,7 +115,7 @@ def _cmd_verify(args) -> int:
         print(certificate.to_json())
     else:
         for key, value in certificate.to_dict().items():
-            print(f"{key}: {_bool_text(value)}")
+            print(f"{key}: {json.dumps(value)}")
     return EXIT_OK if certificate.theorem_satisfied else EXIT_ANOMALY
 
 
@@ -131,7 +127,7 @@ def _cmd_invert(args) -> int:
     else:
         print(f"status: {result.status}")
         print(f"degree_bound_used: {result.degree_bound_used}")
-        print(f"inverse_degree: {_bool_text(result.inverse_degree)}")
+        print(f"inverse_degree: {json.dumps(result.inverse_degree)}")
         if result.inverse is not None:
             for i, p in enumerate(result.inverse.components):
                 print(f"inverse[{i + 1}] = {p.to_text()}")
@@ -144,12 +140,13 @@ def _cmd_invert(args) -> int:
 def _cmd_reduce(args) -> int:
     matrix = _resolve_matrix(args.matrix)
     pair = gz_reduce(matrix)
+    data = pair.to_dict()
     if args.json:
-        print(json.dumps(pair.to_dict()))
+        print(json.dumps(data))
     else:
         print(f"r: {pair.r}")
-        print(f"B: {json.dumps(pair.to_dict()['B'])}")
-        print(f"C: {json.dumps(pair.to_dict()['C'])}")
+        print(f"B: {json.dumps(data['B'])}")
+        print(f"C: {json.dumps(data['C'])}")
         for i, p in enumerate(pair.G.components):
             print(f"G[{i + 1}] = {p.to_text()}")
     return EXIT_OK
@@ -165,7 +162,7 @@ def _cmd_corollary(args) -> int:
         f_inverse = data.pop("f_inverse")
         data.pop("pair")
         for key, value in data.items():
-            print(f"{key}: {_bool_text(value)}")
+            print(f"{key}: {json.dumps(value)}")
         if report.pair is not None:
             for i, p in enumerate(report.pair.G.components):
                 print(f"G[{i + 1}] = {p.to_text()}")

@@ -300,8 +300,9 @@ def _scan_range(
     want_rank_bound = "rank_bound" in config.checks
     want_invert = "invert" in config.checks
     want_corollary = "corollary" in config.checks
-    # every record holds the Keller bit, so collecting computes it up front
-    want_keller = keller_filter or want_invert or collect_records
+    # a record that still lacks the Keller bit takes it from the trace
+    # certificate below: Keller maps meet the trace condition
+    want_keller = keller_filter or want_invert
 
     for index, digits in zip(
         range(start, stop), _iter_digit_vectors(config, start, stop)
@@ -360,7 +361,7 @@ def _scan_range(
                 if matrix is None:
                     matrix = _candidate_matrix(alphabet, n, digits)
                 if keller is None:
-                    keller = is_keller(matrix)
+                    keller = holds and is_keller(matrix)
                 if rank_ is None:
                     rank_ = rank_ints(n, flat)
                 record = {

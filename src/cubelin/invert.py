@@ -9,7 +9,7 @@ C intertwines them, C o F == G o C, F and G are invertible together
     F^{-1}(Z) = Z - (B @ G^{-1}(C Z))^{*3}.
 
 F and G are also Keller together, so :func:`is_keller` tests G, on an
-r x r Jacobian.
+r x r Jacobian; the corollary pipeline runs that test on its own pair.
 
 Inversion takes that route only: reduce, decide G, lift.  G is decided by
 the fixed-point recurrence G^{-1} <- Y - C (B G^{-1})^{*3}, truncated at a
@@ -65,55 +65,6 @@ def nilpotency_index(M: PolyMatrix) -> int | None:
         if k < n:
             power = power * M
     return None
-
-
-def _checked_factorization(A: ScalarMatrix) -> tuple[ScalarMatrix, ScalarMatrix]:
-    """rank_factorization(A), with B @ C == A checked exactly."""
-    B, C = rank_factorization(A)
-    if B * C != A:
-        raise RuntimeError(
-            "internal check failed: rank factorization does not multiply back"
-        )
-    return B, C
-
-
-def is_keller(A) -> bool:
-    """Whether det J(X + (AX)^{*3}) == 1, tested on the reduced map.
-
-    With A = B @ C a rank factorization (B n x r, C r x n, r = rank(A)),
-    F = X + (AX)^{*3} is Keller exactly when G = Y + C (BY)^{*3} is.
-    JF(X) = I_n + 3 diag((AX)^2) B C and JG(Y) = I_r + 3 C diag((BY)^2) B,
-    so Sylvester's identity det(I_n + PQ) = det(I_r + QP) gives
-
-        det JG(Y) = det(I_n + 3 diag((BY)^2) B C),
-
-    which at Y = C X is det JF(X), because B C X = A X.  C has rank r, so
-    Y = C X ranges over all of Q(i)^r, and det JF == 1 identically exactly
-    when det JG == 1 identically.  G's cubic part is homogeneous, so that
-    holds exactly when JG - I_r is nilpotent, which is what is tested, on an
-    r x r matrix instead of an n x n one.  A = 0 (r = 0) is Keller.  At full
-    rank B = A and C = I_n, so G is F and is built by :func:`expand_map`.
-
-    Both the factorization B @ C == A and, for r up to the determinant's
-    size cap, det JG == 1 against the nilpotency answer are checked
-    exactly; a failure would mean a bug, not a mathematical finding, so it
-    raises.
-    """
-    A = _require_square(_as_matrix(A))
-    B, C = _checked_factorization(A)
-    r = B.cols
-    if r == 0:
-        return True
-    JG = jacobian(expand_map(A) if r == A.rows else mixed_cubic_map(B, C))
-    nilpotent = nilpotency_index(JG - PolyMatrix.identity(r, r)) is not None
-    if r <= _DET_SIZE_CAP:
-        det_says = det(JG) == Polynomial.one(r)
-        if det_says != nilpotent:
-            raise RuntimeError(
-                "internal check failed: Jacobian determinant and nilpotency "
-                f"disagree for {A!r}"
-            )
-    return nilpotent
 
 
 def default_degree_bound(n: int) -> int:
@@ -186,27 +137,82 @@ class GZPair:
         }
 
 
+def _factor(A) -> GZPair:
+    """A's pair, with B @ C == A checked exactly and C o F == G o C not.
+
+    At full rank B = A and C = I_n, so G is F and is built by
+    :func:`expand_map`.
+    """
+    A = _require_square(_as_matrix(A))
+    B, C = rank_factorization(A)
+    if B * C != A:
+        raise RuntimeError(
+            "internal check failed: rank factorization does not multiply back"
+        )
+    G = expand_map(A) if B.cols == A.rows else mixed_cubic_map(B, C)
+    return GZPair(matrix=A, B=B, C=C, G=G)
+
+
 def gz_reduce(A) -> GZPair:
     """Factor A and build the reduced map, verifying the intertwining.
 
-    Both the factorization B @ C == A and the identity C o F == G o C are
-    checked exactly on every call; a failure would be a bug in the
-    reduction, so it raises.
+    The factorization B @ C == A is checked exactly on every call, and so
+    is C o F == G o C below full rank; at full rank C = I_n and G is F.  A
+    failure would be a bug in the reduction, so it raises.
     """
-    A = _require_square(_as_matrix(A))
-    B, C = _checked_factorization(A)
-    pair = GZPair(matrix=A, B=B, C=C, G=mixed_cubic_map(B, C))
-    F = expand_map(A)
-    C_after_F = PolyMap(
-        [
-            linear_combination(C.entries[i], F.components, A.rows)
-            for i in range(C.rows)
-        ],
-        nvars=A.rows,
-    )
-    if C_after_F != compose(pair.G, pair.projection()):
+    pair = _factor(A)
+    n = pair.n
+    if pair.r == n:
+        return pair
+    F = expand_map(pair.matrix)
+    C_after_F = [linear_combination(row, F.components, n) for row in pair.C.entries]
+    if PolyMap(C_after_F, nvars=n) != compose(pair.G, pair.projection()):
         raise RuntimeError("internal check failed: reduction does not intertwine")
     return pair
+
+
+def _keller_on_pair(pair: GZPair) -> bool:
+    """Whether F is Keller, tested on its reduced map G: JG - I_r nilpotent.
+
+    For r up to the determinant's size cap, det JG == 1 is checked against
+    the nilpotency answer exactly; a disagreement would mean a bug, not a
+    mathematical finding, so it raises.  r = 0 (A = 0) is Keller.
+    """
+    r = pair.r
+    if r == 0:
+        return True
+    JG = jacobian(pair.G)
+    nilpotent = nilpotency_index(JG - PolyMatrix.identity(r, r)) is not None
+    if r <= _DET_SIZE_CAP:
+        det_says = det(JG) == Polynomial.one(r)
+        if det_says != nilpotent:
+            raise RuntimeError(
+                "internal check failed: Jacobian determinant and nilpotency "
+                f"disagree for {pair.matrix!r}"
+            )
+    return nilpotent
+
+
+def is_keller(A) -> bool:
+    """Whether det J(X + (AX)^{*3}) == 1, tested on the reduced map.
+
+    With A = B @ C a rank factorization (B n x r, C r x n, r = rank(A)),
+    F = X + (AX)^{*3} is Keller exactly when G = Y + C (BY)^{*3} is.
+    JF(X) = I_n + 3 diag((AX)^2) B C and JG(Y) = I_r + 3 C diag((BY)^2) B,
+    so Sylvester's identity det(I_n + PQ) = det(I_r + QP) gives
+
+        det JG(Y) = det(I_n + 3 diag((BY)^2) B C),
+
+    which at Y = C X is det JF(X), because B C X = A X.  C has rank r, so
+    Y = C X ranges over all of Q(i)^r, and det JF == 1 identically exactly
+    when det JG == 1 identically.  G's cubic part is homogeneous, so that
+    holds exactly when JG - I_r is nilpotent, which is what is tested, on an
+    r x r matrix instead of an n x n one.
+
+    The factorization B @ C == A is checked exactly, the intertwining
+    C o F == G o C of :func:`gz_reduce` is not: this test needs only G.
+    """
+    return _keller_on_pair(_factor(A))
 
 
 def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
@@ -275,20 +281,19 @@ def _decide(B: ScalarMatrix, C: ScalarMatrix, bound: int) -> InverseResult:
 
 
 def _invert_by_reduction(
-    A: ScalarMatrix, degree_bound: int | None = None
-) -> tuple[GZPair, InverseResult, PolyMap | None]:
-    """Reduce A, decide G at min(degree_bound, 3^(r-1)), lift its inverse.
+    pair: GZPair, degree_bound: int | None = None
+) -> tuple[InverseResult, PolyMap | None]:
+    """Decide G at min(degree_bound, 3^(r-1)) and lift its inverse.
 
-    Returns the pair, the decision on G and the verified inverse of F, or
-    None in its place when G has no inverse within the bound.
+    Returns the decision on G and the verified inverse of F, or None in
+    its place when G has no inverse within the bound.
     """
-    pair = gz_reduce(A)
     bound = default_degree_bound(pair.r)
     if degree_bound is not None:
         bound = min(bound, degree_bound)
     g_result = _decide(pair.B, pair.C, bound)
     f_inverse = lift_inverse(pair, g_result.inverse) if g_result.invertible else None
-    return pair, g_result, f_inverse
+    return g_result, f_inverse
 
 
 def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
@@ -318,7 +323,8 @@ def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
     bound = default_degree_bound(A.rows) if degree_bound is None else degree_bound
     if bound < 1:
         raise ValueError("degree bound must be at least 1")
-    pair, g_result, inverse = _invert_by_reduction(A, bound)
+    pair = gz_reduce(A)
+    g_result, inverse = _invert_by_reduction(pair, bound)
     if inverse is not None and inverse.max_degree() <= bound:
         return InverseResult(status=INVERTIBLE, degree_bound_used=bound, inverse=inverse)
     proved = inverse is None and g_result.degree_bound_used >= default_degree_bound(pair.r)

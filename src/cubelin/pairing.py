@@ -13,8 +13,9 @@ Keller map meets it, since tr JH = 3 sum_i a_ii t_i^2 (t = AX) is the
 trace of a nilpotent matrix.  The tests keep that implication as an oracle.
 
 The reduction itself (``GZPair``, ``gz_reduce``, ``lift_inverse``) lives in
-:mod:`cubelin.invert`, whose one inversion route it is; it is re-exported
-here.
+:mod:`cubelin.invert`, whose one inversion route it is.  The pipeline
+reduces A once: the Keller bit, the rank and the inverse all come from
+that one pair.  ``lift_inverse`` is re-exported here.
 """
 
 from __future__ import annotations
@@ -24,15 +25,8 @@ import logging
 from dataclasses import dataclass
 
 from .druzkowski import _as_matrix, _require_square, zero_diagonal_count
-# gz_reduce and lift_inverse are imported to re-export them
-from .invert import (
-    GZPair,
-    _invert_by_reduction,
-    gz_reduce,
-    is_keller,
-    lift_inverse,
-)
-from .linalg import rank
+# lift_inverse is imported to re-export it
+from .invert import GZPair, _invert_by_reduction, _keller_on_pair, gz_reduce, lift_inverse
 from .poly import PolyMap
 
 logger = logging.getLogger(__name__)
@@ -96,17 +90,16 @@ def corollary_pipeline(A) -> CorollaryReport:
     """Run the full invertibility argument for dimension at most nine.
 
     Stages, in order: dimension cap (hard error above nine), nonzero
-    diagonal, Keller condition, rank at most four, then reduction,
-    reduced-map inversion and lift, the one inversion route that
+    diagonal, Keller condition, rank at most four, then reduced-map
+    inversion and lift, the one inversion route that
     :func:`decide_automorphism` takes too.  A failed hypothesis gate
     (diagonal or Keller) ends the run quietly; any failure after both
     hypotheses hold is reported as an anomaly.
 
-    The nilpotency of the reduced Jacobian is not checked on its own: a
-    verified inverse of G = Y + C (BY)^{*3} makes det JG a nonzero constant,
-    equal to 1 at the origin, so G is Keller and its cubic Jacobian is
-    nilpotent.  A non-nilpotent one could only come with a G that is not
-    invertible, which the reduced-map stage reports with the same fields.
+    A is reduced once, by :func:`gz_reduce`, before the gates.  F is Keller
+    exactly when G is (see :func:`is_keller`), so the Keller bit is the
+    nilpotency of JG - I_r on that pair, the rank is r, and the same pair is
+    inverted and lifted.
     """
     A = _require_square(_as_matrix(A))
     n = A.rows
@@ -115,11 +108,12 @@ def corollary_pipeline(A) -> CorollaryReport:
             f"the invertibility argument applies in dimension <= {_DIMENSION_CAP}, got {n}"
         )
     diag_nonzero = zero_diagonal_count(A) == 0
-    keller = is_keller(A)
+    pair = gz_reduce(A)
+    keller = _keller_on_pair(pair)
     if not (diag_nonzero and keller):
         return CorollaryReport(n=n, diag_nonzero=diag_nonzero, keller=keller)
 
-    r = rank(A)
+    r = pair.r
     rank_le_4 = r <= 4
     if not rank_le_4:
         report = CorollaryReport(
@@ -128,7 +122,7 @@ def corollary_pipeline(A) -> CorollaryReport:
         logger.warning("anomaly: rank above four for %r: %s", A, report.to_json())
         return report
 
-    pair, g_result, f_inverse = _invert_by_reduction(A)
+    g_result, f_inverse = _invert_by_reduction(pair)
     base = dict(
         n=n,
         diag_nonzero=diag_nonzero,

@@ -416,6 +416,40 @@ class TestRecords:
         assert identity["anomaly"] is False
 
 
+class TestRecordKellerBit:
+    """A records-only search tests Keller only where the trace condition
+    holds; elsewhere the certificate decides the bit (Keller maps meet it)."""
+
+    def test_keller_tested_only_where_trace_holds(self, monkeypatch):
+        real = harness.is_keller
+        calls = []
+
+        def counted(M):
+            calls.append(M)
+            return real(M)
+
+        monkeypatch.setattr(harness, "is_keller", counted)
+        for data in (
+            {"n": 2, "alphabet": FULL_ALPHABET, "mode": "enumerate"},
+            {"n": 3, "alphabet": FULL_ALPHABET, "mode": "sample", "count": 200, "seed": 7},
+        ):
+            cfg = SearchConfig.from_dict(data)
+            calls.clear()
+            records = run_search(cfg, workers=1, collect_records=True).records
+            holding = [r for r in records if r["certificate"]["trace_condition_holds"]]
+            assert len(calls) == len(holding)
+            assert 0 < len(holding) < len(records)
+            for record in records:
+                A = ScalarMatrix([[g(v) for v in row] for row in record["matrix"]])
+                assert record["keller"] is real(A)
+            if cfg.n == 2:
+                assert {r["keller"] for r in holding} == {True, False}
+            base = [json.dumps(r) for r in records]
+            for workers in (2, 5):
+                other = run_search(cfg, workers=workers, collect_records=True).records
+                assert [json.dumps(r) for r in other] == base
+
+
 class TestReportShape:
     def test_json_layout(self):
         report = run_search(config(checks=["rank_bound"]))

@@ -1,5 +1,7 @@
+import itertools
 import logging
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,12 +15,12 @@ from cubelin import (
     lift_inverse,
     parse_gaussian,
 )
-from cubelin import pairing
-from cubelin.druzkowski import expand_map, mixed_cubic_map
+from cubelin import decide_automorphism, invert, is_keller, linalg, pairing
+from cubelin.druzkowski import expand_map, mixed_cubic_map, zero_diagonal_count
 from cubelin.invert import NOT_INVERTIBLE, InverseResult, _decide
 from cubelin.linalg import rank
 from cubelin.poly import compose, linear_combination
-from helpers import random_scalar_matrix, shear_matrix
+from helpers import PAPER_EXAMPLE_ROWS, random_scalar_matrix, shear_matrix
 
 
 def g(text):
@@ -209,8 +211,8 @@ class TestCorollaryPipeline:
 
     def test_reduced_map_not_invertible_is_an_anomaly(self, paper, monkeypatch, caplog):
         # no input reaches this stage; a planted failure of G's decision does
-        def planted(A):
-            return gz_reduce(A), InverseResult(NOT_INVERTIBLE, 3), None
+        def planted(pair, degree_bound=None):
+            return InverseResult(NOT_INVERTIBLE, 3), None
 
         monkeypatch.setattr(pairing, "_invert_by_reduction", planted)
         with caplog.at_level(logging.WARNING, logger="cubelin.pairing"):
@@ -221,6 +223,21 @@ class TestCorollaryPipeline:
         assert report.rank == 2 and report.pair is not None
         assert report.g_inverse_degree is None and report.f_inverse is None
         assert "anomaly: reduced map not invertible" in caplog.text
+
+    def test_rank_above_four_is_an_anomaly(self, monkeypatch, caplog):
+        # no input reaches this stage either; a planted rank-5 pair whose
+        # reduced map is the identity (so Keller) does
+        I5 = ScalarMatrix.identity(5)
+        planted = GZPair(matrix=I5, B=I5, C=I5, G=PolyMap.identity(5))
+        monkeypatch.setattr(pairing, "gz_reduce", lambda A: planted)
+        with caplog.at_level(logging.WARNING, logger="cubelin.pairing"):
+            report = corollary_pipeline(I5)
+        assert report.hypotheses_hold
+        assert report.rank == 5
+        assert report.rank_le_4 is False
+        assert report.pair is None
+        assert report.is_anomaly
+        assert "anomaly: rank above four" in caplog.text
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -250,3 +267,107 @@ class TestCorollaryPipeline:
         assert payload["rank"] is None
         assert payload["pair"] is None
         assert payload["f_inverse"] is None
+
+
+class TestSingleReduction:
+    """One pipeline call factors A once; the Keller bit and the rank come
+    from that pair, not from is_keller or linalg.rank."""
+
+    @pytest.mark.parametrize(
+        "rows, keller",
+        [
+            (PAPER_EXAMPLE_ROWS, True),
+            ([["1", "1", "0"], ["0", "1", "i"], ["1", "0", "1"]], False),
+        ],
+        ids=["paper-example", "full-rank-non-keller"],
+    )
+    def test_factors_once(self, rows, keller, monkeypatch):
+        A = mat(rows)
+        assert rank(A) == (2 if keller else 3)
+        calls = Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(invert, "rank_factorization")
+        # where the pipeline looked them up before, and where they live
+        for module in (pairing, invert, linalg):
+            for name in ("is_keller", "rank"):
+                if hasattr(module, name):
+                    count(module, name)
+        report = corollary_pipeline(A)
+        assert calls == {"rank_factorization": 1}
+        assert report.keller is keller and report.verified is keller
+
+
+def assembled_report(A) -> dict:
+    """The pipeline's report built from the public routines, one by one."""
+    diag_nonzero = zero_diagonal_count(A) == 0
+    keller = is_keller(A)
+    report = dict.fromkeys(
+        ["n", "diag_nonzero", "keller", "rank", "rank_le_4", "pair",
+         "g_inverse_degree", "f_inverse", "verified", "anomaly"]
+    )
+    report.update(n=A.rows, diag_nonzero=diag_nonzero, keller=keller,
+                  verified=False, anomaly=False)
+    if not (diag_nonzero and keller):
+        return report
+    pair = gz_reduce(A)
+    decision = decide_automorphism(A)
+    assert decision.invertible
+    f_inverse = decision.inverse
+    # G^{-1}(C Z) = C F^{-1}(Z) and C is onto, so deg G^{-1} = deg C F^{-1}
+    g_of_CZ = PolyMap(
+        [linear_combination(row, f_inverse.components, A.rows) for row in pair.C.entries],
+        nvars=A.rows,
+    )
+    r = rank(A)
+    report.update(
+        rank=r,
+        rank_le_4=r <= 4,
+        pair=pair.to_dict(),
+        g_inverse_degree=g_of_CZ.max_degree(),
+        f_inverse=[p.to_text() for p in f_inverse.components],
+        verified=True,
+    )
+    return report
+
+
+class TestPipelineAgainstPublicRoutines:
+    def test_all_two_by_two(self):
+        units = [g(s) for s in ("0", "1", "-1", "i", "-i")]
+        verified = 0
+        for picks in itertools.product(units, repeat=4):
+            A = ScalarMatrix([picks[:2], picks[2:]])
+            payload = corollary_pipeline(A).to_dict()
+            assert payload == assembled_report(A)
+            verified += payload["verified"]
+        assert verified > 0
+
+    def test_three_by_three_sample(self):
+        rng = random.Random(73)
+        units = [g(s) for s in ("0", "1", "-1", "i", "-i")]
+        ranks = set()
+        for _ in range(40):
+            A = ScalarMatrix([[rng.choice(units) for _ in range(3)] for _ in range(3)])
+            assert corollary_pipeline(A).to_dict() == assembled_report(A)
+            ranks.add(rank(A))
+        assert 3 in ranks and ranks & {1, 2}
+
+    def test_paper_example_and_perturbations(self, paper):
+        units = [g(s) for s in ("0", "1", "-1", "i", "-i")]
+        assert corollary_pipeline(paper).to_dict() == assembled_report(paper)
+        for i, j in itertools.product(range(4), repeat=2):
+            for value in units:
+                if value == paper.entries[i][j]:
+                    continue
+                rows = [list(row) for row in paper.entries]
+                rows[i][j] = value
+                A = ScalarMatrix(rows)
+                assert corollary_pipeline(A).to_dict() == assembled_report(A)
