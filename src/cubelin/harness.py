@@ -121,7 +121,10 @@ class SearchConfig:
         missing = {"n", "alphabet", "mode"} - set(data)
         if missing:
             raise ValueError(f"search config missing keys: {sorted(missing)}")
-        raw = data["alphabet"]
+        return cls(**data)
+
+    def __post_init__(self) -> None:
+        raw = self.alphabet
         if not isinstance(raw, (list, tuple)) or not all(
             isinstance(entry, (str, GaussianRational)) for entry in raw
         ):
@@ -130,20 +133,11 @@ class SearchConfig:
             entry if isinstance(entry, GaussianRational) else parse_gaussian(entry)
             for entry in raw
         )
+        object.__setattr__(self, "alphabet", alphabet)
         for key in ("filters", "checks"):
-            _require_names(key, data.get(key, ()))
-        return cls(
-            n=data["n"],
-            alphabet=alphabet,
-            mode=data["mode"],
-            count=data.get("count"),
-            seed=data.get("seed"),
-            filters=tuple(sorted(set(data.get("filters", ())))),
-            checks=tuple(sorted(set(data.get("checks", ())))),
-            workers=data.get("workers", 1),
-        )
-
-    def __post_init__(self) -> None:
+            names = getattr(self, key)
+            _require_names(key, names)
+            object.__setattr__(self, key, tuple(sorted(set(names))))
         # JSON true/false load as bool, which Python counts as int
         for name in ("n", "count", "seed", "workers"):
             if isinstance(getattr(self, name), bool):
@@ -164,8 +158,6 @@ class SearchConfig:
         else:
             if self.count is not None or self.seed is not None:
                 raise ValueError("count and seed apply to sample mode only")
-        _require_names("filters", self.filters)
-        _require_names("checks", self.checks)
         for name in self.filters:
             if name not in FILTER_NAMES:
                 raise ValueError(f"unknown filter {name!r}; known: {list(FILTER_NAMES)}")

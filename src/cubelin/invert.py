@@ -138,10 +138,10 @@ class GZPair:
 
 
 def _factor(A) -> GZPair:
-    """A's pair, with B @ C == A checked exactly and C o F == G o C not.
+    """A's pair, with B @ C == A checked exactly.
 
-    At full rank B = A and C = I_n, so G is F and is built by
-    :func:`expand_map`.
+    C o F == G o C is left to :func:`_check_intertwining`.  At full rank
+    B = A and C = I_n, so G is F and is built by :func:`expand_map`.
     """
     A = _require_square(_as_matrix(A))
     B, C = rank_factorization(A)
@@ -153,21 +153,26 @@ def _factor(A) -> GZPair:
     return GZPair(matrix=A, B=B, C=C, G=G)
 
 
-def gz_reduce(A) -> GZPair:
-    """Factor A and build the reduced map, verifying the intertwining.
-
-    The factorization B @ C == A is checked exactly on every call, and so
-    is C o F == G o C below full rank; at full rank C = I_n and G is F.  A
-    failure would be a bug in the reduction, so it raises.
-    """
-    pair = _factor(A)
+def _check_intertwining(pair: GZPair) -> None:
+    """Check C o F == G o C exactly; at full rank C = I_n and G is F."""
     n = pair.n
     if pair.r == n:
-        return pair
+        return
     F = expand_map(pair.matrix)
     C_after_F = [linear_combination(row, F.components, n) for row in pair.C.entries]
     if PolyMap(C_after_F, nvars=n) != compose(pair.G, pair.projection()):
         raise RuntimeError("internal check failed: reduction does not intertwine")
+
+
+def gz_reduce(A) -> GZPair:
+    """Factor A and build the reduced map, verifying the intertwining.
+
+    The factorization B @ C == A (:func:`_factor`) and C o F == G o C
+    (:func:`_check_intertwining`) are both checked exactly on every call;
+    a failure of either would be a bug in the reduction, so it raises.
+    """
+    pair = _factor(A)
+    _check_intertwining(pair)
     return pair
 
 
@@ -257,8 +262,12 @@ def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
     return inverse
 
 
-def _decide(B: ScalarMatrix, C: ScalarMatrix, bound: int) -> InverseResult:
-    """Decide whether G(Y) = Y + C (BY)^{*3} has an inverse of degree <= bound."""
+def _decide(B: ScalarMatrix, C: ScalarMatrix, bound: int) -> PolyMap | None:
+    """G^{-1} for G(Y) = Y + C (BY)^{*3} if it has degree <= bound, else None.
+
+    The returned map satisfies G o G^{-1} == id exactly; None means G has
+    no inverse of degree at most ``bound``.
+    """
     r = B.cols
     identity = [Polynomial.variable(r, i) for i in range(r)]
     components = identity
@@ -274,26 +283,8 @@ def _decide(B: ScalarMatrix, C: ScalarMatrix, bound: int) -> InverseResult:
     # Exact right-composition check: G(G^{-1}) == Y iff the untruncated
     # cubic terms reproduce Y - G^{-1}.
     if cubic_terms(B, C, components) != [y - h for y, h in zip(identity, components)]:
-        return InverseResult(status=NOT_INVERTIBLE, degree_bound_used=bound)
-    return InverseResult(
-        status=INVERTIBLE, degree_bound_used=bound, inverse=PolyMap(components, nvars=r)
-    )
-
-
-def _invert_by_reduction(
-    pair: GZPair, degree_bound: int | None = None
-) -> tuple[InverseResult, PolyMap | None]:
-    """Decide G at min(degree_bound, 3^(r-1)) and lift its inverse.
-
-    Returns the decision on G and the verified inverse of F, or None in
-    its place when G has no inverse within the bound.
-    """
-    bound = default_degree_bound(pair.r)
-    if degree_bound is not None:
-        bound = min(bound, degree_bound)
-    g_result = _decide(pair.B, pair.C, bound)
-    f_inverse = lift_inverse(pair, g_result.inverse) if g_result.invertible else None
-    return g_result, f_inverse
+        return None
+    return PolyMap(components, nvars=r)
 
 
 def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
@@ -324,9 +315,12 @@ def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
     if bound < 1:
         raise ValueError("degree bound must be at least 1")
     pair = gz_reduce(A)
-    g_result, inverse = _invert_by_reduction(pair, bound)
-    if inverse is not None and inverse.max_degree() <= bound:
-        return InverseResult(status=INVERTIBLE, degree_bound_used=bound, inverse=inverse)
-    proved = inverse is None and g_result.degree_bound_used >= default_degree_bound(pair.r)
-    status = NOT_INVERTIBLE if proved else NO_INVERSE_WITHIN_BOUND
-    return InverseResult(status=status, degree_bound_used=bound)
+    g_bound = default_degree_bound(pair.r)
+    g_inverse = _decide(pair.B, pair.C, min(bound, g_bound))
+    if g_inverse is None:
+        status = NOT_INVERTIBLE if bound >= g_bound else NO_INVERSE_WITHIN_BOUND
+        return InverseResult(status=status, degree_bound_used=bound)
+    inverse = lift_inverse(pair, g_inverse)
+    if inverse.max_degree() > bound:
+        return InverseResult(status=NO_INVERSE_WITHIN_BOUND, degree_bound_used=bound)
+    return InverseResult(status=INVERTIBLE, degree_bound_used=bound, inverse=inverse)

@@ -14,8 +14,10 @@ trace of a nilpotent matrix.  The tests keep that implication as an oracle.
 
 The reduction itself (``GZPair``, ``gz_reduce``, ``lift_inverse``) lives in
 :mod:`cubelin.invert`, whose one inversion route it is.  The pipeline
-reduces A once: the Keller bit, the rank and the inverse all come from
-that one pair.  ``lift_inverse`` is re-exported here.
+factors A once: the Keller bit, the rank and the inverse all come from
+that one pair, and the intertwining C o F == G o C is checked only once
+both gates have passed.  ``gz_reduce`` and ``lift_inverse`` are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -25,13 +27,23 @@ import logging
 from dataclasses import dataclass
 
 from .druzkowski import _as_matrix, _require_square, zero_diagonal_count
-# lift_inverse is imported to re-export it
-from .invert import GZPair, _invert_by_reduction, _keller_on_pair, gz_reduce, lift_inverse
+# gz_reduce is imported to re-export it
+from .invert import (
+    GZPair,
+    _check_intertwining,
+    _decide,
+    _factor,
+    _keller_on_pair,
+    default_degree_bound,
+    gz_reduce,
+    lift_inverse,
+)
 from .poly import PolyMap
 
 logger = logging.getLogger(__name__)
 
 _DIMENSION_CAP = 9
+_RANK_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -48,11 +60,17 @@ class CorollaryReport:
     diag_nonzero: bool
     keller: bool
     rank: int | None = None
-    rank_le_4: bool | None = None
     pair: GZPair | None = None
     g_inverse_degree: int | None = None
     f_inverse: PolyMap | None = None
-    verified: bool = False
+
+    @property
+    def rank_le_4(self) -> bool | None:
+        return None if self.rank is None else self.rank <= _RANK_CAP
+
+    @property
+    def verified(self) -> bool:
+        return self.f_inverse is not None
 
     @property
     def hypotheses_hold(self) -> bool:
@@ -90,16 +108,17 @@ def corollary_pipeline(A) -> CorollaryReport:
     """Run the full invertibility argument for dimension at most nine.
 
     Stages, in order: dimension cap (hard error above nine), nonzero
-    diagonal, Keller condition, rank at most four, then reduced-map
-    inversion and lift, the one inversion route that
-    :func:`decide_automorphism` takes too.  A failed hypothesis gate
-    (diagonal or Keller) ends the run quietly; any failure after both
-    hypotheses hold is reported as an anomaly.
+    diagonal, Keller condition, rank at most four, then the checked
+    intertwining C o F == G o C, the decision on G at 3^(r-1) and the lift,
+    the steps that :func:`decide_automorphism` takes too.  A failed
+    hypothesis gate (diagonal or Keller) ends the run quietly; any failure
+    after both hypotheses hold is reported as an anomaly.
 
-    A is reduced once, by :func:`gz_reduce`, before the gates.  F is Keller
-    exactly when G is (see :func:`is_keller`), so the Keller bit is the
-    nilpotency of JG - I_r on that pair, the rank is r, and the same pair is
-    inverted and lifted.
+    A is factored once, by :func:`cubelin.invert._factor` (B @ C == A is
+    checked), before the gates.  F is Keller exactly when G is (see
+    :func:`is_keller`), so the Keller bit is the nilpotency of JG - I_r on
+    that pair, the rank is r, and the same pair is checked, decided and
+    lifted.  A map that a gate stops pays for no composition.
     """
     A = _require_square(_as_matrix(A))
     n = A.rows
@@ -108,30 +127,21 @@ def corollary_pipeline(A) -> CorollaryReport:
             f"the invertibility argument applies in dimension <= {_DIMENSION_CAP}, got {n}"
         )
     diag_nonzero = zero_diagonal_count(A) == 0
-    pair = gz_reduce(A)
+    pair = _factor(A)
     keller = _keller_on_pair(pair)
     if not (diag_nonzero and keller):
         return CorollaryReport(n=n, diag_nonzero=diag_nonzero, keller=keller)
 
     r = pair.r
-    rank_le_4 = r <= 4
-    if not rank_le_4:
-        report = CorollaryReport(
-            n=n, diag_nonzero=diag_nonzero, keller=keller, rank=r, rank_le_4=False
-        )
+    if r > _RANK_CAP:
+        report = CorollaryReport(n=n, diag_nonzero=True, keller=True, rank=r)
         logger.warning("anomaly: rank above four for %r: %s", A, report.to_json())
         return report
 
-    g_result, f_inverse = _invert_by_reduction(pair)
-    base = dict(
-        n=n,
-        diag_nonzero=diag_nonzero,
-        keller=keller,
-        rank=r,
-        rank_le_4=True,
-        pair=pair,
-    )
-    if not g_result.invertible:
+    _check_intertwining(pair)
+    g_inverse = _decide(pair.B, pair.C, default_degree_bound(r))
+    base = dict(n=n, diag_nonzero=True, keller=True, rank=r, pair=pair)
+    if g_inverse is None:
         report = CorollaryReport(**base)
         logger.warning(
             "anomaly: reduced map not invertible for %r: %s", A, report.to_json()
@@ -140,7 +150,6 @@ def corollary_pipeline(A) -> CorollaryReport:
 
     return CorollaryReport(
         **base,
-        g_inverse_degree=g_result.inverse_degree,
-        f_inverse=f_inverse,
-        verified=True,
+        g_inverse_degree=g_inverse.max_degree(),
+        f_inverse=lift_inverse(pair, g_inverse),
     )

@@ -19,16 +19,6 @@ from .scalars import GaussianRational, ZERO, ONE, format_gaussian
 
 Exponents = tuple[int, ...]
 
-_ZERO_EXP_CACHE: dict[int, Exponents] = {}
-
-
-def _zero_exp(nvars: int) -> Exponents:
-    exp = _ZERO_EXP_CACHE.get(nvars)
-    if exp is None:
-        exp = (0,) * nvars
-        _ZERO_EXP_CACHE[nvars] = exp
-    return exp
-
 
 class ArityMismatchError(ValueError):
     """Operands live in polynomial rings with different variable counts."""
@@ -74,7 +64,7 @@ class Polynomial:
         value = value if isinstance(value, GaussianRational) else GaussianRational(value)
         if not value:
             return cls._raw(nvars, {})
-        return cls._raw(nvars, {_zero_exp(nvars): value})
+        return cls._raw(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
@@ -418,7 +408,7 @@ def compose_polynomial(
         )
     memo = _memo if _memo is not None else {}
     if not memo:
-        memo[_zero_exp(outer.nvars)] = Polynomial.one(inner.nvars)
+        memo[(0,) * outer.nvars] = Polynomial.one(inner.nvars)
     terms = sorted(outer.terms.items(), key=lambda kv: _grlex_key(kv[0]))
     powers = [_power_product(e, inner, truncate_above, memo) for e, _ in terms]
     total = linear_combination([c for _, c in terms], powers, inner.nvars)

@@ -134,6 +134,24 @@ class TestSearchConfig:
             with pytest.raises(ValueError, match=f"{key} must be a list of strings, got str"):
                 SearchConfig(n=2, alphabet=(g("0"),), mode="enumerate", **{key: "keller_only"})
 
+    def test_direct_construction_equals_from_dict(self):
+        # one validator: literals are parsed and names sorted and de-duplicated
+        # however the config is built
+        data = {
+            "n": 2,
+            "alphabet": ["0", "1/2", "1+i"],
+            "mode": "sample",
+            "count": 3,
+            "seed": 7,
+            "filters": ["trace_zero_only", "keller_only", "keller_only"],
+            "checks": ["rank_bound", "corollary", "invert", "corollary"],
+        }
+        direct = SearchConfig(**{**data, "alphabet": tuple(data["alphabet"])})
+        assert direct == SearchConfig.from_dict(data)
+        assert direct.alphabet == (g("0"), g("1/2"), g("1+i"))
+        assert direct.filters == ("keller_only", "trace_zero_only")
+        assert direct.checks == ("corollary", "invert", "rank_bound")
+
     def test_non_object_rejected(self):
         for data in (5, ["n", 2], "config", None):
             with pytest.raises(ValueError, match="search config must be a JSON object"):

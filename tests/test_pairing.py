@@ -15,9 +15,9 @@ from cubelin import (
     lift_inverse,
     parse_gaussian,
 )
-from cubelin import decide_automorphism, invert, is_keller, linalg, pairing
+from cubelin import decide_automorphism, druzkowski, invert, is_keller, linalg, pairing, poly
 from cubelin.druzkowski import expand_map, mixed_cubic_map, zero_diagonal_count
-from cubelin.invert import NOT_INVERTIBLE, InverseResult, _decide
+from cubelin.invert import _decide
 from cubelin.linalg import rank
 from cubelin.poly import compose, linear_combination
 from helpers import PAPER_EXAMPLE_ROWS, random_scalar_matrix, shear_matrix
@@ -162,7 +162,7 @@ class TestLiftInverse:
         pair = gz_reduce(paper)
         B = ScalarMatrix([[g("2") * c for c in row] for row in pair.B.entries])
         scaled = GZPair(matrix=paper, B=B, C=pair.C, G=mixed_cubic_map(B, pair.C))
-        g_inverse = _decide(B, pair.C, 3).inverse
+        g_inverse = _decide(B, pair.C, 3)
         assert compose(scaled.G, g_inverse) == PolyMap.identity(2)
         with pytest.raises(RuntimeError, match="does not invert F"):
             lift_inverse(scaled, g_inverse)
@@ -211,10 +211,7 @@ class TestCorollaryPipeline:
 
     def test_reduced_map_not_invertible_is_an_anomaly(self, paper, monkeypatch, caplog):
         # no input reaches this stage; a planted failure of G's decision does
-        def planted(pair, degree_bound=None):
-            return InverseResult(NOT_INVERTIBLE, 3), None
-
-        monkeypatch.setattr(pairing, "_invert_by_reduction", planted)
+        monkeypatch.setattr(pairing, "_decide", lambda B, C, bound: None)
         with caplog.at_level(logging.WARNING, logger="cubelin.pairing"):
             report = corollary_pipeline(paper)
         assert report.hypotheses_hold
@@ -229,7 +226,7 @@ class TestCorollaryPipeline:
         # reduced map is the identity (so Keller) does
         I5 = ScalarMatrix.identity(5)
         planted = GZPair(matrix=I5, B=I5, C=I5, G=PolyMap.identity(5))
-        monkeypatch.setattr(pairing, "gz_reduce", lambda A: planted)
+        monkeypatch.setattr(pairing, "_factor", lambda A: planted)
         with caplog.at_level(logging.WARNING, logger="cubelin.pairing"):
             report = corollary_pipeline(I5)
         assert report.hypotheses_hold
@@ -238,6 +235,15 @@ class TestCorollaryPipeline:
         assert report.pair is None
         assert report.is_anomaly
         assert "anomaly: rank above four" in caplog.text
+
+    def test_intertwining_checked_after_the_gates(self, paper, monkeypatch):
+        # a planted pair whose G passes every gate but is not paper's G:
+        # the pipeline checks C o F == G o C before deciding G
+        pair = gz_reduce(paper)
+        planted = GZPair(matrix=paper, B=pair.B, C=pair.C, G=PolyMap.identity(2))
+        monkeypatch.setattr(pairing, "_factor", lambda A: planted)
+        with pytest.raises(RuntimeError, match="does not intertwine"):
+            corollary_pipeline(paper)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -304,6 +310,39 @@ class TestSingleReduction:
         report = corollary_pipeline(A)
         assert calls == {"rank_factorization": 1}
         assert report.keller is keller and report.verified is keller
+
+
+class TestGatesBeforeChecks:
+    """A map that a gate stops pays for no composition: the intertwining
+    check runs only after the diagonal, Keller and rank gates pass."""
+
+    def test_rank_deficient_non_keller_maps_compose_nothing(self, monkeypatch):
+        calls = Counter()
+        for module, name in (
+            (druzkowski, "expand_map"),
+            (invert, "expand_map"),
+            (poly, "compose"),
+            (invert, "compose"),
+        ):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        rng = random.Random(74)
+        units = [g(s) for s in ("0", "1", "-1", "i", "-i")]
+        maps = 0
+        while maps < 20:
+            A = ScalarMatrix([[rng.choice(units) for _ in range(3)] for _ in range(3)])
+            if rank(A) == 3 or is_keller(A):
+                continue
+            calls.clear()
+            report = corollary_pipeline(A)
+            assert not report.keller
+            assert calls == {}, A
+            maps += 1
 
 
 def assembled_report(A) -> dict:
