@@ -17,10 +17,13 @@ degree bound, evaluated in structured form: collapse the linear forms
 u_j = B_j . G^{-1} first, then cube.  The collapse is where all the
 cancellation lives, so iterates stay small.  Once the iteration is
 stationary, G o G^{-1} == id reduces to an exact identity on the
-collapsed forms (no truncation).  The lift re-verifies G^{-1} in both
-composition orders and checks F o F^{-1} == id exactly; F^{-1} o F == id
-then follows from the identities the route has checked (see
-:func:`decide_automorphism`).
+collapsed forms (no truncation).  The lift works in the reduced space
+too: it cubes the forms B_j . G^{-1}(Y) in r variables and carries forms
+and cubes to Z by one substitution Y = C Z, a ring homomorphism, so the
+substituted cubes are exactly the cubes of the lifted forms.  It
+re-verifies G^{-1} in both composition orders and checks F o F^{-1} == id
+exactly on the lifted forms; F^{-1} o F == id then follows from the
+identities the route has checked (see :func:`decide_automorphism`).
 """
 
 from __future__ import annotations
@@ -227,7 +230,11 @@ def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
     composition orders before lifting (ValueError if it is not actually
     the inverse), and the lifted map is checked against F exactly.
 
-    The lift is F^{-1}_i = Z_i - l_i^3 with l_i = B_i . G^{-1}(C Z), so
+    The lift is F^{-1}_i = Z_i - l_i^3 with l_i = B_i . G^{-1}(C Z).  The
+    forms u_i = B_i . G^{-1}(Y) and their cubes are formed in the r reduced
+    variables, and Y = C Z is substituted into all 2n of them by one
+    composition, which shares the power products of C's rows.  Substitution
+    is a ring homomorphism, so the substituted u_i^3 is l_i^3 exactly, and
 
         F(F^{-1})_i = Z_i - l_i^3 + (A_i . F^{-1})^3.
 
@@ -244,17 +251,12 @@ def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
     if compose(G, g_inverse) != identity_r or compose(g_inverse, G) != identity_r:
         raise ValueError("supplied map is not a verified inverse of the reduced map")
     n = pair.n
-    projection = pair.projection()
-    g_of_CZ = compose(g_inverse, projection)
-    lifted = [
-        linear_combination(pair.B.entries[j], g_of_CZ.components, n)
-        for j in range(n)
-    ]
-    inverse = PolyMap(
-        [Polynomial.variable(n, i) - lifted[i].cube() for i in range(n)],
-        nvars=n,
-    )
-    # exact check F(F^{-1}) == id via the collapsed linear forms
+    collapsed = [linear_combination(row, g_inverse.components, r) for row in pair.B.entries]
+    reduced = PolyMap(collapsed + [u.cube() for u in collapsed], nvars=r)
+    substituted = compose(reduced, pair.projection()).components
+    lifted, cubes = substituted[:n], substituted[n:]
+    inverse = PolyMap([Polynomial.variable(n, i) - cubes[i] for i in range(n)], nvars=n)
+    # exact check F(F^{-1}) == id via the lifted linear forms
     for i in range(n):
         u = linear_combination(pair.matrix.entries[i], inverse.components, n)
         if u != lifted[i]:

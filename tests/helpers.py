@@ -2,19 +2,29 @@
 
 sympy is used as an independent oracle: conversions go through strings or raw
 integer pairs, never through the code paths under test.  The generic
-fixed-point inverse, the cubic part, the trace polynomial and the Q(i) Gram
-product below are second routes to what the library computes its own way,
-kept here as oracles only.
+fixed-point inverse, the cubic part, the trace polynomial, the Q(i) Gram
+product and the lift below are second routes to what the library computes
+its own way, kept here as oracles only.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import sympy
 
-from cubelin import GaussianRational, PolyMap, Polynomial, ScalarMatrix, parse_gaussian
+from cubelin import (
+    GaussianRational,
+    GZPair,
+    PolyMap,
+    Polynomial,
+    ScalarMatrix,
+    is_keller,
+    parse_gaussian,
+    rank_bound_certificate,
+)
 from cubelin.linalg import rank
-from cubelin.poly import compose
+from cubelin.poly import compose, linear_combination
 
 PAPER_EXAMPLE_ROWS = [
     ["1", "i", "1", "1"],
@@ -27,6 +37,9 @@ PAPER_EXAMPLE_ROWS = [
 def paper_example() -> ScalarMatrix:
     # same matrix as the paper-example builtin, built here without matrixio
     return ScalarMatrix([[parse_gaussian(s) for s in row] for row in PAPER_EXAMPLE_ROWS])
+
+
+UNIT_ALPHABET = [parse_gaussian(s) for s in ("0", "1", "-1", "i", "-i")]
 
 
 def shear_matrix() -> ScalarMatrix:
@@ -246,3 +259,47 @@ def formal_inverse(F: PolyMap, degree_bound: int) -> PolyMap:
             return G
         G = new
     raise RuntimeError("fixed-point iteration failed to stabilize")
+
+
+def reference_lift(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
+    """Z_i - (B_i . G^{-1}(C Z))^3, with each cube taken in all n variables.
+
+    The lift formula as written, without its checks: the oracle for
+    ``lift_inverse``, which cubes in the r reduced variables before
+    substituting Y = C Z.
+    """
+    n = pair.n
+    g_of_CZ = compose(g_inverse, pair.projection()).components
+    return PolyMap(
+        [
+            Polynomial.variable(n, i) - linear_combination(row, g_of_CZ, n).cube()
+            for i, row in enumerate(pair.B.entries)
+        ],
+        nvars=n,
+    )
+
+
+def three_by_three_keller_corpus() -> list[ScalarMatrix]:
+    """Keller matrices over {0, +-1, +-i} in dimension 3, seeded.
+
+    Ten strictly upper-triangular matrices (always Keller) and the first
+    three Keller matrices of a trace-filtered sample, plus one
+    non-integral multiple: c A is Keller whenever A is, since JH scales
+    by c^3.
+    """
+    rng = random.Random(53)
+    zero = parse_gaussian("0")
+    triangular = [
+        ScalarMatrix([[zero, a, b], [zero, zero, c], [zero, zero, zero]])
+        for a, b, c in itertools.product(UNIT_ALPHABET, repeat=3)
+    ]
+    corpus = rng.sample(triangular, 10)
+    sampled = []
+    while len(sampled) < 3:
+        A = ScalarMatrix([[rng.choice(UNIT_ALPHABET) for _ in range(3)] for _ in range(3)])
+        if rank_bound_certificate(A).trace_condition_holds and is_keller(A):
+            sampled.append(A)
+    corpus += sampled
+    c = parse_gaussian("1/2+1/2i")
+    corpus.append(ScalarMatrix([[c * a for a in row] for row in sampled[0].entries]))
+    return corpus

@@ -23,7 +23,13 @@ from cubelin.invert import (
 )
 from cubelin.linalg import rank, rank_factorization
 from cubelin.poly import PolyMatrix, compose, compose_polynomial, det, jacobian
-from helpers import cubic_part, formal_inverse, shear_matrix, sympy_det_jf_is_one
+from helpers import (
+    cubic_part,
+    formal_inverse,
+    shear_matrix,
+    sympy_det_jf_is_one,
+    three_by_three_keller_corpus,
+)
 
 
 def g(text):
@@ -376,32 +382,6 @@ class TestKellerDeterminantEquivalence:
             assert nil == unit
             hits += nil
         assert hits >= 20
-
-
-def three_by_three_keller_corpus():
-    """Keller matrices over {0, +-1, +-i} in dimension 3, seeded.
-
-    Ten strictly upper-triangular matrices (always Keller) and the first
-    three Keller matrices of a trace-filtered sample, plus one
-    non-integral multiple: c A is Keller whenever A is, since JH scales
-    by c^3.
-    """
-    rng = random.Random(53)
-    zero = g("0")
-    triangular = [
-        ScalarMatrix([[zero, a, b], [zero, zero, c], [zero, zero, zero]])
-        for a, b, c in itertools.product(ALPHABET, repeat=3)
-    ]
-    corpus = rng.sample(triangular, 10)
-    sampled = []
-    while len(sampled) < 3:
-        A = ScalarMatrix([[rng.choice(ALPHABET) for _ in range(3)] for _ in range(3)])
-        if rank_bound_certificate(A).trace_condition_holds and is_keller(A):
-            sampled.append(A)
-    corpus += sampled
-    c = g("1/2+1/2i")
-    corpus.append(ScalarMatrix([[c * a for a in row] for row in sampled[0].entries]))
-    return corpus
 
 
 class TestReducedRoute:

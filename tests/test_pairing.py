@@ -17,10 +17,17 @@ from cubelin import (
 )
 from cubelin import decide_automorphism, druzkowski, invert, is_keller, linalg, pairing, poly
 from cubelin.druzkowski import expand_map, mixed_cubic_map, zero_diagonal_count
-from cubelin.invert import _decide
+from cubelin.invert import _decide, default_degree_bound
 from cubelin.linalg import rank
 from cubelin.poly import compose, linear_combination
-from helpers import PAPER_EXAMPLE_ROWS, random_scalar_matrix, shear_matrix
+from helpers import (
+    PAPER_EXAMPLE_ROWS,
+    UNIT_ALPHABET,
+    random_scalar_matrix,
+    reference_lift,
+    shear_matrix,
+    three_by_three_keller_corpus,
+)
 
 
 def g(text):
@@ -32,6 +39,21 @@ def mat(rows):
 
 
 RANK_ONE = [["1", "i"], ["-i", "1"]]
+
+
+def orbit_member(A: ScalarMatrix, perm, s) -> ScalarMatrix:
+    """S P A P^-1 S^-3 for the permutation ``perm`` and diagonal ``s``: again
+    Keller and invertible when A is, of the same rank."""
+    n = A.rows
+    return ScalarMatrix(
+        [[s[i] * A.entries[perm[i]][perm[j]] / s[j] ** 3 for j in range(n)] for i in range(n)]
+    )
+
+
+def decided_pair(A: ScalarMatrix):
+    """A's reduced pair and G's inverse at its full bound (None if G has none)."""
+    pair = gz_reduce(A)
+    return pair, _decide(pair.B, pair.C, default_degree_bound(pair.r))
 
 
 class TestGzReduce:
@@ -154,6 +176,58 @@ class TestLiftInverse:
         pair = gz_reduce(paper)
         with pytest.raises(ValueError, match="not a verified inverse"):
             lift_inverse(pair, PolyMap.identity(2))
+
+    def test_agrees_with_reference_on_every_invertible_two_by_two(self):
+        invertible = 0
+        for entries in itertools.product(UNIT_ALPHABET, repeat=4):
+            pair, g_inverse = decided_pair(ScalarMatrix([entries[:2], entries[2:]]))
+            if g_inverse is None:
+                continue
+            invertible += 1
+            assert lift_inverse(pair, g_inverse) == reference_lift(pair, g_inverse)
+        assert invertible == 25  # every Keller map over this alphabet
+
+    def test_agrees_with_reference_on_three_by_three_keller(self):
+        for A in three_by_three_keller_corpus():
+            pair, g_inverse = decided_pair(A)
+            assert lift_inverse(pair, g_inverse) == reference_lift(pair, g_inverse)
+
+    @pytest.mark.parametrize("scale", ["1", "2", "1+i"])
+    def test_agrees_with_reference_on_the_paper_example_orbit(self, paper, scale):
+        rng = random.Random(f"orbit:{scale}")
+        units = UNIT_ALPHABET[1:]
+        for _ in range(2):
+            s = [g(scale) * rng.choice(units) for _ in range(paper.rows)]
+            A = orbit_member(paper, rng.sample(range(paper.rows), paper.rows), s)
+            pair, g_inverse = decided_pair(A)
+            assert pair.r == 2
+            lifted = lift_inverse(pair, g_inverse)
+            assert lifted == reference_lift(pair, g_inverse)
+            assert lifted.max_degree() == 9
+
+    def test_agrees_with_reference_on_the_zero_matrix(self):
+        pair, g_inverse = decided_pair(ScalarMatrix.zeros(3, 3))
+        assert pair.r == 0
+        assert lift_inverse(pair, g_inverse) == reference_lift(pair, g_inverse)
+
+    def test_rejects_a_corrupted_cube(self, paper, monkeypatch):
+        # the lift substitutes Y = C Z into its n forms and their n cubes with
+        # one compose call; a constant added to the first cube shifts
+        # F^{-1}_1 by -e_1, which A does not kill, so F o F^{-1} != id
+        pair, g_inverse = decided_pair(paper)
+        real_compose = invert.compose
+
+        def corrupted(outer, inner, *args):
+            result = real_compose(outer, inner, *args)
+            if outer.dimension != 2 * pair.n:
+                return result
+            components = list(result.components)
+            components[pair.n] = components[pair.n] + Polynomial.one(inner.nvars)
+            return PolyMap(components, nvars=result.nvars)
+
+        monkeypatch.setattr(invert, "compose", corrupted)
+        with pytest.raises(RuntimeError, match="does not invert F"):
+            lift_inverse(pair, g_inverse)
 
     def test_rejects_a_lift_that_does_not_invert_f(self, paper):
         # B scaled by 2, with G and its verified inverse made for that B:
