@@ -301,11 +301,11 @@ def _scan_range(
     ):
         totals["visited"] += 1
         try:
-            # the rank matters only where the trace condition holds or in a
-            # record, which computes it below if it is missing
+            # the rank matters only to the rank_bound check where the trace
+            # condition holds, or to a record, which computes it below
             flat = [x for d in digits for x in pairs[d]]
             holds, delta = certificate_ints(n, flat)
-            rank_ = rank_ints(n, flat) if holds else None
+            rank_ = rank_ints(n, flat) if holds and want_rank_bound else None
             if trace_filter and not holds:
                 continue
             matrix = keller = None

@@ -18,12 +18,12 @@ u_j = B_j . G^{-1} first, then cube.  The collapse is where all the
 cancellation lives, so iterates stay small.  Once the iteration is
 stationary, G o G^{-1} == id reduces to an exact identity on the
 collapsed forms (no truncation).  The lift works in the reduced space
-too: it cubes the forms B_j . G^{-1}(Y) in r variables and carries forms
-and cubes to Z by one substitution Y = C Z, a ring homomorphism, so the
-substituted cubes are exactly the cubes of the lifted forms.  It
-re-verifies G^{-1} in both composition orders and checks F o F^{-1} == id
-exactly on the lifted forms; F^{-1} o F == id then follows from the
-identities the route has checked (see :func:`decide_automorphism`).
+too: it cubes the forms B_j . G^{-1}(Y) in r variables and carries G^{-1}
+and the cubes to Z by one substitution Y = C Z, a ring homomorphism.  It
+checks G^{-1} o G == id, then C F^{-1} == G^{-1}(C Z) on r linear forms,
+which proves F o F^{-1} == id and G o G^{-1} == id; F^{-1} o F == id
+follows from the identities the route has checked (see
+:func:`decide_automorphism`).
 """
 
 from __future__ import annotations
@@ -109,12 +109,18 @@ class InverseResult:
 
 @dataclass(frozen=True)
 class GZPair:
-    """A cubic-linear map together with its reduced partner."""
+    """A cubic-linear map with its reduced partner; B @ C == A is checked."""
 
     matrix: ScalarMatrix
     B: ScalarMatrix
     C: ScalarMatrix
     G: PolyMap
+
+    def __post_init__(self) -> None:
+        if self.B * self.C != self.matrix:
+            raise RuntimeError(
+                "internal check failed: rank factorization does not multiply back"
+            )
 
     @property
     def n(self) -> int:
@@ -141,17 +147,13 @@ class GZPair:
 
 
 def _factor(A) -> GZPair:
-    """A's pair, with B @ C == A checked exactly.
+    """A's pair; :class:`GZPair` checks B @ C == A exactly.
 
     C o F == G o C is left to :func:`_check_intertwining`.  At full rank
     B = A and C = I_n, so G is F and is built by :func:`expand_map`.
     """
     A = _require_square(_as_matrix(A))
     B, C = rank_factorization(A)
-    if B * C != A:
-        raise RuntimeError(
-            "internal check failed: rank factorization does not multiply back"
-        )
     G = expand_map(A) if B.cols == A.rows else mixed_cubic_map(B, C)
     return GZPair(matrix=A, B=B, C=C, G=G)
 
@@ -170,7 +172,7 @@ def _check_intertwining(pair: GZPair) -> None:
 def gz_reduce(A) -> GZPair:
     """Factor A and build the reduced map, verifying the intertwining.
 
-    The factorization B @ C == A (:func:`_factor`) and C o F == G o C
+    The factorization B @ C == A (:class:`GZPair`) and C o F == G o C
     (:func:`_check_intertwining`) are both checked exactly on every call;
     a failure of either would be a bug in the reduction, so it raises.
     """
@@ -226,40 +228,36 @@ def is_keller(A) -> bool:
 def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
     """Lift an inverse of the reduced map to an inverse of the full map.
 
-    ``g_inverse`` is re-verified against the reduced map in both
-    composition orders before lifting (ValueError if it is not actually
-    the inverse), and the lifted map is checked against F exactly.
+    ``g_inverse`` must satisfy G^{-1} o G == id (ValueError if not); the
+    lifted map is checked against F exactly (RuntimeError if not).
 
     The lift is F^{-1}_i = Z_i - l_i^3 with l_i = B_i . G^{-1}(C Z).  The
-    forms u_i = B_i . G^{-1}(Y) and their cubes are formed in the r reduced
-    variables, and Y = C Z is substituted into all 2n of them by one
-    composition, which shares the power products of C's rows.  Substitution
-    is a ring homomorphism, so the substituted u_i^3 is l_i^3 exactly, and
+    forms u_i = B_i . G^{-1}(Y) are cubed in the r reduced variables, and
+    Y = C Z is substituted into G^{-1}'s r components and the n cubes by
+    one composition, which shares the power products of C's rows.  It is
+    a ring homomorphism, so the substituted u_i^3 is l_i^3 exactly.  The
+    check C F^{-1} == G^{-1}(C Z), on r linear forms, proves two things:
 
-        F(F^{-1})_i = Z_i - l_i^3 + (A_i . F^{-1})^3.
+    - F o F^{-1} == id: with A = B C (held by :class:`GZPair`),
+      A F^{-1} = B G^{-1}(C Z) = l, so F(F^{-1})_i = Z_i - l_i^3 + l_i^3.
+    - G o G^{-1} == id: as G(W) = W + C (B W)^{*3}, C F^{-1} - G^{-1}(C Z)
+      is Y - G(G^{-1}(Y)) at Y = C Z, and C is onto.
 
-    F o F^{-1} == id therefore holds iff (A_i . F^{-1})^3 == l_i^3 for
-    every i, and since 1 is the only cube root of unity in Q(i), iff the
-    linear combination A_i . F^{-1} equals l_i.  The check compares those
-    forms instead of their cubes, which have three times their degree.
+    F^{-1} o F == id then follows as :func:`decide_automorphism` argues.
     """
     r = pair.r
-    G = pair.G
     if g_inverse.dimension != r or g_inverse.nvars != r:
         raise ValueError(f"reduced inverse must be a square map in dimension {r}")
-    identity_r = PolyMap.identity(r)
-    if compose(G, g_inverse) != identity_r or compose(g_inverse, G) != identity_r:
+    if compose(g_inverse, pair.G) != PolyMap.identity(r):
         raise ValueError("supplied map is not a verified inverse of the reduced map")
     n = pair.n
     collapsed = [linear_combination(row, g_inverse.components, r) for row in pair.B.entries]
-    reduced = PolyMap(collapsed + [u.cube() for u in collapsed], nvars=r)
+    reduced = PolyMap([*g_inverse.components, *(u.cube() for u in collapsed)], nvars=r)
     substituted = compose(reduced, pair.projection()).components
-    lifted, cubes = substituted[:n], substituted[n:]
+    g_of_CZ, cubes = substituted[:r], substituted[r:]
     inverse = PolyMap([Polynomial.variable(n, i) - cubes[i] for i in range(n)], nvars=n)
-    # exact check F(F^{-1}) == id via the lifted linear forms
-    for i in range(n):
-        u = linear_combination(pair.matrix.entries[i], inverse.components, n)
-        if u != lifted[i]:
+    for row, target in zip(pair.C.entries, g_of_CZ):
+        if linear_combination(row, inverse.components, n) != target:
             raise RuntimeError("internal check failed: lifted map does not invert F")
     return inverse
 

@@ -19,6 +19,7 @@ from cubelin.harness import (
     iter_candidate_matrices,
     splitmix64,
 )
+from cubelin.linalg import rank
 
 
 def g(text):
@@ -466,6 +467,26 @@ class TestRecordKellerBit:
             for workers in (2, 5):
                 other = run_search(cfg, workers=workers, collect_records=True).records
                 assert [json.dumps(r) for r in other] == base
+
+
+class TestRankOnDemand:
+    def test_invert_search_computes_rank_only_for_records(self, monkeypatch):
+        real = harness.rank_ints
+        calls = []
+        monkeypatch.setattr(
+            harness, "rank_ints", lambda n, flat: calls.append(n) or real(n, flat)
+        )
+        cfg = config(alphabet=FULL_ALPHABET, checks=["invert"])
+        report = run_search(cfg, workers=1)
+        assert calls == []
+        assert report.totals["invert"] == {
+            "checked": 625, "keller": 25, "invertible": 25, "failures": 0
+        }
+        records = run_search(cfg, workers=1, collect_records=True).records
+        assert len(calls) == len(records) == 625
+        for record in records:
+            A = ScalarMatrix([[g(v) for v in row] for row in record["matrix"]])
+            assert record["certificate"]["rank"] == rank(A)
 
 
 class TestReportShape:

@@ -210,36 +210,65 @@ class TestLiftInverse:
         assert pair.r == 0
         assert lift_inverse(pair, g_inverse) == reference_lift(pair, g_inverse)
 
-    def test_rejects_a_corrupted_cube(self, paper, monkeypatch):
-        # the lift substitutes Y = C Z into its n forms and their n cubes with
-        # one compose call; a constant added to the first cube shifts
-        # F^{-1}_1 by -e_1, which A does not kill, so F o F^{-1} != id
+    def test_calls_compose_twice(self, paper, monkeypatch):
+        # G^{-1} o G, then the one substitution Y = C Z; G o G^{-1} is
+        # proved by the check of C F^{-1}, not composed again
         pair, g_inverse = decided_pair(paper)
+        real_compose = invert.compose
+        calls = []
+
+        def counted(outer, inner, *args):
+            calls.append((outer.dimension, inner.nvars))
+            return real_compose(outer, inner, *args)
+
+        monkeypatch.setattr(invert, "compose", counted)
+        assert lift_inverse(pair, g_inverse) == reference_lift(pair, g_inverse)
+        assert calls == [(pair.r, pair.r), (pair.r + pair.n, pair.n)]
+
+    @staticmethod
+    def plant_constant(monkeypatch, pair, position):
+        # add 1 to one component of the lift's substitution Y = C Z, which
+        # carries G^{-1}'s r components and then the n cubes
         real_compose = invert.compose
 
         def corrupted(outer, inner, *args):
             result = real_compose(outer, inner, *args)
-            if outer.dimension != 2 * pair.n:
+            if outer.dimension != pair.r + pair.n:
                 return result
             components = list(result.components)
-            components[pair.n] = components[pair.n] + Polynomial.one(inner.nvars)
+            components[position] = components[position] + Polynomial.one(inner.nvars)
             return PolyMap(components, nvars=result.nvars)
 
         monkeypatch.setattr(invert, "compose", corrupted)
+
+    def test_rejects_a_corrupted_cube(self, paper, monkeypatch):
+        # a constant added to the first cube (index r) shifts F^{-1}_1 by
+        # -e_1, which C does not kill, so C F^{-1} != G^{-1}(C Z)
+        pair, g_inverse = decided_pair(paper)
+        self.plant_constant(monkeypatch, pair, pair.r)
+        with pytest.raises(RuntimeError, match="does not invert F"):
+            lift_inverse(pair, g_inverse)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_rejects_a_corrupted_g_inverse_side(self, paper, monkeypatch, position):
+        # a constant added to a component of G^{-1}(C Z) leaves F^{-1} as
+        # it was but breaks the identity it is checked against
+        pair, g_inverse = decided_pair(paper)
+        assert position < pair.r
+        self.plant_constant(monkeypatch, pair, position)
         with pytest.raises(RuntimeError, match="does not invert F"):
             lift_inverse(pair, g_inverse)
 
     def test_rejects_a_lift_that_does_not_invert_f(self, paper):
-        # B scaled by 2, with G and its verified inverse made for that B:
-        # the reduced map checks out, but 2 B C != A, so only the check of
-        # F o F^{-1} can catch the lift
+        # B scaled by 2, with G made for that B: its reduced map has a
+        # verified inverse, but 2 B C != A, so the pair cannot be built and
+        # no lift of it can fail to invert F
         pair = gz_reduce(paper)
         B = ScalarMatrix([[g("2") * c for c in row] for row in pair.B.entries])
-        scaled = GZPair(matrix=paper, B=B, C=pair.C, G=mixed_cubic_map(B, pair.C))
-        g_inverse = _decide(B, pair.C, 3)
-        assert compose(scaled.G, g_inverse) == PolyMap.identity(2)
-        with pytest.raises(RuntimeError, match="does not invert F"):
-            lift_inverse(scaled, g_inverse)
+        G = mixed_cubic_map(B, pair.C)
+        assert compose(G, _decide(B, pair.C, 3)) == PolyMap.identity(2)
+        with pytest.raises(RuntimeError, match="does not multiply back"):
+            GZPair(matrix=paper, B=B, C=pair.C, G=G)
 
 
 class TestCorollaryPipeline:
