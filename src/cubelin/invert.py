@@ -290,7 +290,8 @@ def _decide(B: ScalarMatrix, C: ScalarMatrix, bound: int) -> PolyMap | None:
 def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
     """Decide whether X + (AX)^{*3} has a polynomial inverse of degree <= d.
 
-    d is ``degree_bound``, by default 3^(n-1), the maximum possible inverse
+    d is ``degree_bound``, an int of at least 1 (ValueError for anything
+    else, a bool included), by default 3^(n-1), the maximum possible inverse
     degree (Bass-Connell-Wright), so with it the answer is unconditional.
     The map is reduced to G in dimension r = rank(A) and G is decided at
     min(d, 3^(r-1)): C o F^{-1} == G^{-1} o C with C onto gives
@@ -312,6 +313,9 @@ def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
     """
     A = _require_square(_as_matrix(A))
     bound = default_degree_bound(A.rows) if degree_bound is None else degree_bound
+    # bool counts as int, so it is refused by name
+    if isinstance(bound, bool) or not isinstance(bound, int):
+        raise ValueError(f"degree bound must be an integer, got {bound!r}")
     if bound < 1:
         raise ValueError("degree bound must be at least 1")
     pair = gz_reduce(A)

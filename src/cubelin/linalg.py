@@ -54,10 +54,6 @@ class ScalarMatrix:
             n,
         )
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ScalarMatrix":
-        return cls._raw(tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows)), cols)
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -72,16 +68,8 @@ class ScalarMatrix:
     def is_zero(self) -> bool:
         return all(not c for row in self.entries for c in row)
 
-    def column(self, j: int) -> tuple[GaussianRational, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def diagonal(self) -> tuple[GaussianRational, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self._cols)))
-
-    def transpose(self) -> "ScalarMatrix":
-        return ScalarMatrix._raw(
-            tuple(self.column(j) for j in range(self._cols)), self.rows
-        )
 
     def __mul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
         if self._cols != other.rows:
@@ -147,10 +135,6 @@ def rref_with_pivots(M: ScalarMatrix) -> tuple[ScalarMatrix, tuple[int, ...]]:
         pivots.append(col)
         r += 1
     return ScalarMatrix._raw(tuple(tuple(row) for row in rows), ncols), tuple(pivots)
-
-
-def rref(M: ScalarMatrix) -> ScalarMatrix:
-    return rref_with_pivots(M)[0]
 
 
 def rank(M: ScalarMatrix) -> int:

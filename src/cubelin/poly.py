@@ -189,19 +189,6 @@ class Polynomial:
                         del out[e]
         return Polynomial._raw(self.nvars, out)
 
-    def scale(self, value: GaussianRational) -> "Polynomial":
-        if not value:
-            return Polynomial._raw(self.nvars, {})
-        return Polynomial._raw(self.nvars, {e: value * c for e, c in self.terms.items()})
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Polynomial.one(self.nvars)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def cube(self, truncate_above: int | None = None) -> "Polynomial":
         sq = self.mul(self, truncate_above)
         return sq.mul(self, truncate_above)
@@ -248,12 +235,6 @@ class Polynomial:
                     term = term * var_power(j, k)
             total = total + term
         return total
-
-    def truncate(self, max_degree: int) -> "Polynomial":
-        """Drop every term of total degree above ``max_degree``."""
-        return Polynomial._raw(
-            self.nvars, {e: c for e, c in self.terms.items() if sum(e) <= max_degree}
-        )
 
     # -- rendering -----------------------------------------------------
 
@@ -348,13 +329,6 @@ class PolyMap:
     def dimension(self) -> int:
         return len(self.components)
 
-    def is_identity(self) -> bool:
-        if self.dimension != self.nvars:
-            return False
-        return all(
-            p == Polynomial.variable(self.nvars, i) for i, p in enumerate(self.components)
-        )
-
     def max_degree(self) -> int:
         if not self.components:
             return 0
@@ -362,9 +336,6 @@ class PolyMap:
 
     def evaluate(self, point) -> list[GaussianRational]:
         return [p.evaluate(point) for p in self.components]
-
-    def truncate(self, max_degree: int) -> "PolyMap":
-        return PolyMap([p.truncate(max_degree) for p in self.components], nvars=self.nvars)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMap):
@@ -377,10 +348,7 @@ class PolyMap:
 
 
 def _power_product(
-    exps: Exponents,
-    inner: PolyMap,
-    cap: int | None,
-    memo: dict[Exponents, Polynomial],
+    exps: Exponents, inner: PolyMap, memo: dict[Exponents, Polynomial]
 ) -> Polynomial:
     cached = memo.get(exps)
     if cached is not None:
@@ -390,18 +358,15 @@ def _power_product(
     while exps[j] == 0:
         j -= 1
     parent = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
-    value = _power_product(parent, inner, cap, memo).mul(inner.components[j], cap)
+    value = _power_product(parent, inner, memo).mul(inner.components[j])
     memo[exps] = value
     return value
 
 
 def compose_polynomial(
-    outer: Polynomial,
-    inner: PolyMap,
-    truncate_above: int | None = None,
-    _memo: dict[Exponents, Polynomial] | None = None,
+    outer: Polynomial, inner: PolyMap, _memo: dict[Exponents, Polynomial] | None = None
 ) -> Polynomial:
-    """Substitute inner's components for outer's variables."""
+    """Exact substitution of inner's components for outer's variables."""
     if outer.nvars != inner.dimension:
         raise ArityMismatchError(
             f"outer arity {outer.nvars} vs inner dimension {inner.dimension}"
@@ -410,25 +375,22 @@ def compose_polynomial(
     if not memo:
         memo[(0,) * outer.nvars] = Polynomial.one(inner.nvars)
     terms = sorted(outer.terms.items(), key=lambda kv: _grlex_key(kv[0]))
-    powers = [_power_product(e, inner, truncate_above, memo) for e, _ in terms]
-    total = linear_combination([c for _, c in terms], powers, inner.nvars)
-    if truncate_above is not None:
-        total = total.truncate(truncate_above)
-    return total
+    powers = [_power_product(e, inner, memo) for e, _ in terms]
+    return linear_combination([c for _, c in terms], powers, inner.nvars)
 
 
-def compose(outer: PolyMap, inner: PolyMap, truncate_above: int | None = None) -> PolyMap:
-    """Exact map composition outer(inner(X)); optional degree truncation is
-    applied after every multiplication, bounding intermediate swell."""
-    if truncate_above is not None and truncate_above < 1:
-        raise ValueError("truncate_above must be at least 1")
+def compose(outer: PolyMap, inner: PolyMap) -> PolyMap:
+    """Exact map composition outer(inner(X)), with no degree truncation.
+
+    The components share one memo of power products of inner's components.
+    """
     if outer.nvars != inner.dimension:
         raise ArityMismatchError(
             f"outer arity {outer.nvars} vs inner dimension {inner.dimension}"
         )
     memo: dict[Exponents, Polynomial] = {}
     return PolyMap(
-        [compose_polynomial(p, inner, truncate_above, memo) for p in outer.components],
+        [compose_polynomial(p, inner, memo) for p in outer.components],
         nvars=inner.nvars,
     )
 

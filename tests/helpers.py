@@ -4,7 +4,9 @@ sympy is used as an independent oracle: conversions go through strings or raw
 integer pairs, never through the code paths under test.  The generic
 fixed-point inverse, the cubic part, the trace polynomial, the Q(i) Gram
 product and the lift below are second routes to what the library computes
-its own way, kept here as oracles only.
+its own way, kept here as oracles only.  So are degree truncation and the
+truncated composition: the library composes exactly and truncates only
+inside ``Polynomial.mul`` and ``Polynomial.cube``.
 """
 
 import itertools
@@ -24,7 +26,7 @@ from cubelin import (
     rank_bound_certificate,
 )
 from cubelin.linalg import rank
-from cubelin.poly import compose, linear_combination
+from cubelin.poly import Exponents, compose, linear_combination
 
 PAPER_EXAMPLE_ROWS = [
     ["1", "i", "1", "1"],
@@ -150,9 +152,47 @@ def random_polynomial(
     return total
 
 
+def truncate(p: Polynomial, max_degree: int) -> Polynomial:
+    """p without its terms of total degree above ``max_degree``."""
+    return Polynomial(p.nvars, {e: c for e, c in p.terms.items() if sum(e) <= max_degree})
+
+
+def truncated_compose(outer: PolyMap, inner: PolyMap, max_degree: int) -> PolyMap:
+    """outer(inner(X)) without its terms of total degree above ``max_degree``.
+
+    Every power product of inner's components is truncated as it is
+    multiplied, so no term above the cap is ever computed.  Composing
+    exactly and truncating afterwards gives the same map, but through a
+    degree-9 inverse that takes seconds.
+    """
+    memo: dict[Exponents, Polynomial] = {(0,) * outer.nvars: Polynomial.one(inner.nvars)}
+
+    def power(exps: Exponents) -> Polynomial:
+        value = memo.get(exps)
+        if value is None:
+            j = max(k for k, e in enumerate(exps) if e)
+            parent = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+            value = power(parent).mul(inner.components[j], max_degree)
+            memo[exps] = value
+        return value
+
+    return PolyMap(
+        [
+            linear_combination(list(p.terms.values()), [power(e) for e in p.terms], inner.nvars)
+            for p in outer.components
+        ],
+        nvars=inner.nvars,
+    )
+
+
+def transpose(M: ScalarMatrix) -> ScalarMatrix:
+    """The plain (non-conjugating) transpose of M, any shape."""
+    return ScalarMatrix([[row[j] for row in M.entries] for j in range(M.cols)], M.rows)
+
+
 def cubic_part(A: ScalarMatrix) -> PolyMap:
     """(AX)^{*3}, the homogeneous degree-3 part of X + (AX)^{*3}."""
-    return PolyMap([Polynomial.linear_form(row) ** 3 for row in A.entries], nvars=A.rows)
+    return PolyMap([Polynomial.linear_form(row).cube() for row in A.entries], nvars=A.rows)
 
 
 def trace_poly(A: ScalarMatrix) -> Polynomial:
@@ -165,7 +205,7 @@ def trace_poly(A: ScalarMatrix) -> Polynomial:
         if not d:
             continue
         t = Polynomial.linear_form(A.entries[i])
-        total = total + (t * t).scale(three * d)
+        total = total + Polynomial.constant(n, three * d) * (t * t)
     return total
 
 
@@ -176,7 +216,7 @@ def gram_matrix(A: ScalarMatrix) -> ScalarMatrix:
     scaled = ScalarMatrix(
         [[d * c for c in row] for d, row in zip(A.diagonal(), A.entries)], A.cols
     )
-    return A.transpose() * scaled
+    return transpose(A) * scaled
 
 
 def reference_certificate(A: ScalarMatrix) -> tuple[bool, int, int]:
@@ -206,12 +246,12 @@ def mixed_denominator_matrix(rng: random.Random, n: int, shape: int) -> ScalarMa
         return ScalarMatrix([vector(n) for _ in range(n)], n)
     if shape == 1:
         if n <= 1:
-            return ScalarMatrix.zeros(n, n)
+            return ScalarMatrix([[0] * n] * n, n)
         P = ScalarMatrix([vector(n - 1) for _ in range(n)])
         return P * ScalarMatrix([vector(n) for _ in range(n - 1)])
     if shape == 2:
         if n == 0:
-            return ScalarMatrix.zeros(0, 0)
+            return ScalarMatrix([], 0)
         u, w = vector(n), vector(n)
         u[-1] = GaussianRational(rng.randint(1, 3), part())
         rest = sum((u[i] * u[i] * u[i] * w[i] for i in range(n - 1)), GaussianRational(0))
@@ -230,9 +270,9 @@ def formal_inverse(F: PolyMap, degree_bound: int) -> PolyMap:
     """Truncated formal inverse series of F = X + (degree >= 2 terms).
 
     Generic fixed-point iteration G <- X - H(G) with full truncated
-    composition, in F's own dimension.  No invertibility claim is made:
-    the returned map satisfies F(G(X)) == X modulo degrees above the
-    bound, nothing more.  Raises ValueError when F's shape breaks the
+    composition (:func:`truncated_compose`), in F's own dimension.  No
+    invertibility claim is made: the returned map satisfies F(G(X)) == X
+    modulo degrees above the bound, nothing more.  Raises ValueError when F's shape breaks the
     precondition.
     """
     n = F.nvars
@@ -253,7 +293,7 @@ def formal_inverse(F: PolyMap, degree_bound: int) -> PolyMap:
     H = PolyMap(higher, nvars=n)
     G = PolyMap(identity, nvars=n)
     for _ in range(degree_bound + 2):
-        HG = compose(H, G, truncate_above=degree_bound)
+        HG = truncated_compose(H, G, degree_bound)
         new = PolyMap([identity[i] - HG.components[i] for i in range(n)], nvars=n)
         if new == G:
             return G

@@ -136,7 +136,7 @@ def test_criterion_2_inversion(capsys):
         for i in range(4):
             u = Polynomial.zero(4)
             for j in range(4):
-                u = u + G.components[j].scale(A.entries[i][j])
+                u = u + Polynomial.constant(4, A.entries[i][j]) * G.components[j]
             collapsed.append(u)
             assert G.components[i] + u * u * u == x[i]
 
@@ -180,7 +180,7 @@ def test_criterion_3_reduction_pipeline(capsys):
         for i in range(pair.r):
             left = Polynomial.zero(4)
             for j in range(4):
-                left = left + F.components[j].scale(pair.C.entries[i][j])
+                left = left + Polynomial.constant(4, pair.C.entries[i][j]) * F.components[j]
             right = compose_polynomial(pair.G.components[i], pair.projection())
             assert left == right
 

@@ -24,6 +24,8 @@ from helpers import (
     shear_matrix,
     sympy_trace_is_zero,
     trace_poly,
+    transpose,
+    truncate,
 )
 
 
@@ -47,10 +49,10 @@ class TestExpandMap:
     def test_shear(self):
         F = expand_map(shear_matrix())
         x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-        assert F == PolyMap([x1 + x2 ** 3, x2])
+        assert F == PolyMap([x1 + x2.cube(), x2])
 
     def test_zero_matrix_gives_identity(self):
-        assert expand_map(ScalarMatrix.zeros(3, 3)).is_identity()
+        assert expand_map(ScalarMatrix([[0] * 3] * 3, 3)) == PolyMap.identity(3)
 
     def test_paper_example_components(self, paper):
         F = expand_map(paper)
@@ -60,7 +62,7 @@ class TestExpandMap:
         cube_s = s * s * s
         x = [Polynomial.variable(4, j) for j in range(4)]
         assert F.components[0] == x[0] + cube_t
-        assert F.components[1] == x[1] + cube_t.scale(g("i"))
+        assert F.components[1] == x[1] + Polynomial.constant(4, g("i")) * cube_t
         assert F.components[2] == x[2] - cube_s
         assert F.components[3] == x[3] - cube_s
 
@@ -82,7 +84,7 @@ class TestExpandMap:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            expand_map(ScalarMatrix.zeros(2, 3))
+            expand_map(ScalarMatrix([[0] * 3] * 2, 3))
 
     def test_accepts_nested_lists(self):
         F = expand_map([[g("0"), g("1")], [g("0"), g("0")]])
@@ -91,7 +93,7 @@ class TestExpandMap:
 
 class TestTracePoly:
     def test_zero_matrix(self):
-        assert trace_poly(ScalarMatrix.zeros(2, 2)).is_zero()
+        assert trace_poly(ScalarMatrix([[0] * 2] * 2, 2)).is_zero()
 
     def test_identity_two(self):
         p = trace_poly(ScalarMatrix.identity(2))
@@ -144,7 +146,7 @@ class TestGram:
             D = ScalarMatrix(
                 [[A.entries[i][i] if i == j else g("0") for j in range(n)] for i in range(n)]
             )
-            assert gram_matrix(A) == A.transpose() * D * A
+            assert gram_matrix(A) == transpose(A) * D * A
 
     def test_trace_iff_gram_exhaustive(self):
         for A in all_two_by_two(ALPHABET):
@@ -155,7 +157,7 @@ class TestGram:
 class TestDelta:
     def test_counts(self, paper):
         assert zero_diagonal_count(paper) == 0
-        assert zero_diagonal_count(ScalarMatrix.zeros(3, 3)) == 3
+        assert zero_diagonal_count(ScalarMatrix([[0] * 3] * 3, 3)) == 3
         assert zero_diagonal_count(mat([["1", "5"], ["7", "0"]])) == 1
 
 
@@ -235,7 +237,7 @@ class TestMixedCubicMap:
         d = Polynomial.linear_form([g("1"), g("-1")])
         cubes = d * d * d
         y1, y2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-        assert F.components[0] == y1 + cubes.scale(g("2"))
+        assert F.components[0] == y1 + Polynomial.constant(2, g("2")) * cubes
         assert F.components[1] == y2
 
 
@@ -252,4 +254,4 @@ class TestCubicTerms:
             exact = cubic_terms(B, C, H)
             full = max(t.total_degree() for t in exact)
             for cap in range(full + 1):
-                assert cubic_terms(B, C, H, cap) == [t.truncate(cap) for t in exact]
+                assert cubic_terms(B, C, H, cap) == [truncate(t, cap) for t in exact]

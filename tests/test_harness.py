@@ -235,7 +235,7 @@ class TestEnumerationOrder:
         cfg = config()
         seen = list(iter_candidate_matrices(cfg))
         assert len(seen) == 16
-        assert seen[0][1] == ScalarMatrix.zeros(2, 2)
+        assert seen[0][1] == ScalarMatrix([[0] * 2] * 2, 2)
         # index 1 flips the last entry (2,2); index 8 flips the first (1,1)
         assert seen[1][1].entries == ((g("0"), g("0")), (g("0"), g("1")))
         assert seen[8][1].entries == ((g("1"), g("0")), (g("0"), g("0")))

@@ -4,8 +4,8 @@ import pytest
 import sympy
 
 from cubelin import ScalarMatrix, parse_gaussian
-from cubelin.linalg import rank, rank_factorization, rref, rref_with_pivots
-from helpers import matrix_to_sympy, paper_example, random_scalar_matrix
+from cubelin.linalg import rank, rank_factorization, rref_with_pivots
+from helpers import matrix_to_sympy, paper_example, random_scalar_matrix, transpose
 
 
 def g(text):
@@ -25,13 +25,13 @@ class TestRank:
 
     def test_identity_and_zero(self):
         assert rank(ScalarMatrix.identity(4)) == 4
-        assert rank(ScalarMatrix.zeros(3, 3)) == 0
+        assert rank(ScalarMatrix([[0] * 3] * 3, 3)) == 0
 
     def test_rank_equals_transpose_rank(self):
         rng = random.Random(11)
         for _ in range(40):
             M = random_scalar_matrix(rng, rng.randint(1, 4), den=2)
-            assert rank(M) == rank(M.transpose())
+            assert rank(M) == rank(transpose(M))
 
     def test_product_rank_bound(self):
         rng = random.Random(12)
@@ -49,7 +49,7 @@ class TestRank:
 
 class TestRref:
     def test_paper_example_rows(self, paper):
-        R = rref(paper)
+        R = rref_with_pivots(paper)[0]
         assert R.entries[0] == tuple(g(v) for v in ("1", "i", "0", "1"))
         assert R.entries[1] == tuple(g(v) for v in ("0", "0", "1", "0"))
         assert all(v.is_zero() for v in R.entries[2])
@@ -61,14 +61,14 @@ class TestRref:
 
     def test_identity_fixed(self):
         I3 = ScalarMatrix.identity(3)
-        assert rref(I3) == I3
+        assert rref_with_pivots(I3)[0] == I3
 
     def test_idempotent(self):
         rng = random.Random(14)
         for _ in range(25):
             M = random_scalar_matrix(rng, rng.randint(1, 4), den=2)
-            R = rref(M)
-            assert rref(R) == R
+            R = rref_with_pivots(M)[0]
+            assert rref_with_pivots(R)[0] == R
 
     def test_against_sympy(self):
         rng = random.Random(15)
@@ -102,7 +102,7 @@ class TestRankFactorization:
         assert B == I3 and C == I3
 
     def test_zero_matrix_keeps_shape(self):
-        Z = ScalarMatrix.zeros(3, 3)
+        Z = ScalarMatrix([[0] * 3] * 3, 3)
         B, C = rank_factorization(Z)
         assert (B.rows, B.cols) == (3, 0)
         assert (C.rows, C.cols) == (0, 3)
@@ -116,7 +116,8 @@ class TestMatrixOps:
     def test_transpose_involution(self):
         rng = random.Random(17)
         M = random_scalar_matrix(rng, 3, den=2)
-        assert M.transpose().transpose() == M
+        assert transpose(transpose(M)) == M
+        assert transpose(mat([["1", "2", "i"]])) == mat([["1"], ["2"], ["i"]])
 
     def test_arithmetic(self):
         M = mat([["1", "i"], ["0", "2"]])
@@ -135,8 +136,8 @@ class TestMatrixOps:
             ScalarMatrix([[g("1")], [g("1"), g("2")]])
 
     def test_empty_shapes_compose(self):
-        B = ScalarMatrix.zeros(3, 0)
-        C = ScalarMatrix.zeros(0, 3)
+        B = ScalarMatrix([[]] * 3, 0)
+        C = ScalarMatrix([], 3)
         P = B * C
         assert (P.rows, P.cols) == (3, 3)
         assert P.is_zero()

@@ -69,7 +69,7 @@ class TestBuiltins:
         assert builtin_example("paper-example") == paper_example()
 
     def test_zero_three(self):
-        assert builtin_example("zero-3") == ScalarMatrix.zeros(3, 3)
+        assert builtin_example("zero-3") == ScalarMatrix([[0] * 3] * 3, 3)
 
     def test_unknown_name_lists_options(self):
         with pytest.raises(ValueError, match="paper-example, shear-2, zero-3"):

@@ -72,12 +72,12 @@ class TestGzReduce:
         assert pair.r == 1
         assert pair.B == mat([["1"], ["0"]])
         assert pair.C == mat([["0", "1"]])
-        assert pair.G.is_identity()
+        assert pair.G == PolyMap.identity(1)
 
     def test_rank_one_complex(self):
         pair = gz_reduce(mat(RANK_ONE))
         assert pair.r == 1
-        assert pair.G.is_identity()  # the cubes cancel through C
+        assert pair.G == PolyMap.identity(1)  # the cubes cancel through C
 
     def test_full_rank_identity(self):
         I2 = ScalarMatrix.identity(2)
@@ -86,7 +86,7 @@ class TestGzReduce:
         assert pair.G == expand_map(I2)
 
     def test_zero_matrix(self):
-        pair = gz_reduce(ScalarMatrix.zeros(3, 3))
+        pair = gz_reduce(ScalarMatrix([[0] * 3] * 3, 3))
         assert pair.r == 0
         assert pair.G.dimension == 0
 
@@ -133,7 +133,7 @@ class TestGzReduce:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            gz_reduce(ScalarMatrix.zeros(2, 3))
+            gz_reduce(ScalarMatrix([[0] * 3] * 2, 3))
 
 
 class TestLiftInverse:
@@ -163,9 +163,9 @@ class TestLiftInverse:
         assert lifted.max_degree() <= 3 * g_inverse.max_degree()
 
     def test_zero_matrix_lifts_empty_inverse(self):
-        pair = gz_reduce(ScalarMatrix.zeros(3, 3))
+        pair = gz_reduce(ScalarMatrix([[0] * 3] * 3, 3))
         lifted = lift_inverse(pair, PolyMap([], nvars=0))
-        assert lifted.is_identity()
+        assert lifted == PolyMap.identity(3)
 
     def test_rejects_wrong_dimension(self, paper):
         pair = gz_reduce(paper)
@@ -206,7 +206,7 @@ class TestLiftInverse:
             assert lifted.max_degree() == 9
 
     def test_agrees_with_reference_on_the_zero_matrix(self):
-        pair, g_inverse = decided_pair(ScalarMatrix.zeros(3, 3))
+        pair, g_inverse = decided_pair(ScalarMatrix([[0] * 3] * 3, 3))
         assert pair.r == 0
         assert lift_inverse(pair, g_inverse) == reference_lift(pair, g_inverse)
 
@@ -292,7 +292,7 @@ class TestCorollaryPipeline:
         assert report.f_inverse_degree == 3
 
     def test_zero_diagonal_gate(self):
-        report = corollary_pipeline(ScalarMatrix.zeros(3, 3))
+        report = corollary_pipeline(ScalarMatrix([[0] * 3] * 3, 3))
         assert not report.diag_nonzero
         assert not report.verified
         assert not report.is_anomaly
@@ -350,7 +350,7 @@ class TestCorollaryPipeline:
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="dimension"):
-            corollary_pipeline(ScalarMatrix.zeros(10, 10))
+            corollary_pipeline(ScalarMatrix([[0] * 10] * 10, 10))
 
     def test_to_dict_field_order(self, paper):
         payload = corollary_pipeline(paper).to_dict()
@@ -371,7 +371,7 @@ class TestCorollaryPipeline:
         assert len(payload["f_inverse"]) == 4
 
     def test_gated_report_serializes(self):
-        payload = corollary_pipeline(ScalarMatrix.zeros(2, 2)).to_dict()
+        payload = corollary_pipeline(ScalarMatrix([[0] * 2] * 2, 2)).to_dict()
         assert payload["diag_nonzero"] is False
         assert payload["rank"] is None
         assert payload["pair"] is None
