@@ -10,12 +10,14 @@ SplitMix64: the digit for entry e of candidate c is
     splitmix64(seed, c * n^2 + e) mod K
 
 so any subrange of candidates can be regenerated without walking the
-stream.  Work splits into one contiguous index chunk per worker and the
-per-chunk results merge in chunk order, which makes reports byte-stable
-for every worker count.
+stream.  Work splits into one contiguous index chunk per worker, with at
+most one worker per CPU, and the per-chunk results merge in chunk order,
+which makes reports byte-stable for every worker count.
 
 Checks per candidate: "rank_bound" evaluates the rank-bound certificate
-and counts violations as anomalies; "invert" runs the exact inversion
+and counts violations as anomalies, with the trace condition and delta
+from :mod:`cubelin.kernel` and, where the condition holds, the rank from
+:func:`cubelin.linalg.rank`; "invert" runs the exact inversion
 decision on Keller candidates; "corollary" runs the full small-dimension
 pipeline.  Filters "trace_zero_only" and "keller_only" restrict which
 candidates are checked.
@@ -33,8 +35,8 @@ from typing import Iterator, Sequence
 
 from .druzkowski import RankBoundCertificate
 from .invert import decide_automorphism, is_keller
-from .kernel import certificate_ints, integer_pairs, rank_ints
-from .linalg import ScalarMatrix
+from .kernel import certificate_ints, integer_pairs
+from .linalg import ScalarMatrix, rank
 from .matrixio import matrix_entries_text
 from .pairing import _DIMENSION_CAP, corollary_pipeline
 from .scalars import GaussianRational, format_gaussian, parse_gaussian
@@ -153,8 +155,9 @@ class SearchConfig:
         if self.mode == "sample":
             if not isinstance(self.count, int) or self.count < 1:
                 raise ValueError("sample mode needs a positive integer count")
-            if not isinstance(self.seed, int) or self.seed < 0:
-                raise ValueError("sample mode needs a non-negative integer seed")
+            # splitmix64 reads the seed mod 2^64: a larger one aliases a smaller one
+            if not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK64:
+                raise ValueError("sample mode needs an integer seed in [0, 2**64)")
         else:
             if self.count is not None or self.seed is not None:
                 raise ValueError("count and seed apply to sample mode only")
@@ -301,15 +304,15 @@ def _scan_range(
     ):
         totals["visited"] += 1
         try:
-            # the rank matters only to the rank_bound check where the trace
-            # condition holds, or to a record, which computes it below
             flat = [x for d in digits for x in pairs[d]]
             holds, delta = certificate_ints(n, flat)
-            rank_ = rank_ints(n, flat) if holds and want_rank_bound else None
             if trace_filter and not holds:
                 continue
-            matrix = keller = None
-            if want_keller or want_corollary:
+            # the rank matters only to the rank_bound check where the trace
+            # condition holds, or to a record, which computes it below
+            want_rank = holds and want_rank_bound
+            matrix = keller = rank_ = None
+            if want_keller or want_corollary or want_rank:
                 matrix = _candidate_matrix(alphabet, n, digits)
             if want_keller:
                 keller = is_keller(matrix)
@@ -322,9 +325,11 @@ def _scan_range(
 
             if want_rank_bound:
                 totals["rank_bound"]["checked"] += 1
-                if holds and 2 * rank_ > n + delta:
-                    totals["rank_bound"]["anomalies"] += 1
-                    anomaly = True
+                if want_rank:
+                    rank_ = rank(matrix)
+                    if 2 * rank_ > n + delta:
+                        totals["rank_bound"]["anomalies"] += 1
+                        anomaly = True
 
             if want_invert:
                 totals["invert"]["checked"] += 1
@@ -355,7 +360,7 @@ def _scan_range(
                 if keller is None:
                     keller = holds and is_keller(matrix)
                 if rank_ is None:
-                    rank_ = rank_ints(n, flat)
+                    rank_ = rank(matrix)
                 record = {
                     "index": index,
                     "matrix": matrix_entries_text(matrix),
@@ -407,7 +412,9 @@ def run_search(
     total = config.total_candidates()
     started = time.perf_counter()
 
-    starts, stops = zip(*_chunk_bounds(total, min(effective_workers, total)))
+    # a pool forks all its workers at once; past one per CPU they only wait
+    chunks = min(effective_workers, total, os.cpu_count() or 1)
+    starts, stops = zip(*_chunk_bounds(total, chunks))
     args = (repeat(config), starts, stops, repeat(collect_records))
     if len(starts) == 1:
         results = list(map(_scan_range, *args))

@@ -1,9 +1,11 @@
-"""Exact linear algebra over Q(i): RREF, rank, rank factorization.
+"""Exact linear algebra over Q(i): rank, RREF, rank factorization.
 
 Matrices are immutable tuples of tuples of :class:`GaussianRational`.
-Everything here is fraction-exact; there is no pivoting heuristic beyond
-"first nonzero entry in column order", which makes the reduced row echelon
-form (and hence the rank factorization) deterministic.
+Everything here is exact.  :func:`rank` is the library's one rank routine:
+fraction-free elimination on the matrix scaled to Gaussian integers.  The
+reduced row echelon form is kept for :func:`rank_factorization`, which
+needs the reduced basis; its pivot is the first nonzero entry in column
+order, which makes the factorization deterministic.
 
 Degenerate shapes are first class: a 0 x m or n x 0 matrix keeps its
 column count, and (n x 0) @ (0 x m) is the n x m zero matrix.  Rank-zero
@@ -12,6 +14,7 @@ factorizations rely on this.
 
 from __future__ import annotations
 
+from .kernel import integer_pairs
 from .scalars import GaussianRational, ONE, ZERO, parse_gaussian
 
 
@@ -138,7 +141,53 @@ def rref_with_pivots(M: ScalarMatrix) -> tuple[ScalarMatrix, tuple[int, ...]]:
 
 
 def rank(M: ScalarMatrix) -> int:
-    return len(rref_with_pivots(M)[1])
+    """The rank of M, by fraction-free elimination over Z[i] (Bareiss,
+    Math. Comp. 22, 1968).
+
+    :func:`cubelin.kernel.integer_pairs` first scales M by one common
+    denominator, which keeps the rank.  Every division by the previous
+    pivot is then exact, so a remainder is a bug and raises RuntimeError
+    instead of guessing.
+    """
+    nrows, ncols = M.rows, M.cols
+    pairs = integer_pairs([c for row in M.entries for c in row])
+    are = [[re for re, _ in pairs[i * ncols : (i + 1) * ncols]] for i in range(nrows)]
+    aim = [[im for _, im in pairs[i * ncols : (i + 1) * ncols]] for i in range(nrows)]
+    row = 0
+    prev_re, prev_im = 1, 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        for piv in range(row, nrows):
+            if are[piv][col] or aim[piv][col]:
+                break
+        else:
+            continue
+        are[row], are[piv] = are[piv], are[row]
+        aim[row], aim[piv] = aim[piv], aim[row]
+        top_re, top_im = are[row], aim[row]
+        p_re, p_im = top_re[col], top_im[col]
+        unit = prev_re == 1 and prev_im == 0
+        den = prev_re * prev_re + prev_im * prev_im
+        for row_re, row_im in zip(are[row + 1 :], aim[row + 1 :]):
+            f_re, f_im = row_re[col], row_im[col]
+            for j in range(col + 1, ncols):
+                # p * a - f * b, with a this row's entry and b the pivot row's
+                a_re, a_im, b_re, b_im = row_re[j], row_im[j], top_re[j], top_im[j]
+                nre = p_re * a_re - p_im * a_im - (f_re * b_re - f_im * b_im)
+                nim = p_re * a_im + p_im * a_re - (f_re * b_im + f_im * b_re)
+                if unit:
+                    row_re[j], row_im[j] = nre, nim
+                    continue
+                qre = nre * prev_re + nim * prev_im
+                qim = nim * prev_re - nre * prev_im
+                if qre % den or qim % den:
+                    raise RuntimeError("inexact division in fraction-free elimination")
+                row_re[j], row_im[j] = qre // den, qim // den
+            row_re[col] = row_im[col] = 0
+        prev_re, prev_im = p_re, p_im
+        row += 1
+    return row
 
 
 def rank_factorization(M: ScalarMatrix) -> tuple[ScalarMatrix, ScalarMatrix]:

@@ -25,7 +25,7 @@ from cubelin import (
     parse_gaussian,
     rank_bound_certificate,
 )
-from cubelin.linalg import rank
+from cubelin.linalg import rref_with_pivots
 from cubelin.poly import Exponents, compose, linear_combination
 
 PAPER_EXAMPLE_ROWS = [
@@ -221,8 +221,10 @@ def gram_matrix(A: ScalarMatrix) -> ScalarMatrix:
 
 def reference_certificate(A: ScalarMatrix) -> tuple[bool, int, int]:
     """(trace condition, delta, rank) from the Gram product, the diagonal
-    and RREF rank, without the integer kernel."""
-    return gram_matrix(A).is_zero(), sum(1 for c in A.diagonal() if not c), rank(A)
+    and the RREF pivot count, without the integer kernel or
+    ``linalg.rank``."""
+    trace = gram_matrix(A).is_zero()
+    return trace, sum(1 for c in A.diagonal() if not c), len(rref_with_pivots(A)[1])
 
 
 def mixed_denominator_matrix(rng: random.Random, n: int, shape: int) -> ScalarMatrix:

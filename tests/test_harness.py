@@ -116,6 +116,8 @@ class TestSearchConfig:
             ({"filters": "keller_only"}, "filters must be a list of strings"),
             ({"checks": None}, "checks must be a list of strings"),
             ({"checks": [["x"]]}, "checks must be a list of strings"),
+            # splitmix64 would read 2^64 as seed 0
+            ({"mode": "sample", "count": 5, "seed": 2**64}, r"seed in \[0, 2\*\*64\)"),
         ],
     )
     def test_validation_errors(self, overrides, message):
@@ -279,6 +281,11 @@ class TestSampling:
         ]
         assert one != two
 
+    def test_largest_seed_is_accepted(self):
+        # seeds run up to 2^64 - 1; 2^64 is refused in TestSearchConfig
+        cfg = config(mode="sample", count=3, seed=2**64 - 1)
+        assert len(list(iter_candidate_matrices(cfg))) == 3
+
     def test_digit_formula(self):
         cfg = SearchConfig.from_dict(
             {"n": 2, "alphabet": FULL_ALPHABET, "mode": "sample", "count": 10, "seed": 77}
@@ -381,6 +388,43 @@ class TestDeterminism:
                 )
                 assert other == base
 
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        # a stand-in pool records its size and maps in this process, so the
+        # huge worker counts below start no process at all
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        data = {"n": 3, "alphabet": FULL_ALPHABET, "mode": "sample", "count": 300,
+                "seed": 5, "checks": ["rank_bound"]}
+        cfg = SearchConfig.from_dict(data)
+        base = self._strip_duration(run_search(cfg, workers=1, collect_records=True))
+        # (CPU count, workers asked for, pool size); no count means one CPU
+        for cpus, workers, pool in ((2, 100_000, 2), (8, 5, 5), (None, 100_000, None)):
+            monkeypatch.setattr(harness.os, "cpu_count", lambda cpus=cpus: cpus)
+            sizes.clear()
+            report = run_search(cfg, workers=workers, collect_records=True)
+            assert self._strip_duration(report) == base
+            assert sizes == ([] if pool is None else [pool])
+        # the config's own workers field takes the same cap
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        sizes.clear()
+        wide = SearchConfig.from_dict({**data, "workers": 100_000})
+        assert self._strip_duration(run_search(wide, collect_records=True)) == base
+        assert sizes == [2]
+
     def test_chunk_bounds_partition(self):
         for total, chunks in ((10, 3), (7, 7), (5, 2), (0, 1), (3, 5)):
             bounds = _chunk_bounds(total, chunks)
@@ -471,11 +515,9 @@ class TestRecordKellerBit:
 
 class TestRankOnDemand:
     def test_invert_search_computes_rank_only_for_records(self, monkeypatch):
-        real = harness.rank_ints
+        real = harness.rank
         calls = []
-        monkeypatch.setattr(
-            harness, "rank_ints", lambda n, flat: calls.append(n) or real(n, flat)
-        )
+        monkeypatch.setattr(harness, "rank", lambda M: calls.append(M) or real(M))
         cfg = config(alphabet=FULL_ALPHABET, checks=["invert"])
         report = run_search(cfg, workers=1)
         assert calls == []

@@ -16,6 +16,7 @@ from cubelin import (
 )
 from cubelin import harness, kernel
 from cubelin.harness import iter_candidate_matrices
+from cubelin.linalg import rank
 from helpers import mixed_denominator_matrix, reference_certificate
 
 
@@ -34,8 +35,9 @@ def flat_of(M):
 
 
 def integer_triple(M):
-    flat = flat_of(M)
-    return (*kernel.certificate_ints(M.rows, flat), kernel.rank_ints(M.rows, flat))
+    """The kernel's trace condition and delta, and the rank of
+    ``linalg.rank``, which eliminates on the same integer scaling."""
+    return (*kernel.certificate_ints(M.rows, flat_of(M)), rank(M))
 
 
 def gaussian_int_matrix(rng, n, span):
@@ -60,7 +62,7 @@ class TestAgreement:
             expected = reference_certificate(M)
             assert kernel.certificate_ints(2, flat) == expected[:2]
             assert kernel.certificate_ints_pure(2, flat) == expected[:2]
-            assert kernel.rank_ints(2, flat) == expected[2]
+            assert rank(M) == expected[2]
 
     def test_random_matrices(self):
         rng = random.Random(90)
@@ -71,10 +73,10 @@ class TestAgreement:
             expected = reference_certificate(M)
             assert kernel.certificate_ints(n, flat) == expected[:2]
             assert kernel.certificate_ints_pure(n, flat) == expected[:2]
-            assert kernel.rank_ints(n, flat) == expected[2]
+            assert rank(M) == expected[2]
 
     def test_rank_deficient_products(self):
-        # low-rank matrices force pivot skips and row swaps in elimination
+        # low-rank matrices force pivot skips and row swaps in linalg.rank
         rng = random.Random(91)
         for _ in range(200):
             n = rng.randint(2, 5)
@@ -104,7 +106,7 @@ class TestAgreement:
         assert integer_triple(M) == reference_certificate(M)
 
     def test_complex_pivot_division(self):
-        # pivots -1 and +-i exercise the checked conjugate division
+        # pivots -1 and +-i exercise linalg.rank's checked conjugate division
         M = ScalarMatrix(
             [
                 [g("-1"), g("1"), g("0")],
@@ -118,9 +120,12 @@ class TestAgreement:
         assert kernel.certificate_ints(0, []) == (True, 0)
         assert kernel.certificate_ints(1, [0, 1]) == (False, 0)
         assert kernel.certificate_ints(1, [0, 0]) == (True, 1)
-        assert kernel.rank_ints(0, []) == 0
-        assert kernel.rank_ints(1, [0, 1]) == 1
-        assert kernel.rank_ints(1, [0, 0]) == 0
+        assert rank(ScalarMatrix([], 0)) == 0
+        assert rank(ScalarMatrix([[g("i")]])) == 1
+        assert rank(ScalarMatrix([[g("0")]])) == 0
+        # a 0 x m or n x 0 matrix keeps its shape and has rank 0
+        assert rank(ScalarMatrix([], 3)) == 0
+        assert rank(ScalarMatrix([[]] * 3, 0)) == 0
 
 
 class TestIntegerPairs:

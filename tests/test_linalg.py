@@ -5,7 +5,13 @@ import sympy
 
 from cubelin import ScalarMatrix, parse_gaussian
 from cubelin.linalg import rank, rank_factorization, rref_with_pivots
-from helpers import matrix_to_sympy, paper_example, random_scalar_matrix, transpose
+from helpers import (
+    matrix_to_sympy,
+    paper_example,
+    random_gaussian,
+    random_scalar_matrix,
+    transpose,
+)
 
 
 def g(text):
@@ -14,6 +20,12 @@ def g(text):
 
 def mat(rows):
     return ScalarMatrix([[g(v) for v in row] for row in rows])
+
+
+def random_matrix(rng, rows, cols, den):
+    return ScalarMatrix(
+        [[random_gaussian(rng, 2, den) for _ in range(cols)] for _ in range(rows)], cols
+    )
 
 
 class TestRank:
@@ -44,6 +56,23 @@ class TestRank:
         rng = random.Random(13)
         for _ in range(30):
             M = random_scalar_matrix(rng, rng.randint(1, 4), den=3)
+            assert rank(M) == matrix_to_sympy(M).rank()
+        # rank scales to Gaussian integers and eliminates on every shape:
+        # rows != cols, integral or not, full rank or a product of lower
+        # rank, with zero columns where the pivot search must skip ahead
+        for k in range(90):
+            rows, cols = rng.sample(range(1, 6), 2)
+            den = (1, 2, 4)[k % 3]
+            if k % 2:
+                inner = rng.randint(0, min(rows, cols) - 1)
+                M = random_matrix(rng, rows, inner, den) * random_matrix(rng, inner, cols, 1)
+            else:
+                M = random_matrix(rng, rows, cols, den)
+            zero = set(rng.sample(range(cols), rng.randint(0, cols - 1)))
+            M = ScalarMatrix(
+                [[0 if j in zero else c for j, c in enumerate(row)] for row in M.entries], cols
+            )
+            assert (M.rows, M.cols) == (rows, cols)
             assert rank(M) == matrix_to_sympy(M).rank()
 
 
