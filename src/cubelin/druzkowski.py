@@ -26,11 +26,10 @@ from .poly import Polynomial, PolyMap, linear_combination
 logger = logging.getLogger(__name__)
 
 
-def _as_matrix(A) -> ScalarMatrix:
-    return A if isinstance(A, ScalarMatrix) else ScalarMatrix(A)
-
-
-def _require_square(A: ScalarMatrix) -> ScalarMatrix:
+def _square_matrix(A) -> ScalarMatrix:
+    """A as a ScalarMatrix; ValueError unless it is square."""
+    if not isinstance(A, ScalarMatrix):
+        A = ScalarMatrix(A)
     if not A.is_square():
         raise ValueError(f"cubic-linear map needs a square matrix, got {A.rows}x{A.cols}")
     return A
@@ -38,7 +37,7 @@ def _require_square(A: ScalarMatrix) -> ScalarMatrix:
 
 def expand_map(A) -> PolyMap:
     """The full polynomial map X + (AX)^{*3} with cubes expanded."""
-    A = _require_square(_as_matrix(A))
+    A = _square_matrix(A)
     n = A.rows
     # the case (A, I) of cubic_terms, built directly: every is_keller runs it
     cubes = [Polynomial.linear_form(row).cube() for row in A.entries]
@@ -47,7 +46,7 @@ def expand_map(A) -> PolyMap:
 
 def zero_diagonal_count(A) -> int:
     """delta: how many diagonal entries of A are zero."""
-    A = _require_square(_as_matrix(A))
+    A = _square_matrix(A)
     return sum(1 for c in A.diagonal() if not c)
 
 
@@ -93,7 +92,7 @@ def rank_bound_certificate(A) -> RankBoundCertificate:
     The trace condition and delta come from the integer kernel, on the
     entries times one common denominator, as in a search.
     """
-    A = _require_square(_as_matrix(A))
+    A = _square_matrix(A)
     n = A.rows
     pairs = integer_pairs([c for row in A.entries for c in row])
     holds, delta = certificate_ints(n, [x for pair in pairs for x in pair])
@@ -123,18 +122,3 @@ def cubic_terms(mix, comb, inner, truncate_above: int | None = None) -> list[Pol
         linear_combination(row, inner, nvars).cube(truncate_above) for row in mix.entries
     ]
     return [linear_combination(row, cubes, nvars) for row in comb.entries]
-
-
-def mixed_cubic_map(mix: ScalarMatrix, comb: ScalarMatrix) -> PolyMap:
-    """The map Y -> Y + comb @ (mix @ Y)^{*3} in dim(Y) = mix.cols variables.
-
-    comb is r x m and mix is m x r; the reduced maps of the rank reduction
-    have this shape.
-    """
-    nvars = mix.cols
-    if comb.cols != mix.rows:
-        raise ValueError("shape mismatch between combination and mixing matrices")
-    if comb.rows != nvars:
-        raise ValueError("combination matrix must be square in the reduced dimension")
-    Y = PolyMap.identity(nvars).components
-    return PolyMap([y + t for y, t in zip(Y, cubic_terms(mix, comb, Y))], nvars=nvars)

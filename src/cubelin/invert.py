@@ -10,6 +10,7 @@ C intertwines them, C o F == G o C, F and G are invertible together
 
 F and G are also Keller together, so :func:`is_keller` tests G, on an
 r x r Jacobian; the corollary pipeline runs that test on its own pair.
+Every pair is built as ``GZPair(A)``, which derives B, C and G from A.
 
 Inversion takes that route only: reduce, decide G, lift.  G is decided by
 the fixed-point recurrence G^{-1} <- Y - C (B G^{-1})^{*3}, truncated at a
@@ -29,9 +30,9 @@ follows from the identities the route has checked (see
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .druzkowski import _as_matrix, _require_square, cubic_terms, expand_map, mixed_cubic_map
+from .druzkowski import _square_matrix, cubic_terms, expand_map
 from .linalg import ScalarMatrix, rank_factorization
 from .matrixio import matrix_entries_text
 from .poly import (
@@ -109,18 +110,34 @@ class InverseResult:
 
 @dataclass(frozen=True)
 class GZPair:
-    """A cubic-linear map with its reduced partner; B @ C == A is checked."""
+    """A cubic-linear map with its reduced partner, all derived from A.
+
+    ``GZPair(A)`` takes B and C from :func:`rank_factorization`, checks
+    B @ C == A exactly and builds G = Y + C (BY)^{*3}; at full rank B = A
+    and C = I_n, so G is F and is built by :func:`expand_map`.  No pair's
+    G can disagree with its factors, nor its factors with A.
+    """
 
     matrix: ScalarMatrix
-    B: ScalarMatrix
-    C: ScalarMatrix
-    G: PolyMap
+    B: ScalarMatrix = field(init=False)
+    C: ScalarMatrix = field(init=False)
+    G: PolyMap = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.B * self.C != self.matrix:
+        A = _square_matrix(self.matrix)
+        B, C = rank_factorization(A)
+        if B * C != A:
             raise RuntimeError(
                 "internal check failed: rank factorization does not multiply back"
             )
+        r = B.cols
+        if r == A.rows:
+            G = expand_map(A)
+        else:
+            Y = PolyMap.identity(r).components
+            G = PolyMap([y + t for y, t in zip(Y, cubic_terms(B, C, Y))], nvars=r)
+        for name, value in (("matrix", A), ("B", B), ("C", C), ("G", G)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -146,20 +163,14 @@ class GZPair:
         }
 
 
-def _factor(A) -> GZPair:
-    """A's pair; :class:`GZPair` checks B @ C == A exactly.
-
-    C o F == G o C is left to :func:`_check_intertwining`.  At full rank
-    B = A and C = I_n, so G is F and is built by :func:`expand_map`.
-    """
-    A = _require_square(_as_matrix(A))
-    B, C = rank_factorization(A)
-    G = expand_map(A) if B.cols == A.rows else mixed_cubic_map(B, C)
-    return GZPair(matrix=A, B=B, C=C, G=G)
-
-
 def _check_intertwining(pair: GZPair) -> None:
-    """Check C o F == G o C exactly; at full rank C = I_n and G is F."""
+    """Check C o F == G o C exactly; at full rank C = I_n and G is F.
+
+    A :class:`GZPair` is consistent by construction (A = B @ C gives
+    C (AX)^{*3} = C (B (CX))^{*3}), so this re-tests polynomial arithmetic.
+    It stays until the benchmark stops declaring ``druzkowski.expand_map``
+    on ``maps-int``, where this check is the span's only caller.
+    """
     n = pair.n
     if pair.r == n:
         return
@@ -170,13 +181,13 @@ def _check_intertwining(pair: GZPair) -> None:
 
 
 def gz_reduce(A) -> GZPair:
-    """Factor A and build the reduced map, verifying the intertwining.
+    """``GZPair(A)``, with the intertwining verified.
 
     The factorization B @ C == A (:class:`GZPair`) and C o F == G o C
     (:func:`_check_intertwining`) are both checked exactly on every call;
     a failure of either would be a bug in the reduction, so it raises.
     """
-    pair = _factor(A)
+    pair = GZPair(A)
     _check_intertwining(pair)
     return pair
 
@@ -219,10 +230,11 @@ def is_keller(A) -> bool:
     holds exactly when JG - I_r is nilpotent, which is what is tested, on an
     r x r matrix instead of an n x n one.
 
-    The factorization B @ C == A is checked exactly, the intertwining
-    C o F == G o C of :func:`gz_reduce` is not: this test needs only G.
+    The test runs on ``GZPair(A)``, which checks B @ C == A exactly; the
+    intertwining C o F == G o C of :func:`gz_reduce` is not checked: this
+    test needs only G.
     """
-    return _keller_on_pair(_factor(A))
+    return _keller_on_pair(GZPair(A))
 
 
 def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
@@ -311,7 +323,7 @@ def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
                      = F(X) - (B C X)^{*3}
                      = F(X) - (A X)^{*3} = X.
     """
-    A = _require_square(_as_matrix(A))
+    A = _square_matrix(A)
     bound = default_degree_bound(A.rows) if degree_bound is None else degree_bound
     # bool counts as int, so it is refused by name
     if isinstance(bound, bool) or not isinstance(bound, int):

@@ -14,10 +14,9 @@ trace of a nilpotent matrix.  The tests keep that implication as an oracle.
 
 The reduction itself (``GZPair``, ``gz_reduce``, ``lift_inverse``) lives in
 :mod:`cubelin.invert`, whose one inversion route it is.  The pipeline
-factors A once: the Keller bit, the rank and the inverse all come from
-that one pair, and the intertwining C o F == G o C is checked only once
-both gates have passed.  ``gz_reduce`` and ``lift_inverse`` are
-re-exported here.
+builds one ``GZPair(A)``: the Keller bit, the rank and the inverse all come
+from that one pair, and the intertwining C o F == G o C is checked only
+once both gates have passed.
 """
 
 from __future__ import annotations
@@ -26,13 +25,14 @@ import json
 import logging
 from dataclasses import dataclass
 
-from .druzkowski import _as_matrix, _require_square, zero_diagonal_count
-# gz_reduce is imported to re-export it
+from .druzkowski import _square_matrix, zero_diagonal_count
+# gz_reduce is re-exported because cubench/tracing.py looks up its span and
+# lift_inverse's here until those spans move to invert;
+# tests/test_api.py::test_benchmark_span_resolves guards that lookup
 from .invert import (
     GZPair,
     _check_intertwining,
     _decide,
-    _factor,
     _keller_on_pair,
     default_degree_bound,
     gz_reduce,
@@ -114,20 +114,20 @@ def corollary_pipeline(A) -> CorollaryReport:
     hypothesis gate (diagonal or Keller) ends the run quietly; any failure
     after both hypotheses hold is reported as an anomaly.
 
-    A is factored once, by :func:`cubelin.invert._factor` (B @ C == A is
-    checked), before the gates.  F is Keller exactly when G is (see
-    :func:`is_keller`), so the Keller bit is the nilpotency of JG - I_r on
-    that pair, the rank is r, and the same pair is checked, decided and
-    lifted.  A map that a gate stops pays for no composition.
+    A is factored once, by ``GZPair(A)`` (B @ C == A is checked), before
+    the gates.  F is Keller exactly when G is (see :func:`is_keller`), so
+    the Keller bit is the nilpotency of JG - I_r on that pair, the rank is
+    r, and the same pair is checked, decided and lifted.  A map that a gate
+    stops pays for no composition.
     """
-    A = _require_square(_as_matrix(A))
+    A = _square_matrix(A)
     n = A.rows
     if n > _DIMENSION_CAP:
         raise ValueError(
             f"the invertibility argument applies in dimension <= {_DIMENSION_CAP}, got {n}"
         )
     diag_nonzero = zero_diagonal_count(A) == 0
-    pair = _factor(A)
+    pair = GZPair(A)
     keller = _keller_on_pair(pair)
     if not (diag_nonzero and keller):
         return CorollaryReport(n=n, diag_nonzero=diag_nonzero, keller=keller)

@@ -25,6 +25,7 @@ from cubelin import (
     parse_gaussian,
     rank_bound_certificate,
 )
+from cubelin.druzkowski import cubic_terms
 from cubelin.linalg import rref_with_pivots
 from cubelin.poly import Exponents, compose, linear_combination
 
@@ -319,6 +320,13 @@ def reference_lift(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
         ],
         nvars=n,
     )
+
+
+def reduced_map(mix: ScalarMatrix, comb: ScalarMatrix) -> PolyMap:
+    """Y + comb @ (mix @ Y)^{*3} in mix.cols variables, the formula by which
+    ``GZPair`` builds G below full rank, written out for the tests."""
+    Y = PolyMap.identity(mix.cols).components
+    return PolyMap([y + t for y, t in zip(Y, cubic_terms(mix, comb, Y))], nvars=mix.cols)
 
 
 def three_by_three_keller_corpus() -> list[ScalarMatrix]:

@@ -11,7 +11,7 @@ from cubelin import (
     parse_gaussian,
     rank_bound_certificate,
 )
-from cubelin.druzkowski import cubic_terms, expand_map, mixed_cubic_map, zero_diagonal_count
+from cubelin.druzkowski import cubic_terms, expand_map, zero_diagonal_count
 from cubelin.poly import PolyMatrix, jacobian
 from helpers import (
     cubic_part,
@@ -20,6 +20,7 @@ from helpers import (
     random_gaussian,
     random_polynomial,
     random_scalar_matrix,
+    reduced_map,
     reference_certificate,
     shear_matrix,
     sympy_trace_is_zero,
@@ -226,14 +227,16 @@ class TestCertificate:
 
 
 class TestMixedCubicMap:
+    """Y + cubic_terms(mix, comb, Y), the reduced map's formula."""
+
     def test_square_case_matches_expand(self, paper):
-        assert mixed_cubic_map(paper, ScalarMatrix.identity(4)) == expand_map(paper)
+        assert reduced_map(paper, ScalarMatrix.identity(4)) == expand_map(paper)
 
     def test_rectangular_pair(self):
         # mix 1x2, comb 2x1: components are y_i + c_i * (m . y)^3
         mix = mat([["1", "-1"]])
         comb = mat([["2"], ["0"]])
-        F = mixed_cubic_map(mix, comb)
+        F = reduced_map(mix, comb)
         d = Polynomial.linear_form([g("1"), g("-1")])
         cubes = d * d * d
         y1, y2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)

@@ -16,7 +16,7 @@ from cubelin import (
     parse_gaussian,
 )
 from cubelin import decide_automorphism, druzkowski, invert, is_keller, linalg, pairing, poly
-from cubelin.druzkowski import expand_map, mixed_cubic_map, zero_diagonal_count
+from cubelin.druzkowski import expand_map, zero_diagonal_count
 from cubelin.invert import _decide, default_degree_bound
 from cubelin.linalg import rank
 from cubelin.poly import compose, linear_combination
@@ -24,6 +24,7 @@ from helpers import (
     PAPER_EXAMPLE_ROWS,
     UNIT_ALPHABET,
     random_scalar_matrix,
+    reduced_map,
     reference_lift,
     shear_matrix,
     three_by_three_keller_corpus,
@@ -134,6 +135,31 @@ class TestGzReduce:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             gz_reduce(ScalarMatrix([[0] * 3] * 2, 3))
+
+
+class TestPairConstructor:
+    def test_pair_is_derived_from_its_matrix(self, paper):
+        # the matrix is the only argument: B, C and G come from it
+        pair = GZPair(paper)
+        for name in ("B", "C", "G"):
+            with pytest.raises(TypeError):
+                GZPair(paper, **{name: getattr(pair, name)})
+        matrices = [
+            ScalarMatrix([entries[:2], entries[2:]])
+            for entries in itertools.product(UNIT_ALPHABET, repeat=4)
+        ]
+        matrices += three_by_three_keller_corpus()
+        full_rank = 0
+        for A in matrices:
+            pair = GZPair(A)
+            assert pair.matrix == A
+            assert pair.B * pair.C == A
+            assert pair.G == reduced_map(pair.B, pair.C)
+            if pair.r == A.rows:
+                # the full-rank fork builds G by expand_map
+                full_rank += 1
+                assert pair.G == expand_map(A)
+        assert full_rank > 0
 
 
 class TestLiftInverse:
@@ -259,17 +285,6 @@ class TestLiftInverse:
         with pytest.raises(RuntimeError, match="does not invert F"):
             lift_inverse(pair, g_inverse)
 
-    def test_rejects_a_lift_that_does_not_invert_f(self, paper):
-        # B scaled by 2, with G made for that B: its reduced map has a
-        # verified inverse, but 2 B C != A, so the pair cannot be built and
-        # no lift of it can fail to invert F
-        pair = gz_reduce(paper)
-        B = ScalarMatrix([[g("2") * c for c in row] for row in pair.B.entries])
-        G = mixed_cubic_map(B, pair.C)
-        assert compose(G, _decide(B, pair.C, 3)) == PolyMap.identity(2)
-        with pytest.raises(RuntimeError, match="does not multiply back"):
-            GZPair(matrix=paper, B=B, C=pair.C, G=G)
-
 
 class TestCorollaryPipeline:
     def test_paper_example(self, paper, paper_decision):
@@ -325,11 +340,10 @@ class TestCorollaryPipeline:
         assert "anomaly: reduced map not invertible" in caplog.text
 
     def test_rank_above_four_is_an_anomaly(self, monkeypatch, caplog):
-        # no input reaches this stage either; a planted rank-5 pair whose
-        # reduced map is the identity (so Keller) does
+        # no input reaches this stage either; I5 has rank 5 and a zero-free
+        # diagonal, and a planted Keller answer takes it past that gate
         I5 = ScalarMatrix.identity(5)
-        planted = GZPair(matrix=I5, B=I5, C=I5, G=PolyMap.identity(5))
-        monkeypatch.setattr(pairing, "_factor", lambda A: planted)
+        monkeypatch.setattr(pairing, "_keller_on_pair", lambda pair: True)
         with caplog.at_level(logging.WARNING, logger="cubelin.pairing"):
             report = corollary_pipeline(I5)
         assert report.hypotheses_hold
@@ -340,11 +354,14 @@ class TestCorollaryPipeline:
         assert "anomaly: rank above four" in caplog.text
 
     def test_intertwining_checked_after_the_gates(self, paper, monkeypatch):
-        # a planted pair whose G passes every gate but is not paper's G:
-        # the pipeline checks C o F == G o C before deciding G
-        pair = gz_reduce(paper)
-        planted = GZPair(matrix=paper, B=pair.B, C=pair.C, G=PolyMap.identity(2))
-        monkeypatch.setattr(pairing, "_factor", lambda A: planted)
+        # a corrupted F, built only by the intertwining check (paper has
+        # rank 2, so GZPair does not expand F): the pipeline checks
+        # C o F == G o C after the gates and before deciding G
+        def corrupted(A):
+            F = expand_map(A)
+            return PolyMap([F.components[0] + F.components[1], *F.components[1:]])
+
+        monkeypatch.setattr(invert, "expand_map", corrupted)
         with pytest.raises(RuntimeError, match="does not intertwine"):
             corollary_pipeline(paper)
 
