@@ -179,7 +179,7 @@ def _cmd_search(args) -> int:
         raise ValueError(f"cannot read config file {args.config!r}: {exc}") from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"config file is not valid JSON: {exc}") from exc
     config = SearchConfig.from_dict(data)
     report = run_search(config, workers=args.workers, collect_records=args.records)

@@ -295,9 +295,6 @@ def _scan_range(
     want_rank_bound = "rank_bound" in config.checks
     want_invert = "invert" in config.checks
     want_corollary = "corollary" in config.checks
-    # a record that still lacks the Keller bit takes it from the trace
-    # certificate below: Keller maps meet the trace condition
-    want_keller = keller_filter or want_invert
 
     for index, digits in zip(
         range(start, stop), _iter_digit_vectors(config, start, stop)
@@ -311,6 +308,10 @@ def _scan_range(
             # the rank matters only to the rank_bound check where the trace
             # condition holds, or to a record, which computes it below
             want_rank = holds and want_rank_bound
+            # Keller maps meet the trace condition, so invert tests only the
+            # candidates that do; keller_only tests all, as the is_keller
+            # spans of cubench's search-keller declare (ROADMAP item 1)
+            want_keller = keller_filter or (holds and want_invert)
             matrix = keller = rank_ = None
             if want_keller or want_corollary or want_rank:
                 matrix = _candidate_matrix(alphabet, n, digits)

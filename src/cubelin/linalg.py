@@ -1,11 +1,11 @@
-"""Exact linear algebra over Q(i): rank, RREF, rank factorization.
+"""Exact linear algebra over Q(i): rank and rank factorization.
 
 Matrices are immutable tuples of tuples of :class:`GaussianRational`.
-Everything here is exact.  :func:`rank` is the library's one rank routine:
-fraction-free elimination on the matrix scaled to Gaussian integers.  The
-reduced row echelon form is kept for :func:`rank_factorization`, which
-needs the reduced basis; its pivot is the first nonzero entry in column
-order, which makes the factorization deterministic.
+Everything here is exact.  One row reduction serves both functions:
+fraction-free Gauss-Jordan elimination on the matrix scaled to Gaussian
+integers.  :func:`rank` counts its pivots, and :func:`rank_factorization`
+reads the reduced basis off its rows.  Each pivot is the first nonzero
+entry in column order, which makes the factorization deterministic.
 
 Degenerate shapes are first class: a 0 x m or n x 0 matrix keeps its
 column count, and (n x 0) @ (0 x m) is the n x m zero matrix.  Rank-zero
@@ -13,6 +13,8 @@ factorizations rely on this.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .kernel import integer_pairs
 from .scalars import GaussianRational, ONE, ZERO, parse_gaussian
@@ -105,54 +107,24 @@ class ScalarMatrix:
         return f"ScalarMatrix[{body}]"
 
 
-def rref_with_pivots(M: ScalarMatrix) -> tuple[ScalarMatrix, tuple[int, ...]]:
-    """Reduced row echelon form plus the pivot column indices.
-
-    Deterministic: each pivot is the first row (top to bottom) with a
-    nonzero entry in the leftmost unresolved column.
-    """
-    rows = [list(row) for row in M.entries]
-    nrows = len(rows)
-    ncols = M.cols
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [inv * c for c in rows[r]]
-        for i in range(nrows):
-            if i == r:
-                continue
-            factor = rows[i][col]
-            if factor:
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    return ScalarMatrix._raw(tuple(tuple(row) for row in rows), ncols), tuple(pivots)
-
-
-def rank(M: ScalarMatrix) -> int:
-    """The rank of M, by fraction-free elimination over Z[i] (Bareiss,
-    Math. Comp. 22, 1968).
+def _eliminate(M: ScalarMatrix) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination over Z[i] (Bareiss, Math.
+    Comp. 22, 1968; Nakos, Turner and Williams, SIGSAM Bull. 31, 1997).
 
     :func:`cubelin.kernel.integer_pairs` first scales M by one common
-    denominator, which keeps the rank.  Every division by the previous
-    pivot is then exact, so a remainder is a bug and raises RuntimeError
-    instead of guessing.
+    denominator, which keeps its rank and its RREF.  Each pivot is the
+    first row, top to bottom, with a nonzero entry in the leftmost
+    unresolved column, and every other row, above or below, is cleared in
+    that column.  Returns the pivot columns and the reduced rows as real
+    and imaginary integer parts.  Every division by the previous pivot is
+    exact, so a remainder is a bug and raises RuntimeError instead of
+    guessing; at the end every pivot entry equals the last pivot.
     """
     nrows, ncols = M.rows, M.cols
     pairs = integer_pairs([c for row in M.entries for c in row])
     are = [[re for re, _ in pairs[i * ncols : (i + 1) * ncols]] for i in range(nrows)]
     aim = [[im for _, im in pairs[i * ncols : (i + 1) * ncols]] for i in range(nrows)]
+    pivots: list[int] = []
     row = 0
     prev_re, prev_im = 1, 0
     for col in range(ncols):
@@ -169,9 +141,12 @@ def rank(M: ScalarMatrix) -> int:
         p_re, p_im = top_re[col], top_im[col]
         unit = prev_re == 1 and prev_im == 0
         den = prev_re * prev_re + prev_im * prev_im
-        for row_re, row_im in zip(are[row + 1 :], aim[row + 1 :]):
+        for i, (row_re, row_im) in enumerate(zip(are, aim)):
+            if i == row:
+                continue
             f_re, f_im = row_re[col], row_im[col]
-            for j in range(col + 1, ncols):
+            # this row and the pivot row are both zero left of the start
+            for j in range(pivots[i] if i < row else col, ncols):
                 # p * a - f * b, with a this row's entry and b the pivot row's
                 a_re, a_im, b_re, b_im = row_re[j], row_im[j], top_re[j], top_im[j]
                 nre = p_re * a_re - p_im * a_im - (f_re * b_re - f_im * b_im)
@@ -184,22 +159,43 @@ def rank(M: ScalarMatrix) -> int:
                 if qre % den or qim % den:
                     raise RuntimeError("inexact division in fraction-free elimination")
                 row_re[j], row_im[j] = qre // den, qim // den
-            row_re[col] = row_im[col] = 0
+        pivots.append(col)
         prev_re, prev_im = p_re, p_im
         row += 1
-    return row
+    return pivots, are, aim
+
+
+def rank(M: ScalarMatrix) -> int:
+    """The rank of M: the pivot count of :func:`_eliminate`."""
+    return len(_eliminate(M)[0])
+
+
+def _quotient(num: int, den: int) -> Fraction | int:
+    # num / den (den > 0) as a stored part of a GaussianRational
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 def rank_factorization(M: ScalarMatrix) -> tuple[ScalarMatrix, ScalarMatrix]:
     """Write M (n x m, rank r) as B @ C with B n x r and C r x m.
 
-    B collects the pivot columns of M itself; C collects the nonzero rows
-    of the RREF.  Both factors have full rank r, and B @ C == M exactly.
+    B collects the pivot columns of M itself; C is the nonzero rows of the
+    RREF: the first r rows of :func:`_eliminate`, each divided by the last
+    pivot d, which every pivot entry equals.  Both factors have full rank
+    r, and B @ C == M exactly.
     """
-    reduced, pivots = rref_with_pivots(M)
+    pivots, are, aim = _eliminate(M)
     r = len(pivots)
-    B = ScalarMatrix._raw(
-        tuple(tuple(row[j] for j in pivots) for row in M.entries), r
+    B = ScalarMatrix._raw(tuple(tuple(row[j] for j in pivots) for row in M.entries), r)
+    # (a + bi) / d == (a + bi) * conj(d) / |d|^2
+    d_re, d_im = (are[0][pivots[0]], aim[0][pivots[0]]) if r else (1, 0)
+    norm = d_re * d_re + d_im * d_im
+    C = tuple(
+        tuple(
+            GaussianRational._raw(
+                _quotient(a * d_re + b * d_im, norm), _quotient(b * d_re - a * d_im, norm)
+            )
+            for a, b in zip(row_re, row_im)
+        )
+        for row_re, row_im in zip(are[:r], aim[:r])
     )
-    C = ScalarMatrix._raw(tuple(reduced.entries[i] for i in range(r)), M.cols)
-    return B, C
+    return B, ScalarMatrix._raw(C, M.cols)

@@ -21,7 +21,7 @@ def parse_matrix(text: str) -> ScalarMatrix:
     """Parse a JSON array-of-arrays of complex literals exactly."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MatrixParseError(f"matrix is not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise MatrixParseError("matrix must be a JSON array of rows")

@@ -3,10 +3,10 @@
 sympy is used as an independent oracle: conversions go through strings or raw
 integer pairs, never through the code paths under test.  The generic
 fixed-point inverse, the cubic part, the trace polynomial, the Q(i) Gram
-product and the lift below are second routes to what the library computes
-its own way, kept here as oracles only.  So are degree truncation and the
-truncated composition: the library composes exactly and truncates only
-inside ``Polynomial.mul`` and ``Polynomial.cube``.
+product, the Q(i) RREF and the lift below are second routes to what the
+library computes its own way, kept here as oracles only.  So are degree
+truncation and the truncated composition: the library composes exactly and
+truncates only inside ``Polynomial.mul`` and ``Polynomial.cube``.
 """
 
 import itertools
@@ -26,7 +26,6 @@ from cubelin import (
     rank_bound_certificate,
 )
 from cubelin.druzkowski import cubic_terms
-from cubelin.linalg import rref_with_pivots
 from cubelin.poly import Exponents, compose, linear_combination
 
 PAPER_EXAMPLE_ROWS = [
@@ -218,6 +217,41 @@ def gram_matrix(A: ScalarMatrix) -> ScalarMatrix:
         [[d * c for c in row] for d, row in zip(A.diagonal(), A.entries)], A.cols
     )
     return transpose(A) * scaled
+
+
+def rref_with_pivots(M: ScalarMatrix) -> tuple[ScalarMatrix, tuple[int, ...]]:
+    """Reduced row echelon form plus the pivot column indices.
+
+    Deterministic: each pivot is the first row (top to bottom) with a
+    nonzero entry in the leftmost unresolved column.
+    """
+    rows = [list(row) for row in M.entries]
+    nrows = len(rows)
+    ncols = M.cols
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [inv * c for c in rows[r]]
+        for i in range(nrows):
+            if i == r:
+                continue
+            factor = rows[i][col]
+            if factor:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return ScalarMatrix._raw(tuple(tuple(row) for row in rows), ncols), tuple(pivots)
 
 
 def reference_certificate(A: ScalarMatrix) -> tuple[bool, int, int]:

@@ -301,7 +301,8 @@ class TestSearch:
             tmp_path,
             {"n": 2, "alphabet": ["0", "1"], "mode": "enumerate", "checks": ["invert"]},
         )
-        target = parse_matrix('[["0", "1"], ["0", "1"]]')  # candidate 5
+        # candidate 6, which meets the trace condition, so is_keller runs on it
+        target = parse_matrix('[["0", "1"], ["1", "0"]]')
         real = harness_module.is_keller
 
         def planted(M):
@@ -313,7 +314,7 @@ class TestSearch:
         code, out, err = run(capsys, "search", path, "--json")
         assert code == 2
         assert out == ""
-        assert err == "error: candidate 5: internal check failed: planted\n"
+        assert err == "error: candidate 6: internal check failed: planted\n"
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "search", str(tmp_path / "nope.json"))
@@ -353,6 +354,27 @@ class TestUsage:
         assert out == ""
         assert err.startswith("error: ")
         assert "row 1, column 1" in err
+
+    def test_deeply_nested_json_is_an_error_line(self, tmp_path):
+        # json.loads raises RecursionError here; run as a process, so an
+        # uncaught exception would show its traceback
+        deep = "[" * 100_000
+        matrix_file = tmp_path / "deep.json"
+        matrix_file.write_text(deep)
+        config_file = tmp_path / "deep-config.json"
+        config_file.write_text(deep)
+        package_root = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(package_root)}
+        for argv in (
+            ["verify", deep], ["verify", str(matrix_file)], ["search", str(config_file)],
+        ):
+            done = subprocess.run(
+                [sys.executable, "-m", "cubelin.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert done.returncode == 1, done.stderr
+            assert done.stderr.startswith("error:"), done.stderr
+            assert "Traceback" not in done.stderr
 
     def test_missing_matrix_file(self, capsys):
         code, _, err = run(capsys, "verify", "no-such-file.json")

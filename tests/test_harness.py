@@ -8,6 +8,7 @@ from cubelin import (
     ScalarMatrix,
     SearchConfig,
     parse_gaussian,
+    rank_bound_certificate,
     run_search,
 )
 from cubelin import harness
@@ -513,6 +514,31 @@ class TestRecordKellerBit:
                 assert [json.dumps(r) for r in other] == base
 
 
+class TestInvertKellerBit:
+    """An invert check without keller_only tests Keller only where the
+    trace condition holds, as records do."""
+
+    def test_keller_tested_only_where_trace_holds(self, monkeypatch):
+        real = harness.is_keller
+        calls = []
+        monkeypatch.setattr(harness, "is_keller", lambda M: calls.append(M) or real(M))
+        for data in (
+            {"n": 2, "alphabet": FULL_ALPHABET, "mode": "enumerate"},
+            {"n": 3, "alphabet": FULL_ALPHABET, "mode": "sample", "count": 200, "seed": 7},
+        ):
+            cfg = SearchConfig.from_dict({**data, "checks": ["invert"]})
+            calls.clear()
+            report = run_search(cfg, workers=1)
+            holding = [
+                M for _, M in iter_candidate_matrices(cfg)
+                if rank_bound_certificate(M).trace_condition_holds
+            ]
+            assert calls == holding
+            assert 0 < len(holding) < report.totals["visited"]
+            if cfg.n == 2:
+                assert 0 < report.totals["invert"]["keller"] < len(holding)
+
+
 class TestRankOnDemand:
     def test_invert_search_computes_rank_only_for_records(self, monkeypatch):
         real = harness.rank
@@ -548,7 +574,10 @@ class TestReportShape:
 class TestInternalCheckErrors:
     def test_failure_names_the_candidate(self, monkeypatch):
         cfg = config(checks=["invert"])
-        target = dict(iter_candidate_matrices(cfg))[5]
+        # candidate 6 is [[0, 1], [1, 0]]: it meets the trace condition,
+        # so the invert check runs is_keller on it
+        target = dict(iter_candidate_matrices(cfg))[6]
+        assert rank_bound_certificate(target).trace_condition_holds
         real = harness.is_keller
 
         def planted(M):
@@ -557,5 +586,5 @@ class TestInternalCheckErrors:
             return real(M)
 
         monkeypatch.setattr(harness, "is_keller", planted)
-        with pytest.raises(RuntimeError, match="^candidate 5: internal check failed: planted$"):
+        with pytest.raises(RuntimeError, match="^candidate 6: internal check failed: planted$"):
             run_search(cfg)

@@ -4,12 +4,13 @@ import pytest
 import sympy
 
 from cubelin import ScalarMatrix, parse_gaussian
-from cubelin.linalg import rank, rank_factorization, rref_with_pivots
+from cubelin.linalg import rank, rank_factorization
 from helpers import (
     matrix_to_sympy,
     paper_example,
     random_gaussian,
     random_scalar_matrix,
+    rref_with_pivots,
     transpose,
 )
 
@@ -129,6 +130,35 @@ class TestRankFactorization:
         I3 = ScalarMatrix.identity(3)
         B, C = rank_factorization(I3)
         assert B == I3 and C == I3
+
+    def test_against_rref_oracle(self):
+        # shapes from 0 x 0 to 5 x 5, integral or with mixed denominators,
+        # full rank or a product of lower rank, with zero rows and columns
+        rng = random.Random(18)
+        for k in range(300):
+            rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+            den = (1, 2, 6)[k % 3]
+            if k % 2 and rows and cols:
+                inner = rng.randint(0, min(rows, cols) - 1)
+                M = random_matrix(rng, rows, inner, den) * random_matrix(rng, inner, cols, 3)
+            else:
+                M = random_matrix(rng, rows, cols, den)
+            zero_rows = set(rng.sample(range(rows), rng.randint(0, rows) // 2))
+            zero_cols = set(rng.sample(range(cols), rng.randint(0, cols) // 2))
+            M = ScalarMatrix(
+                [[0 if i in zero_rows or j in zero_cols else c for j, c in enumerate(row)]
+                 for i, row in enumerate(M.entries)],
+                cols,
+            )
+            R, pivots = rref_with_pivots(M)
+            r = len(pivots)
+            B, C = rank_factorization(M)
+            assert rank(M) == r
+            assert B == ScalarMatrix([[row[j] for j in pivots] for row in M.entries], r)
+            assert C == ScalarMatrix(R.entries[:r], cols)
+            # C's parts keep the scalars' normal form: int exactly when integral
+            for part in (p for row in C.entries for c in row for p in (c.re, c.im)):
+                assert (type(part) is int) == (part.denominator == 1)
 
     def test_zero_matrix_keeps_shape(self):
         Z = ScalarMatrix([[0] * 3] * 3, 3)
