@@ -44,12 +44,6 @@ def expand_map(A) -> PolyMap:
     return PolyMap([Polynomial.variable(n, i) + cubes[i] for i in range(n)], nvars=n)
 
 
-def zero_diagonal_count(A) -> int:
-    """delta: how many diagonal entries of A are zero."""
-    A = _square_matrix(A)
-    return sum(1 for c in A.diagonal() if not c)
-
-
 @dataclass(frozen=True)
 class RankBoundCertificate:
     """Checked instance of the inequality 2 * rank(A) <= n + delta.

@@ -74,9 +74,10 @@ def enumeration_ceiling() -> int:
 
 
 class CeilingExceededError(ValueError):
-    """Enumerate-mode candidate count above the configured ceiling."""
+    """Enumerate-mode candidate count above the configured ceiling; ``total``
+    is the count or its text, "K^m" or, where the decimal is short, "K^m = N"."""
 
-    def __init__(self, total: int, ceiling: int):
+    def __init__(self, total: int | str, ceiling: int):
         super().__init__(
             f"enumeration needs {total} candidates, above the ceiling {ceiling}; "
             f"raise {CEILING_ENV_VAR} or shrink the alphabet"
@@ -180,11 +181,21 @@ class SearchConfig:
         return len(self.alphabet) ** (self.n * self.n)
 
     def check_ceiling(self) -> None:
-        if self.mode == "enumerate":
-            total = self.total_candidates()
-            ceiling = enumeration_ceiling()
-            if total > ceiling:
-                raise CeilingExceededError(total, ceiling)
+        # K^(n^2) is multiplied out only to the first power past the
+        # ceiling: the full count can have millions of digits
+        if self.mode != "enumerate":
+            return
+        ceiling = enumeration_ceiling()
+        base, width = len(self.alphabet), self.n * self.n
+        if base == 1:
+            return
+        power = 1
+        for _ in range(width):
+            power *= base
+            if power > ceiling:
+                short = width * base.bit_length() <= 100
+                count = f"{base}^{width}" + (f" = {base ** width}" if short else "")
+                raise CeilingExceededError(count, ceiling)
 
     def to_dict(self) -> dict:
         echo = {
@@ -305,15 +316,14 @@ def _scan_range(
             holds, delta = certificate_ints(n, flat)
             if trace_filter and not holds:
                 continue
-            # the rank matters only to the rank_bound check where the trace
-            # condition holds, or to a record, which computes it below
-            want_rank = holds and want_rank_bound
             # Keller maps meet the trace condition, so invert tests only the
             # candidates that do; keller_only tests all, as the is_keller
             # spans of cubench's search-keller declare (ROADMAP item 1)
             want_keller = keller_filter or (holds and want_invert)
-            matrix = keller = rank_ = None
-            if want_keller or want_corollary or want_rank:
+            matrix = keller = certificate = None
+            # the rank matters only to the rank_bound check where the trace
+            # condition holds, or to a record, which certifies it below
+            if want_keller or want_corollary or (holds and want_rank_bound):
                 matrix = _candidate_matrix(alphabet, n, digits)
             if want_keller:
                 keller = is_keller(matrix)
@@ -326,9 +336,9 @@ def _scan_range(
 
             if want_rank_bound:
                 totals["rank_bound"]["checked"] += 1
-                if want_rank:
-                    rank_ = rank(matrix)
-                    if 2 * rank_ > n + delta:
+                if holds:
+                    certificate = RankBoundCertificate(n, holds, delta, rank(matrix))
+                    if not certificate.theorem_satisfied:
                         totals["rank_bound"]["anomalies"] += 1
                         anomaly = True
 
@@ -360,17 +370,12 @@ def _scan_range(
                     matrix = _candidate_matrix(alphabet, n, digits)
                 if keller is None:
                     keller = holds and is_keller(matrix)
-                if rank_ is None:
-                    rank_ = rank(matrix)
+                if certificate is None:
+                    certificate = RankBoundCertificate(n, holds, delta, rank(matrix))
                 record = {
                     "index": index,
                     "matrix": matrix_entries_text(matrix),
-                    "certificate": RankBoundCertificate(
-                        n=n,
-                        trace_condition_holds=holds,
-                        delta=delta,
-                        rank=rank_,
-                    ).to_dict(),
+                    "certificate": certificate.to_dict(),
                     "keller": keller,
                     "inverse_degree": inverse_degree,
                     "anomaly": anomaly,

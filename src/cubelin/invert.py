@@ -22,8 +22,8 @@ collapsed forms (no truncation).  The lift works in the reduced space
 too: it cubes the forms B_j . G^{-1}(Y) in r variables and carries G^{-1}
 and the cubes to Z by one substitution Y = C Z, a ring homomorphism.  It
 checks G^{-1} o G == id, then C F^{-1} == G^{-1}(C Z) on r linear forms,
-which proves F o F^{-1} == id and G o G^{-1} == id; F^{-1} o F == id
-follows from the identities the route has checked (see
+which proves F o F^{-1} == id, G o G^{-1} == id and C o F == G o C;
+F^{-1} o F == id follows from the identities the route has checked (see
 :func:`decide_automorphism`).
 """
 
@@ -163,32 +163,25 @@ class GZPair:
         }
 
 
-def _check_intertwining(pair: GZPair) -> None:
-    """Check C o F == G o C exactly; at full rank C = I_n and G is F.
+def gz_reduce(A) -> GZPair:
+    """``GZPair(A)``, with C o F == G o C checked exactly below full rank
+    (at full rank C = I_n and G is F); a failure would be a bug, so it raises.
 
-    A :class:`GZPair` is consistent by construction (A = B @ C gives
-    C (AX)^{*3} = C (B (CX))^{*3}), so this re-tests polynomial arithmetic.
-    It stays until the benchmark stops declaring ``druzkowski.expand_map``
-    on ``maps-int``, where this check is the span's only caller.
+    The pair is consistent by construction (A = B @ C gives
+    C (AX)^{*3} = C (B (CX))^{*3}), so the check re-tests polynomial
+    arithmetic.  It stays here for two reasons: a NotInvertible answer of
+    :func:`decide_automorphism` rests on G as built, which no lift checks,
+    and it is maps-int's only route into the declared druzkowski.expand_map
+    span.  :func:`corollary_pipeline` skips it: its lift proves the identity.
     """
+    pair = GZPair(A)
     n = pair.n
     if pair.r == n:
-        return
+        return pair
     F = expand_map(pair.matrix)
     C_after_F = [linear_combination(row, F.components, n) for row in pair.C.entries]
     if PolyMap(C_after_F, nvars=n) != compose(pair.G, pair.projection()):
         raise RuntimeError("internal check failed: reduction does not intertwine")
-
-
-def gz_reduce(A) -> GZPair:
-    """``GZPair(A)``, with the intertwining verified.
-
-    The factorization B @ C == A (:class:`GZPair`) and C o F == G o C
-    (:func:`_check_intertwining`) are both checked exactly on every call;
-    a failure of either would be a bug in the reduction, so it raises.
-    """
-    pair = GZPair(A)
-    _check_intertwining(pair)
     return pair
 
 
@@ -252,10 +245,13 @@ def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
 
     - F o F^{-1} == id: with A = B C (held by :class:`GZPair`),
       A F^{-1} = B G^{-1}(C Z) = l, so F(F^{-1})_i = Z_i - l_i^3 + l_i^3.
-    - G o G^{-1} == id: as G(W) = W + C (B W)^{*3}, C F^{-1} - G^{-1}(C Z)
-      is Y - G(G^{-1}(Y)) at Y = C Z, and C is onto.
+    - G° o G^{-1} == id for G°(W) = W + C (B W)^{*3}, formed from B and C:
+      C F^{-1} - G^{-1}(C Z) is Y - G°(G^{-1}(Y)) at Y = C Z, and C is onto.
 
-    F^{-1} o F == id then follows as :func:`decide_automorphism` argues.
+    With G^{-1} o G == id, checked first, G = G° o G^{-1} o G = G°: the G
+    of the pair is F's reduced partner, so G o G^{-1} == id, and
+    C o F == G o C follows from B C == A.  F^{-1} o F == id then follows as
+    :func:`decide_automorphism` argues.
     """
     r = pair.r
     if g_inverse.dimension != r or g_inverse.nvars != r:

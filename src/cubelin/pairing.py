@@ -15,8 +15,9 @@ trace of a nilpotent matrix.  The tests keep that implication as an oracle.
 The reduction itself (``GZPair``, ``gz_reduce``, ``lift_inverse``) lives in
 :mod:`cubelin.invert`, whose one inversion route it is.  The pipeline
 builds one ``GZPair(A)``: the Keller bit, the rank and the inverse all come
-from that one pair, and the intertwining C o F == G o C is checked only
-once both gates have passed.
+from that one pair.  It does not check the intertwining C o F == G o C as
+:func:`gz_reduce` does: on a verified report the lift's two checks prove it
+(see :func:`lift_inverse`), and a map that a gate stops needs none.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ import json
 import logging
 from dataclasses import dataclass
 
-from .druzkowski import _square_matrix, zero_diagonal_count
+from .druzkowski import _square_matrix
 # gz_reduce is re-exported because cubench/tracing.py looks up its span and
 # lift_inverse's here until those spans move to invert;
 # tests/test_api.py::test_benchmark_span_resolves guards that lookup
 from .invert import (
     GZPair,
-    _check_intertwining,
     _decide,
     _keller_on_pair,
     default_degree_bound,
@@ -108,17 +108,20 @@ def corollary_pipeline(A) -> CorollaryReport:
     """Run the full invertibility argument for dimension at most nine.
 
     Stages, in order: dimension cap (hard error above nine), nonzero
-    diagonal, Keller condition, rank at most four, then the checked
-    intertwining C o F == G o C, the decision on G at 3^(r-1) and the lift,
-    the steps that :func:`decide_automorphism` takes too.  A failed
-    hypothesis gate (diagonal or Keller) ends the run quietly; any failure
-    after both hypotheses hold is reported as an anomaly.
+    diagonal, Keller condition, rank at most four, then the decision on G
+    at 3^(r-1) and the lift, the steps that :func:`decide_automorphism`
+    takes too.  A failed hypothesis gate (diagonal or Keller) ends the run
+    quietly; any failure after both hypotheses hold is reported as an
+    anomaly.
 
     A is factored once, by ``GZPair(A)`` (B @ C == A is checked), before
     the gates.  F is Keller exactly when G is (see :func:`is_keller`), so
     the Keller bit is the nilpotency of JG - I_r on that pair, the rank is
-    r, and the same pair is checked, decided and lifted.  A map that a gate
-    stops pays for no composition.
+    r, and the same pair is decided and lifted.  The intertwining
+    C o F == G o C is not checked apart: the lift checks G^{-1} o G == id
+    and C F^{-1} == G^{-1}(C Z), which give G = Y + C (BY)^{*3}, and with
+    B C == A that is C o F == G o C.  A map that a gate stops pays for no
+    composition.
     """
     A = _square_matrix(A)
     n = A.rows
@@ -126,7 +129,7 @@ def corollary_pipeline(A) -> CorollaryReport:
         raise ValueError(
             f"the invertibility argument applies in dimension <= {_DIMENSION_CAP}, got {n}"
         )
-    diag_nonzero = zero_diagonal_count(A) == 0
+    diag_nonzero = all(A.diagonal())
     pair = GZPair(A)
     keller = _keller_on_pair(pair)
     if not (diag_nonzero and keller):
@@ -138,7 +141,6 @@ def corollary_pipeline(A) -> CorollaryReport:
         logger.warning("anomaly: rank above four for %r: %s", A, report.to_json())
         return report
 
-    _check_intertwining(pair)
     g_inverse = _decide(pair.B, pair.C, default_degree_bound(r))
     base = dict(n=n, diag_nonzero=True, keller=True, rank=r, pair=pair)
     if g_inverse is None:

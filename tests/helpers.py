@@ -25,8 +25,8 @@ from cubelin import (
     parse_gaussian,
     rank_bound_certificate,
 )
-from cubelin.druzkowski import cubic_terms
-from cubelin.poly import Exponents, compose, linear_combination
+from cubelin.druzkowski import cubic_terms, expand_map
+from cubelin.poly import Exponents, compose, compose_polynomial, linear_combination
 
 PAPER_EXAMPLE_ROWS = [
     ["1", "i", "1", "1"],
@@ -354,6 +354,23 @@ def reference_lift(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
         ],
         nvars=n,
     )
+
+
+def intertwines(A: ScalarMatrix, pair: GZPair) -> bool:
+    """C o F == G o C for F = X + (AX)^{*3}, recomputed from scratch: each
+    row of C summed term by term against the expanded F, each G_i composed
+    with Y = C X.  The library checks this in ``gz_reduce`` only; this is
+    the oracle for every other route to a pair."""
+    n = A.rows
+    F = expand_map(A)
+    projection = pair.projection()
+    for i in range(pair.r):
+        left = Polynomial.zero(n)
+        for j in range(n):
+            left = left + Polynomial.constant(n, pair.C.entries[i][j]) * F.components[j]
+        if left != compose_polynomial(pair.G.components[i], projection):
+            return False
+    return True
 
 
 def reduced_map(mix: ScalarMatrix, comb: ScalarMatrix) -> PolyMap:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,17 @@ class TestSearch:
             tmp_path, {"n": 2, "alphabet": ["0", "1"], "mode": "enumerate"}
         )
         code, _, err = run(capsys, "search", path)
+        assert code == 1
+        assert "ceiling" in err
+
+    def test_huge_enumeration_refused_quickly(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("CUBELIN_CEILING", raising=False)
+        path = self.write_config(
+            tmp_path, {"n": 100, "alphabet": ["0", "1", "i"], "mode": "enumerate"}
+        )
+        started = time.perf_counter()
+        code, _, err = run(capsys, "search", path)
+        assert time.perf_counter() - started < 1.0
         assert code == 1
         assert "ceiling" in err
 

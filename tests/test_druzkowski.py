@@ -11,7 +11,7 @@ from cubelin import (
     parse_gaussian,
     rank_bound_certificate,
 )
-from cubelin.druzkowski import cubic_terms, expand_map, zero_diagonal_count
+from cubelin.druzkowski import cubic_terms, expand_map
 from cubelin.poly import PolyMatrix, jacobian
 from helpers import (
     cubic_part,
@@ -157,9 +157,9 @@ class TestGram:
 
 class TestDelta:
     def test_counts(self, paper):
-        assert zero_diagonal_count(paper) == 0
-        assert zero_diagonal_count(ScalarMatrix([[0] * 3] * 3, 3)) == 3
-        assert zero_diagonal_count(mat([["1", "5"], ["7", "0"]])) == 1
+        assert rank_bound_certificate(paper).delta == 0
+        assert rank_bound_certificate(ScalarMatrix([[0] * 3] * 3, 3)).delta == 3
+        assert rank_bound_certificate(mat([["1", "5"], ["7", "0"]])).delta == 1
 
 
 class TestCertificate:

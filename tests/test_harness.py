@@ -1,5 +1,6 @@
 import json
 import pickle
+import time
 
 import pytest
 
@@ -207,6 +208,20 @@ class TestCeiling:
         text = str(info.value)
         assert str(5 ** 16) in text
         assert str(DEFAULT_CEILING) in text
+
+    def test_huge_count_is_refused_by_its_power(self, monkeypatch):
+        # 3^10000 has 4772 digits, past Python's int-to-text limit
+        monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
+        huge = config(n=100, alphabet=["0", "1", "i"])
+        started = time.perf_counter()
+        with pytest.raises(CeilingExceededError) as info:
+            run_search(huge)
+        assert time.perf_counter() - started < 1.0
+        assert "needs 3^10000 candidates" in str(info.value)
+
+    def test_one_letter_alphabet_has_one_candidate(self, monkeypatch):
+        monkeypatch.setenv(CEILING_ENV_VAR, "1")
+        config(n=1000, alphabet=["0"]).check_ceiling()
 
     def test_tight_ceiling_blocks_small_run(self, monkeypatch):
         monkeypatch.setenv(CEILING_ENV_VAR, "10")

@@ -16,13 +16,14 @@ from cubelin import (
     parse_gaussian,
 )
 from cubelin import decide_automorphism, druzkowski, invert, is_keller, linalg, pairing, poly
-from cubelin.druzkowski import expand_map, zero_diagonal_count
+from cubelin.druzkowski import expand_map
 from cubelin.invert import _decide, default_degree_bound
 from cubelin.linalg import rank
 from cubelin.poly import compose, linear_combination
 from helpers import (
     PAPER_EXAMPLE_ROWS,
     UNIT_ALPHABET,
+    intertwines,
     random_scalar_matrix,
     reduced_map,
     reference_lift,
@@ -112,6 +113,20 @@ class TestGzReduce:
             )
             right = compose(pair.G, projection)
             assert left == right
+
+    @pytest.mark.parametrize(
+        "reduce", [gz_reduce, decide_automorphism], ids=["gz_reduce", "decide_automorphism"]
+    )
+    def test_corrupted_map_does_not_intertwine(self, paper, monkeypatch, reduce):
+        # paper has rank 2, so GZPair does not expand F: the corrupted F
+        # reaches only the intertwining check, which both calls run
+        def corrupted(A):
+            F = expand_map(A)
+            return PolyMap([F.components[0] + F.components[1], *F.components[1:]])
+
+        monkeypatch.setattr(invert, "expand_map", corrupted)
+        with pytest.raises(RuntimeError, match="does not intertwine"):
+            reduce(paper)
 
     def test_dimension_economy(self):
         rng = random.Random(72)
@@ -353,17 +368,16 @@ class TestCorollaryPipeline:
         assert report.is_anomaly
         assert "anomaly: rank above four" in caplog.text
 
-    def test_intertwining_checked_after_the_gates(self, paper, monkeypatch):
-        # a corrupted F, built only by the intertwining check (paper has
-        # rank 2, so GZPair does not expand F): the pipeline checks
-        # C o F == G o C after the gates and before deciding G
-        def corrupted(A):
-            F = expand_map(A)
-            return PolyMap([F.components[0] + F.components[1], *F.components[1:]])
-
-        monkeypatch.setattr(invert, "expand_map", corrupted)
-        with pytest.raises(RuntimeError, match="does not intertwine"):
-            corollary_pipeline(paper)
+    def test_expands_no_map(self, paper, monkeypatch):
+        # the lift's checks prove C o F == G o C, so F is never expanded
+        calls = []
+        for module in (druzkowski, invert):
+            original = module.expand_map
+            monkeypatch.setattr(
+                module, "expand_map", lambda A, _f=original: calls.append(A) or _f(A)
+            )
+        assert corollary_pipeline(paper).verified
+        assert calls == []
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -433,8 +447,8 @@ class TestSingleReduction:
 
 
 class TestGatesBeforeChecks:
-    """A map that a gate stops pays for no composition: the intertwining
-    check runs only after the diagonal, Keller and rank gates pass."""
+    """A map that a gate stops pays for no composition: the decision on G
+    and the lift run only after the diagonal, Keller and rank gates pass."""
 
     def test_rank_deficient_non_keller_maps_compose_nothing(self, monkeypatch):
         calls = Counter()
@@ -467,7 +481,7 @@ class TestGatesBeforeChecks:
 
 def assembled_report(A) -> dict:
     """The pipeline's report built from the public routines, one by one."""
-    diag_nonzero = zero_diagonal_count(A) == 0
+    diag_nonzero = all(A.diagonal())
     keller = is_keller(A)
     report = dict.fromkeys(
         ["n", "diag_nonzero", "keller", "rank", "rank_le_4", "pair",
@@ -498,16 +512,24 @@ def assembled_report(A) -> dict:
     return report
 
 
+def pipeline_checked(A) -> bool:
+    """Whether the pipeline verifies A, after checking its report against
+    :func:`assembled_report` and, when verified, C o F == G o C: the
+    pipeline leaves that identity to its lift, and this is the oracle."""
+    report = corollary_pipeline(A)
+    assert report.to_dict() == assembled_report(A)
+    if report.verified:
+        assert intertwines(A, report.pair), A
+    return report.verified
+
+
 class TestPipelineAgainstPublicRoutines:
     def test_all_two_by_two(self):
-        units = [g(s) for s in ("0", "1", "-1", "i", "-i")]
-        verified = 0
-        for picks in itertools.product(units, repeat=4):
-            A = ScalarMatrix([picks[:2], picks[2:]])
-            payload = corollary_pipeline(A).to_dict()
-            assert payload == assembled_report(A)
-            verified += payload["verified"]
-        assert verified > 0
+        verified = sum(
+            pipeline_checked(ScalarMatrix([picks[:2], picks[2:]]))
+            for picks in itertools.product(UNIT_ALPHABET, repeat=4)
+        )
+        assert verified == 16  # the Keller maps with a zero-free diagonal
 
     def test_three_by_three_sample(self):
         rng = random.Random(73)
@@ -515,18 +537,26 @@ class TestPipelineAgainstPublicRoutines:
         ranks = set()
         for _ in range(40):
             A = ScalarMatrix([[rng.choice(units) for _ in range(3)] for _ in range(3)])
-            assert corollary_pipeline(A).to_dict() == assembled_report(A)
+            pipeline_checked(A)
             ranks.add(rank(A))
         assert 3 in ranks and ranks & {1, 2}
 
     def test_paper_example_and_perturbations(self, paper):
         units = [g(s) for s in ("0", "1", "-1", "i", "-i")]
-        assert corollary_pipeline(paper).to_dict() == assembled_report(paper)
+        assert pipeline_checked(paper)
         for i, j in itertools.product(range(4), repeat=2):
             for value in units:
                 if value == paper.entries[i][j]:
                     continue
                 rows = [list(row) for row in paper.entries]
                 rows[i][j] = value
-                A = ScalarMatrix(rows)
-                assert corollary_pipeline(A).to_dict() == assembled_report(A)
+                pipeline_checked(ScalarMatrix(rows))
+
+    @pytest.mark.parametrize("scale", ["1", "2", "1+i"])
+    def test_paper_example_orbit(self, paper, scale):
+        rng = random.Random(f"intertwining:{scale}")
+        for _ in range(3):
+            s = [g(scale) * rng.choice(UNIT_ALPHABET[1:]) for _ in range(paper.rows)]
+            assert pipeline_checked(
+                orbit_member(paper, rng.sample(range(paper.rows), paper.rows), s)
+            )
