@@ -14,14 +14,15 @@ from .poly import Polynomial, PolyMap
 from .linalg import ScalarMatrix
 from .druzkowski import RankBoundCertificate, rank_bound_certificate
 from .invert import (
+    CorollaryReport,
     GZPair,
     InverseResult,
+    corollary_pipeline,
     decide_automorphism,
     gz_reduce,
     is_keller,
     lift_inverse,
 )
-from .pairing import CorollaryReport, corollary_pipeline
 from .kernel import BACKEND
 from .matrixio import MatrixParseError, builtin_example, parse_matrix
 from .harness import CeilingExceededError, SearchConfig, SearchReport, run_search

@@ -19,7 +19,13 @@ from pathlib import Path
 from . import __version__
 from .druzkowski import rank_bound_certificate
 from .harness import SearchConfig, run_search
-from .invert import NOT_INVERTIBLE, decide_automorphism, gz_reduce, is_keller
+from .invert import (
+    NOT_INVERTIBLE,
+    corollary_pipeline,
+    decide_automorphism,
+    gz_reduce,
+    is_keller,
+)
 from .linalg import ScalarMatrix
 from .matrixio import (
     MatrixParseError,
@@ -28,7 +34,6 @@ from .matrixio import (
     format_matrix,
     parse_matrix,
 )
-from .pairing import corollary_pipeline
 from .scalars import ParseError
 
 EXIT_OK = 0

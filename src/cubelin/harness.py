@@ -34,11 +34,10 @@ from itertools import islice, product, repeat
 from typing import Iterator, Sequence
 
 from .druzkowski import RankBoundCertificate
-from .invert import decide_automorphism, is_keller
+from .invert import _DIMENSION_CAP, corollary_pipeline, decide_automorphism, is_keller
 from .kernel import certificate_ints, integer_pairs
 from .linalg import ScalarMatrix, rank
 from .matrixio import matrix_entries_text
-from .pairing import _DIMENSION_CAP, corollary_pipeline
 from .scalars import GaussianRational, format_gaussian, parse_gaussian
 
 DEFAULT_CEILING = 10_000_000

@@ -9,13 +9,15 @@ C intertwines them, C o F == G o C, F and G are invertible together
     F^{-1}(Z) = Z - (B @ G^{-1}(C Z))^{*3}.
 
 F and G are also Keller together, so :func:`is_keller` tests G, on an
-r x r Jacobian; the corollary pipeline runs that test on its own pair.
-Every pair is built as ``GZPair(A)``, which derives B, C and G from A.
+r x r Jacobian; inversion and the corollary run that test on their own
+pair.  Every pair is built as ``GZPair(A)``, which derives B, C and G from A.
 
-Inversion takes that route only: reduce, decide G, lift.  G is decided by
-the fixed-point recurrence G^{-1} <- Y - C (B G^{-1})^{*3}, truncated at a
-degree bound, evaluated in structured form: collapse the linear forms
-u_j = B_j . G^{-1} first, then cube.  The collapse is where all the
+Inversion takes that route only: reduce, test Keller, decide G, lift.  A
+non-Keller map is answered from the Keller test alone, since an invertible
+map has det JF == 1.  G is decided by the fixed-point recurrence
+G^{-1} <- Y - C (B G^{-1})^{*3}, truncated at a degree bound, evaluated in
+structured form: collapse the linear forms u_j = B_j . G^{-1} first, then
+cube.  The collapse is where all the
 cancellation lives, so iterates stay small.  Once the iteration is
 stationary, G o G^{-1} == id reduces to an exact identity on the
 collapsed forms (no truncation).  The lift works in the reduced space
@@ -25,11 +27,22 @@ checks G^{-1} o G == id, then C F^{-1} == G^{-1}(C Z) on r linear forms,
 which proves F o F^{-1} == id, G o G^{-1} == id and C o F == G o C;
 F^{-1} o F == id follows from the identities the route has checked (see
 :func:`decide_automorphism`).
+
+The paper's corollary, :func:`corollary_pipeline`, runs the same route
+under its hypotheses: in dimension at most nine, a Keller map with a
+zero-free diagonal of A has r <= 4 by the rank bound, so its G is decided
+in at most four variables and lifted.  The trace condition that the rank
+bound needs is not checked again: every Keller map meets it, since
+tr JH = 3 sum_i a_ii t_i^2 (t = AX) is the trace of a nilpotent matrix;
+the tests keep that implication as an oracle.  A matrix that meets the
+hypotheses yet fails a later stage is logged as an anomaly, not raised,
+so searches can record it and move on.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
 
 from .druzkowski import _square_matrix, cubic_terms, expand_map
@@ -49,6 +62,11 @@ from .poly import (
 INVERTIBLE = "Invertible"
 NOT_INVERTIBLE = "NotInvertible"
 NO_INVERSE_WITHIN_BOUND = "NoInverseWithinBound"
+
+logger = logging.getLogger(__name__)
+
+_DIMENSION_CAP = 9
+_RANK_CAP = 4
 
 
 def nilpotency_index(M: PolyMatrix) -> int | None:
@@ -309,6 +327,12 @@ def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
     all.  A G refused below that bound, or a lifted inverse of degree
     above d, gives NoInverseWithinBound: F may still be invertible.
 
+    G is Keller-tested first, and a non-Keller G is not iterated, which at
+    r = 4 can take hours: it gets the status that a refused G gets.  That
+    answer is exact.  An invertible polynomial map has a unit, hence
+    constant, Jacobian determinant, which is det JF(0) == 1; and an H that
+    :func:`_decide` returns has G o H == id, which forces det JG == 1 too.
+
     Both composition orders are verified exactly.  F o F^{-1} == id is
     checked directly by the lift.  F^{-1} o F == id follows from B C == A
     and C o F == G o C (checked by the reduction) and G^{-1} o G == id
@@ -328,7 +352,8 @@ def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
         raise ValueError("degree bound must be at least 1")
     pair = gz_reduce(A)
     g_bound = default_degree_bound(pair.r)
-    g_inverse = _decide(pair.B, pair.C, min(bound, g_bound))
+    keller = _keller_on_pair(pair)
+    g_inverse = _decide(pair.B, pair.C, min(bound, g_bound)) if keller else None
     if g_inverse is None:
         status = NOT_INVERTIBLE if bound >= g_bound else NO_INVERSE_WITHIN_BOUND
         return InverseResult(status=status, degree_bound_used=bound)
@@ -336,3 +361,114 @@ def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
     if inverse.max_degree() > bound:
         return InverseResult(status=NO_INVERSE_WITHIN_BOUND, degree_bound_used=bound)
     return InverseResult(status=INVERTIBLE, degree_bound_used=bound, inverse=inverse)
+
+
+@dataclass(frozen=True)
+class CorollaryReport:
+    """Step-by-step outcome of the small-dimension invertibility pipeline.
+
+    Fields past the first failed gate stay None.  ``verified`` means a
+    polynomial inverse of F was produced and checked in both composition
+    orders; ``is_anomaly`` flags a matrix that satisfies every hypothesis
+    yet could not be verified, which no input should be able to produce.
+    """
+
+    n: int
+    diag_nonzero: bool
+    keller: bool
+    rank: int | None = None
+    pair: GZPair | None = None
+    g_inverse_degree: int | None = None
+    f_inverse: PolyMap | None = None
+
+    @property
+    def rank_le_4(self) -> bool | None:
+        return None if self.rank is None else self.rank <= _RANK_CAP
+
+    @property
+    def verified(self) -> bool:
+        return self.f_inverse is not None
+
+    @property
+    def hypotheses_hold(self) -> bool:
+        return self.diag_nonzero and self.keller
+
+    @property
+    def is_anomaly(self) -> bool:
+        return self.hypotheses_hold and not self.verified
+
+    @property
+    def f_inverse_degree(self) -> int | None:
+        return None if self.f_inverse is None else self.f_inverse.max_degree()
+
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "diag_nonzero": self.diag_nonzero,
+            "keller": self.keller,
+            "rank": self.rank,
+            "rank_le_4": self.rank_le_4,
+            "pair": None if self.pair is None else self.pair.to_dict(),
+            "g_inverse_degree": self.g_inverse_degree,
+            "f_inverse": None
+            if self.f_inverse is None
+            else [p.to_text() for p in self.f_inverse.components],
+            "verified": self.verified,
+            "anomaly": self.is_anomaly,
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
+
+
+def corollary_pipeline(A) -> CorollaryReport:
+    """Run the full invertibility argument for dimension at most nine.
+
+    Stages, in order: dimension cap (hard error above nine), nonzero
+    diagonal, Keller condition, rank at most four, then the decision on G
+    at 3^(r-1) and the lift: the route of :func:`decide_automorphism`, with
+    the diagonal and rank gates added.  A failed hypothesis gate (diagonal or Keller) ends the run
+    quietly; any failure after both hypotheses hold is reported as an
+    anomaly.
+
+    A is factored once, by ``GZPair(A)`` (B @ C == A is checked), before
+    the gates.  F is Keller exactly when G is (see :func:`is_keller`), so
+    the Keller bit is the nilpotency of JG - I_r on that pair, the rank is
+    r, and the same pair is decided and lifted.  The intertwining
+    C o F == G o C is not checked apart: the lift checks G^{-1} o G == id
+    and C F^{-1} == G^{-1}(C Z), which give G = Y + C (BY)^{*3}, and with
+    B C == A that is C o F == G o C.  A map that a gate stops pays for no
+    composition.
+    """
+    A = _square_matrix(A)
+    n = A.rows
+    if n > _DIMENSION_CAP:
+        raise ValueError(
+            f"the invertibility argument applies in dimension <= {_DIMENSION_CAP}, got {n}"
+        )
+    diag_nonzero = all(A.diagonal())
+    pair = GZPair(A)
+    keller = _keller_on_pair(pair)
+    if not (diag_nonzero and keller):
+        return CorollaryReport(n=n, diag_nonzero=diag_nonzero, keller=keller)
+
+    r = pair.r
+    if r > _RANK_CAP:
+        report = CorollaryReport(n=n, diag_nonzero=True, keller=True, rank=r)
+        logger.warning("anomaly: rank above four for %r: %s", A, report.to_json())
+        return report
+
+    g_inverse = _decide(pair.B, pair.C, default_degree_bound(r))
+    base = dict(n=n, diag_nonzero=True, keller=True, rank=r, pair=pair)
+    if g_inverse is None:
+        report = CorollaryReport(**base)
+        logger.warning(
+            "anomaly: reduced map not invertible for %r: %s", A, report.to_json()
+        )
+        return report
+
+    return CorollaryReport(
+        **base,
+        g_inverse_degree=g_inverse.max_degree(),
+        f_inverse=lift_inverse(pair, g_inverse),
+    )

@@ -35,6 +35,15 @@ PAPER_EXAMPLE_ROWS = [
     ["-1", "-i", "1", "-1"],
 ]
 
+# full rank and not Keller: deciding its G at 3^3 = 27 by the fixed-point
+# iteration alone does not finish in minutes
+NON_KELLER_4X4_ROWS = [
+    ["-i", "0", "1", "-i"],
+    ["0", "-i", "-i", "i"],
+    ["0", "1", "0", "-i"],
+    ["1", "-1", "i", "1"],
+]
+
 
 def paper_example() -> ScalarMatrix:
     # same matrix as the paper-example builtin, built here without matrixio

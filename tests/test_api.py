@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import cubelin
+from cubelin import invert, pairing
 from cubelin.scalars import GaussianRational
 
 TRACING = Path(__file__).resolve().parent.parent / "cubench" / "tracing.py"
@@ -47,6 +48,16 @@ def test_benchmark_scalar_op_resolves(method, kind):
     # the tracer wraps GaussianRational.__dict__[method], so the method must
     # be defined on the class itself, not inherited or dispatched elsewhere
     assert callable(GaussianRational.__dict__.get(method)), (method, kind)
+
+
+def test_pairing_holds_only_the_benchmark_spans():
+    # cubelin.pairing only lets cubench find three invert functions under
+    # their old module name, so it may neither grow back nor lose a span
+    names = {name for name in vars(pairing) if not name.startswith("__")}
+    spans = {attribute for module, attribute, _ in benchmark_tracing().SPANS if module == "pairing"}
+    assert names == spans
+    for name in names:
+        assert getattr(pairing, name) is getattr(invert, name), name
 
 
 def test_backend_is_exported():

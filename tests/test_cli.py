@@ -10,7 +10,7 @@ import pytest
 from cubelin import RankBoundCertificate, cli, parse_matrix
 from cubelin.cli import main
 from cubelin.invert import NOT_INVERTIBLE, InverseResult
-from helpers import PAPER_EXAMPLE_ROWS
+from helpers import NON_KELLER_4X4_ROWS, PAPER_EXAMPLE_ROWS
 
 
 def run(capsys, *argv):
@@ -80,6 +80,13 @@ class TestInvert:
 
     def test_non_keller_is_clean(self, capsys):
         code, out, _ = run(capsys, "invert", '[["1"]]', "--json")
+        assert code == 0
+        assert json.loads(out)["status"] == "NotInvertible"
+
+    def test_full_rank_non_keller_answers_quickly(self, capsys):
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "invert", json.dumps(NON_KELLER_4X4_ROWS), "--json")
+        assert time.perf_counter() - started < 1.0
         assert code == 0
         assert json.loads(out)["status"] == "NotInvertible"
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from cubelin import (
     Polynomial,
     ScalarMatrix,
     decide_automorphism,
+    gz_reduce,
     is_keller,
     parse_gaussian,
     rank_bound_certificate,
@@ -24,6 +26,7 @@ from cubelin.invert import (
 from cubelin.linalg import rank, rank_factorization
 from cubelin.poly import PolyMatrix, compose, compose_polynomial, det, jacobian
 from helpers import (
+    NON_KELLER_4X4_ROWS,
     cubic_part,
     formal_inverse,
     shear_matrix,
@@ -449,3 +452,21 @@ class TestReducedRoute:
         # the generic series does not close up either
         F = expand_map(A)
         assert compose(F, formal_inverse(F, 9)) != PolyMap.identity(A.rows)
+
+    def test_non_keller_answered_by_the_keller_test(self):
+        A = mat(NON_KELLER_4X4_ROWS)
+        for bound, status in ((None, NOT_INVERTIBLE), (1, NO_INVERSE_WITHIN_BOUND)):
+            started = time.perf_counter()
+            result = decide_automorphism(A, degree_bound=bound)
+            assert time.perf_counter() - started < 1.0
+            assert result.status == status
+            assert result.inverse is None
+
+    def test_keller_gate_changes_no_answer(self):
+        # the iteration refuses every non-Keller n=2 map at its full bound,
+        # so answering those from the Keller test alone changes no status
+        non_keller = [A for A in all_two_by_two(ALPHABET) if not is_keller(A)]
+        assert non_keller
+        for A in non_keller:
+            pair = gz_reduce(A)
+            assert invert._decide(pair.B, pair.C, default_degree_bound(pair.r)) is None

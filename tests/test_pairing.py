@@ -15,7 +15,7 @@ from cubelin import (
     lift_inverse,
     parse_gaussian,
 )
-from cubelin import decide_automorphism, druzkowski, invert, is_keller, linalg, pairing, poly
+from cubelin import decide_automorphism, druzkowski, invert, is_keller, linalg, poly
 from cubelin.druzkowski import expand_map
 from cubelin.invert import _decide, default_degree_bound
 from cubelin.linalg import rank
@@ -344,8 +344,8 @@ class TestCorollaryPipeline:
 
     def test_reduced_map_not_invertible_is_an_anomaly(self, paper, monkeypatch, caplog):
         # no input reaches this stage; a planted failure of G's decision does
-        monkeypatch.setattr(pairing, "_decide", lambda B, C, bound: None)
-        with caplog.at_level(logging.WARNING, logger="cubelin.pairing"):
+        monkeypatch.setattr(invert, "_decide", lambda B, C, bound: None)
+        with caplog.at_level(logging.WARNING, logger="cubelin.invert"):
             report = corollary_pipeline(paper)
         assert report.hypotheses_hold
         assert report.is_anomaly
@@ -358,8 +358,8 @@ class TestCorollaryPipeline:
         # no input reaches this stage either; I5 has rank 5 and a zero-free
         # diagonal, and a planted Keller answer takes it past that gate
         I5 = ScalarMatrix.identity(5)
-        monkeypatch.setattr(pairing, "_keller_on_pair", lambda pair: True)
-        with caplog.at_level(logging.WARNING, logger="cubelin.pairing"):
+        monkeypatch.setattr(invert, "_keller_on_pair", lambda pair: True)
+        with caplog.at_level(logging.WARNING, logger="cubelin.invert"):
             report = corollary_pipeline(I5)
         assert report.hypotheses_hold
         assert report.rank == 5
@@ -436,8 +436,8 @@ class TestSingleReduction:
             monkeypatch.setattr(module, name, counted)
 
         count(invert, "rank_factorization")
-        # where the pipeline looked them up before, and where they live
-        for module in (pairing, invert, linalg):
+        # where they live, so a call the pipeline makes to either is counted
+        for module in (invert, linalg):
             for name in ("is_keller", "rank"):
                 if hasattr(module, name):
                     count(module, name)
