@@ -24,7 +24,6 @@ from .invert import (
     corollary_pipeline,
     decide_automorphism,
     gz_reduce,
-    is_keller,
 )
 from .linalg import ScalarMatrix
 from .matrixio import (
@@ -137,7 +136,7 @@ def _cmd_invert(args) -> int:
             for i, p in enumerate(result.inverse.components):
                 print(f"inverse[{i + 1}] = {p.to_text()}")
     # a Keller map proved non-invertible would refute the Jacobian conjecture
-    if result.status == NOT_INVERTIBLE and is_keller(matrix):
+    if result.status == NOT_INVERTIBLE and result.keller:
         return EXIT_ANOMALY
     return EXIT_OK
 

@@ -10,9 +10,14 @@ SplitMix64: the digit for entry e of candidate c is
     splitmix64(seed, c * n^2 + e) mod K
 
 so any subrange of candidates can be regenerated without walking the
-stream.  Work splits into one contiguous index chunk per worker, with at
-most one worker per CPU, and the per-chunk results merge in chunk order,
-which makes reports byte-stable for every worker count.
+stream.  The stream is evaluated a block of whole candidates at a time,
+at most 4096 outputs: output j of the block gets bits 128j .. 128j+127 of
+one Python int, and the generator's additions, shifts and 64-bit products
+run on every lane at once as a few whole-int operations; the words come
+back out through ``array("Q")``.  Work splits into one contiguous index
+chunk per worker, with at most one worker per CPU, and the per-chunk
+results merge in chunk order, which makes reports byte-stable for every
+worker count.
 
 Checks per candidate: "rank_bound" evaluates the rank-bound certificate
 and counts violations as anomalies, with the trace condition and delta
@@ -27,9 +32,12 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice, product, repeat
 from typing import Iterator, Sequence
 
@@ -49,13 +57,60 @@ CHECK_NAMES = ("rank_bound", "invert", "corollary")
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
+# SplitMix64 runs over a block of outputs at once: output j of the block
+# lives in bits 128j .. 128j+63 of one int, and its upper 64 bits are slack
+# that a 64 x 64-bit product fills without reaching the next lane.  A block
+# holds whole candidates and at most this many lanes, or one candidate.
+_BLOCK_LANES = 4096
+assert array("Q").itemsize == 8, "array('Q') must hold 64-bit words"
 
-def splitmix64(seed: int, index: int) -> int:
-    """Output ``index`` of the SplitMix64 stream for ``seed``, O(1)."""
-    z = (seed + (index + 1) * _GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+
+def _lanes_to_int(words: array) -> int:
+    # words come two per lane, low word first; on a big-endian host the
+    # native bytes run most significant first, so the word order flips
+    if sys.byteorder == "big":
+        words = words[::-1]
+    return int.from_bytes(words.tobytes(), sys.byteorder)
+
+
+def _int_to_low_words(value: int, lanes: int) -> array:
+    words = array("Q")
+    words.frombytes(value.to_bytes(16 * lanes, sys.byteorder))
+    if sys.byteorder == "big":
+        words.reverse()
+    return words[0::2]
+
+
+@lru_cache(maxsize=1)
+def _lane_constants(lanes: int) -> tuple[int, int, int]:
+    """(ramp, ones, low) over ``lanes`` lanes: (j+1)*gamma mod 2^64, 1 and
+    2^64 - 1 in lane j.  Built on first use; one lane count is kept, which
+    is _BLOCK_LANES unless a single candidate is wider."""
+    words = array("Q", bytes(16 * lanes))
+    words[0::2] = array("Q", [((j + 1) * _GAMMA) & _MASK64 for j in range(lanes)])
+    ramp = _lanes_to_int(words)
+    words[0::2] = array("Q", [1]) * lanes
+    ones = _lanes_to_int(words)
+    return ramp, ones, ones * _MASK64
+
+
+def _splitmix64_block(seed: int, start: int, lanes: int) -> array:
+    """Outputs ``start`` .. ``start + lanes - 1`` of the SplitMix64 stream
+    for ``seed``."""
+    capacity = max(lanes, _BLOCK_LANES)
+    ramp, ones, low = _lane_constants(capacity)
+    if lanes < capacity:
+        # a short block reads the low lanes of the full-block constants
+        keep = (1 << 128 * lanes) - 1
+        ramp, ones, low = ramp & keep, ones & keep, low & keep
+    # lane j holds (seed + (start + j + 1) * gamma) mod 2^64
+    z = (ramp + ((seed + start * _GAMMA) & _MASK64) * ones) & low
+    # each shift pulls the next lane's low bits into this lane's slack, and
+    # the mask clears them; the last shift's spill stays in the high words,
+    # which are never read
+    z = ((z ^ ((z >> 30) & low)) * 0xBF58476D1CE4E5B9) & low
+    z = ((z ^ ((z >> 27) & low)) * 0x94D049BB133111EB) & low
+    return _int_to_low_words(z ^ (z >> 31), lanes)
 
 
 def enumeration_ceiling() -> int:
@@ -155,7 +210,7 @@ class SearchConfig:
         if self.mode == "sample":
             if not isinstance(self.count, int) or self.count < 1:
                 raise ValueError("sample mode needs a positive integer count")
-            # splitmix64 reads the seed mod 2^64: a larger one aliases a smaller one
+            # SplitMix64 reads the seed mod 2^64: a larger one aliases a smaller one
             if not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK64:
                 raise ValueError("sample mode needs an integer seed in [0, 2**64)")
         else:
@@ -246,9 +301,13 @@ def _iter_digit_vectors(
         yield from islice(product(range(base), repeat=width), start, stop)
     else:
         seed = config.seed
-        for c in range(start, stop):
-            offset = c * width
-            yield [splitmix64(seed, offset + e) % base for e in range(width)]
+        per_block = max(1, _BLOCK_LANES // width)
+        for first in range(start, stop, per_block):
+            count = min(per_block, stop - first)
+            words = _splitmix64_block(seed, first * width, count * width)
+            digits = [w % base for w in words]
+            for offset in range(0, count * width, width):
+                yield digits[offset : offset + width]
 
 
 def _candidate_matrix(

@@ -96,10 +96,15 @@ def default_degree_bound(n: int) -> int:
 
 @dataclass(frozen=True)
 class InverseResult:
-    """Outcome of an inversion attempt at a fixed degree bound."""
+    """Outcome of an inversion attempt at a fixed degree bound.
+
+    ``keller`` is whether F is Keller, from the test the decision ran
+    first; it stays out of :meth:`to_dict`, so the JSON has no such field.
+    """
 
     status: str
     degree_bound_used: int
+    keller: bool
     inverse: PolyMap | None = None
 
     @property
@@ -328,8 +333,8 @@ def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
     above d, gives NoInverseWithinBound: F may still be invertible.
 
     G is Keller-tested first, and a non-Keller G is not iterated, which at
-    r = 4 can take hours: it gets the status that a refused G gets.  That
-    answer is exact.  An invertible polynomial map has a unit, hence
+    r = 4 can take hours: it gets the status that a refused G gets, and
+    the result carries the Keller bit.  That answer is exact.  An invertible polynomial map has a unit, hence
     constant, Jacobian determinant, which is det JF(0) == 1; and an H that
     :func:`_decide` returns has G o H == id, which forces det JG == 1 too.
 
@@ -356,11 +361,15 @@ def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
     g_inverse = _decide(pair.B, pair.C, min(bound, g_bound)) if keller else None
     if g_inverse is None:
         status = NOT_INVERTIBLE if bound >= g_bound else NO_INVERSE_WITHIN_BOUND
-        return InverseResult(status=status, degree_bound_used=bound)
+        return InverseResult(status=status, degree_bound_used=bound, keller=keller)
     inverse = lift_inverse(pair, g_inverse)
     if inverse.max_degree() > bound:
-        return InverseResult(status=NO_INVERSE_WITHIN_BOUND, degree_bound_used=bound)
-    return InverseResult(status=INVERTIBLE, degree_bound_used=bound, inverse=inverse)
+        return InverseResult(
+            status=NO_INVERSE_WITHIN_BOUND, degree_bound_used=bound, keller=True
+        )
+    return InverseResult(
+        status=INVERTIBLE, degree_bound_used=bound, keller=True, inverse=inverse
+    )
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ The search harness evaluates the trace condition and delta on up to
 millions of candidate matrices, and ``rank_bound_certificate`` in
 :mod:`cubelin.druzkowski` takes them from here too.  This module computes
 them over unbounded Python integers, the trace condition from the Gram
-sums.  The rank is :func:`cubelin.linalg.rank`, which scales its matrix
+sums, to which only the rows with a_ii != 0 contribute; the other rows
+are never sliced out of the flat input.  The rank is :func:`cubelin.linalg.rank`, which scales its matrix
 with :func:`integer_pairs` as well.
 
 A matrix over Q(i) reaches it through :func:`integer_pairs`, which
@@ -52,12 +53,16 @@ def certificate_ints(n: int, flat: list[int]) -> tuple[bool, int]:
 
 def certificate_ints_pure(n: int, flat: list[int]) -> tuple[bool, int]:
     """The pair of :func:`certificate_ints` over unbounded integers."""
-    are = [flat[2 * i * n : 2 * (i + 1) * n : 2] for i in range(n)]
-    aim = [flat[2 * i * n + 1 : 2 * (i + 1) * n : 2] for i in range(n)]
-    # (re row, im row, re a_ii, im a_ii) for each row with a_ii != 0
-    diag = [
-        (r, s, r[i], s[i]) for i, (r, s) in enumerate(zip(are, aim)) if r[i] or s[i]
-    ]
+    # (re row, im row, re a_ii, im a_ii) for each row with a_ii != 0; only
+    # these rows enter the Gram sums, so only they are sliced
+    diag = []
+    width = 2 * n
+    for i in range(n):
+        lo = i * width
+        dre = flat[lo + 2 * i]
+        dim_ = flat[lo + 2 * i + 1]
+        if dre or dim_:
+            diag.append((flat[lo : lo + width : 2], flat[lo + 1 : lo + width : 2], dre, dim_))
     delta = n - len(diag)
 
     for j in range(n):

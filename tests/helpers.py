@@ -3,8 +3,9 @@
 sympy is used as an independent oracle: conversions go through strings or raw
 integer pairs, never through the code paths under test.  The generic
 fixed-point inverse, the cubic part, the trace polynomial, the Q(i) Gram
-product, the Q(i) RREF and the lift below are second routes to what the
-library computes its own way, kept here as oracles only.  So are degree
+product, the Q(i) RREF, the lift and the one-output SplitMix64 below are
+second routes to what the library computes its own way, kept here as
+oracles only.  So are degree
 truncation and the truncated composition: the library composes exactly and
 truncates only inside ``Polynomial.mul`` and ``Polynomial.cube``.
 """
@@ -43,6 +44,18 @@ NON_KELLER_4X4_ROWS = [
     ["0", "1", "0", "-i"],
     ["1", "-1", "i", "1"],
 ]
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(seed: int, index: int) -> int:
+    """Output ``index`` of the SplitMix64 stream for ``seed`` (Steele, Lea
+    and Flood, OOPSLA 2014), one output at a time."""
+    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def paper_example() -> ScalarMatrix:

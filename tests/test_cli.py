@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cubelin import RankBoundCertificate, cli, parse_matrix
+from cubelin import RankBoundCertificate, cli, invert, parse_matrix
 from cubelin.cli import main
 from cubelin.invert import NOT_INVERTIBLE, InverseResult
 from helpers import NON_KELLER_4X4_ROWS, PAPER_EXAMPLE_ROWS
@@ -90,6 +90,20 @@ class TestInvert:
         assert code == 0
         assert json.loads(out)["status"] == "NotInvertible"
 
+    @pytest.mark.parametrize("flag", [(), ("--json",)])
+    def test_exit_code_reuses_the_decisions_keller_test(self, capsys, monkeypatch, flag):
+        # NotInvertible exits 2 only for a Keller map, and the decision has
+        # already tested that; no second test runs for the exit code
+        calls = []
+        real = invert._keller_on_pair
+        monkeypatch.setattr(
+            invert, "_keller_on_pair", lambda pair: calls.append(pair) or real(pair)
+        )
+        code, out, _ = run(capsys, "invert", json.dumps(NON_KELLER_4X4_ROWS), *flag)
+        assert code == 0
+        assert "NotInvertible" in out
+        assert len(calls) == 1
+
     def test_degree_bound_flag(self, capsys):
         code, out, _ = run(
             capsys, "invert", "shear-2", "--degree-bound", "5", "--json"
@@ -107,7 +121,7 @@ class TestInvert:
 
     def test_keller_inversion_failure_exits_two(self, capsys, monkeypatch):
         # no Keller map is known to be NotInvertible; stand one in for shear-2
-        refused = InverseResult(status=NOT_INVERTIBLE, degree_bound_used=3)
+        refused = InverseResult(status=NOT_INVERTIBLE, degree_bound_used=3, keller=True)
         monkeypatch.setattr(cli, "decide_automorphism", lambda *a, **k: refused)
         code, out, _ = run(capsys, "invert", "shear-2", "--json")
         assert code == 2

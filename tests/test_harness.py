@@ -20,9 +20,9 @@ from cubelin.harness import (
     _chunk_bounds,
     enumeration_ceiling,
     iter_candidate_matrices,
-    splitmix64,
 )
 from cubelin.linalg import rank
+from helpers import splitmix64
 
 
 def g(text):
@@ -42,14 +42,42 @@ def config(**overrides):
     return SearchConfig.from_dict(data)
 
 
+# first outputs of the standard generator for seeds 0 and 2^64-1
+PUBLISHED_STREAMS = {
+    0: [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC],
+    0xFFFFFFFFFFFFFFFF: [0xE4D971771B652C20],
+}
+
+
+def block_outputs(seed, start, lanes):
+    """The harness's packed generator as a list of 64-bit outputs."""
+    return list(harness._splitmix64_block(seed, start, lanes))
+
+
 class TestSplitmix64:
+    """The one-output oracle in ``helpers`` and the harness's block form."""
+
     def test_published_reference_stream(self):
-        # first outputs of the standard generator for seeds 0 and 2^64-1
-        assert splitmix64(0, 0) == 0xE220A8397B1DCDAF
-        assert splitmix64(0, 1) == 0x6E789E6AA1B965F4
-        assert splitmix64(0, 2) == 0x06C45D188009454F
-        assert splitmix64(0, 3) == 0xF88BB8A8724C81EC
-        assert splitmix64(0xFFFFFFFFFFFFFFFF, 0) == 0xE4D971771B652C20
+        for seed, stream in PUBLISHED_STREAMS.items():
+            assert [splitmix64(seed, i) for i in range(len(stream))] == stream
+
+    def test_block_generator_matches_published_stream(self):
+        for seed, stream in PUBLISHED_STREAMS.items():
+            # a short block truncates the constants; a full one does not
+            assert block_outputs(seed, 0, len(stream)) == stream
+            full = block_outputs(seed, 0, harness._BLOCK_LANES)
+            assert full[: len(stream)] == stream
+
+    def test_block_generator_matches_oracle(self):
+        # every lane of a full block, and blocks that start far into the
+        # stream, where the start index times gamma is far above 2^64
+        for seed in (0, 7, 2**63 + 5, 2**64 - 1):
+            for start, lanes in ((0, harness._BLOCK_LANES), (10**15 * 16 + 3, 37)):
+                expected = [splitmix64(seed, start + j) for j in range(lanes)]
+                assert block_outputs(seed, start, lanes) == expected
+        # one candidate wider than a block gets constants of its own width
+        assert block_outputs(3, 5, 5000) == [splitmix64(3, 5 + j) for j in range(5000)]
+        assert block_outputs(3, 5, 7) == [splitmix64(3, 5 + j) for j in range(7)]
 
     def test_output_range(self):
         for i in range(200):
@@ -62,10 +90,13 @@ class TestSplitmix64:
         mask = (1 << 64) - 1
         for k in (1, 2, 17):
             assert splitmix64(5, 10 + k) == splitmix64((5 + k * gamma) & mask, 10)
+            # the block generator folds its start index into the seed this way
+            assert block_outputs(5, 10 + k, 3) == block_outputs((5 + k * gamma) & mask, 10, 3)
 
     def test_seed_sensitivity(self):
         streams = {tuple(splitmix64(s, i) for i in range(4)) for s in range(20)}
         assert len(streams) == 20
+        assert {tuple(block_outputs(s, 0, 4)) for s in range(20)} == streams
 
 
 class TestSearchConfig:
@@ -317,6 +348,34 @@ class TestSampling:
                 digit = splitmix64(77, index * 4 + e) % 5
                 assert value == cfg.alphabet[digit]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+    def test_digit_vectors_match_oracle(self, seed):
+        # blocks hold whole candidates, at most _BLOCK_LANES digits, so the
+        # ranges below start and stop inside, on and across block edges
+        for n in (1, 2, 3, 4, 5):
+            width = n * n
+            per_block = harness._BLOCK_LANES // width
+            ranges = [
+                (0, 1),
+                (0, per_block),
+                (per_block - 2, per_block + 3),
+                (per_block + 1, 3 * per_block - 1),
+                (5 * per_block - 7, 5 * per_block + 2),
+                (10**15, 10**15 + 3),
+            ]
+            for base in (1, 2, 5, 7):
+                cfg = SearchConfig.from_dict({
+                    "n": n, "alphabet": [str(k) for k in range(base)],
+                    "mode": "sample", "count": 1, "seed": seed,
+                })
+                for start, stop in ranges:
+                    got = [list(d) for d in harness._iter_digit_vectors(cfg, start, stop)]
+                    expected = [
+                        [splitmix64(seed, c * width + e) % base for e in range(width)]
+                        for c in range(start, stop)
+                    ]
+                    assert got == expected, (n, base, start, stop)
+
 
 class TestCounts:
     def test_trace_filter_on_binary_alphabet(self):
@@ -398,6 +457,10 @@ class TestDeterminism:
         for data in (
             {**sample, "alphabet": FULL_ALPHABET, "count": 400},
             {**sample, "alphabet": ["0", "1/2", "-1/3+i", "2i"], "count": 100},
+            # 1,000 is no multiple of the 256-candidate n=4 sample block, so
+            # the last block is short and worker chunks start mid-block
+            {"n": 4, "alphabet": FULL_ALPHABET, "mode": "sample", "count": 1000,
+             "seed": 5, "checks": ["rank_bound"]},
             # worker chunks of an enumeration start mid-stream
             {"n": 2, "alphabet": FULL_ALPHABET, "mode": "enumerate", "checks": checks},
         ):

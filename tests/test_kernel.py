@@ -116,6 +116,26 @@ class TestAgreement:
         )
         assert integer_triple(M) == reference_certificate(M)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rows_with_zero_diagonal_are_skipped(self, n):
+        # off-diagonal entries stay nonzero, so a row the Gram sums read by
+        # mistake changes them; each a_ii is zeroed with probability 1/2,
+        # so every delta from 0 to n occurs, and zero diagonals hold the
+        # trace condition
+        rng = random.Random(200 + n)
+        nonzero = ALPHABET[1:] + [g("2-i"), g("-3i")]
+        deltas = set()
+        for _ in range(300):
+            M = ScalarMatrix([
+                [g("0") if i == j and rng.random() < 0.5 else rng.choice(nonzero)
+                 for j in range(n)]
+                for i in range(n)
+            ])
+            expected = reference_certificate(M)
+            assert kernel.certificate_ints_pure(n, flat_of(M)) == expected[:2]
+            deltas.add(expected[1])
+        assert deltas == set(range(n + 1))
+
     def test_degenerate_sizes(self):
         assert kernel.certificate_ints(0, []) == (True, 0)
         assert kernel.certificate_ints(1, [0, 1]) == (False, 0)
