@@ -4,15 +4,18 @@ Subcommands take a matrix argument that is resolved in order: a built-in
 example name, inline JSON (anything starting with "["), or a path to a
 matrix file.  ``--json`` switches every subcommand to machine output.
 
-Exit codes: 0 clean, 1 usage or input error, 2 anomaly (a violated rank
-bound, a Keller map proved NotInvertible, a search that surfaced
-anomalies, or a failed internal check).
+Exit codes: 0 clean, 1 usage or input error or a reader that closed
+standard output early (the rest of the output is dropped, with no
+traceback), 2 anomaly (a violated rank bound, a Keller map proved
+NotInvertible, a search that surfaced anomalies, or a failed internal
+check).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -228,7 +231,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else int(exc.code)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except (MatrixParseError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,11 +1,18 @@
 """Sparse multivariate polynomials over Q(i), plus maps and matrices of them.
 
-A polynomial in n variables is a dict from exponent tuples (length n, one
-non-negative integer per variable) to nonzero :class:`GaussianRational`
-coefficients.  The zero polynomial has an empty term dict.  Canonical term
-order is graded lexicographic (higher total degree first, then
-lexicographically larger exponent tuple first), which fixes the printed
-form and makes golden-file comparisons possible.
+A polynomial in n variables is a dict ``.terms`` from exponent tuples
+(length n, one non-negative integer per variable) to nonzero
+:class:`GaussianRational` coefficients.  The zero polynomial has an empty
+term dict.  Canonical term order is graded lexicographic (higher total
+degree first, then lexicographically larger exponent tuple first), which
+fixes the printed form and makes golden-file comparisons possible.
+
+Products, matrix products, determinants and linear combinations run on one
+term kernel, :func:`_sum_of_products`: terms ``(key, re, im)`` with the raw int
+or Fraction parts, summed in one accumulator, one :class:`GaussianRational` per
+surviving term.  A product's key is the exponent tuple packed into an int
+(Monagan and Pearce, CASC 2007; :func:`_packing`), so monomials multiply by one
+integer addition; packing stays in the kernel's callers, ``.terms`` keeps tuples.
 
 Variables render as x1..xn.  A term like (1+i)*x1*x2^2 renders with the
 mixed coefficient parenthesized: ``(1+i)x1x2^2``.
@@ -13,9 +20,10 @@ mixed coefficient parenthesized: ``(1+i)x1x2^2``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
+from operator import lshift
 
-from .scalars import GaussianRational, ZERO, ONE, format_gaussian
+from .scalars import GaussianRational, ZERO, ONE, _coerce, _part, format_gaussian
 
 Exponents = tuple[int, ...]
 
@@ -30,6 +38,67 @@ class UnsupportedSizeError(ValueError):
 
 def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
+
+
+def _packing(nvars: int, top: int):
+    """(pack, unpack, shift) for products of total degree at most ``top``.
+
+    Field j of a key holds exponent j in ``top.bit_length()`` bits, and the
+    field from bit ``shift`` up holds the total degree.  No field overflows
+    in a product, so keys add as exponents do and sort by degree first.
+    """
+    width = top.bit_length() or 1
+    shifts = range(0, nvars * width, width)
+    shift, mask = nvars * width, (1 << width) - 1
+
+    def pack(p: Polynomial) -> list:
+        terms = p.terms.items()
+        return [(sum(map(lshift, e, shifts)) + (sum(e) << shift), c.re, c.im) for e, c in terms]
+
+    def unpack(key: int) -> Exponents:
+        return tuple([(key >> s) & mask for s in shifts])
+
+    return pack, unpack, shift
+
+
+def _sum_of_products(pairs, limit=None) -> list:
+    """The nonzero terms of sum(a * b for a, b in pairs), a and b term lists.
+
+    A zero part is never multiplied nor added: with Fraction parts that is
+    most of the cost.  Keys add with ``+``.  With ``limit`` set, b must be
+    sorted and products with keys at or above it are skipped uncomputed:
+    each term of a meets the prefix of b below ``limit`` less its own key.
+    """
+    out = {}
+    for a, b in pairs:
+        for ka, ar, ai in a:
+            row = b if limit is None else b[: bisect_left(b, (limit - ka,))]
+            for kb, br, bi in row:
+                if not ai:
+                    re, im = (ar * br if br else 0), (ar * bi if bi else 0)
+                elif not bi:
+                    re, im = (ar * br if ar else 0), ai * br
+                else:
+                    re, im = ar * br - ai * bi, ar * bi + ai * br
+                acc = out.get(k := ka + kb)
+                if acc is None:
+                    out[k] = [re, im]
+                else:
+                    if re:
+                        acc[0] += re
+                    if im:
+                        acc[1] += im
+    return [(k, re, im) for k, (re, im) in out.items() if re or im]
+
+
+def _polynomial(nvars: int, terms: list, unpack) -> "Polynomial":
+    # one GaussianRational per term, its parts in stored form
+    raw = GaussianRational._raw
+    return Polynomial._raw(nvars, {unpack(k): raw(_part(re), _part(im)) for k, re, im in terms})
+
+
+def _packed_rows(M: "PolyMatrix", pack) -> list:
+    return [[pack(p) for p in row] for row in M.entries]
 
 
 class Polynomial:
@@ -62,32 +131,24 @@ class Polynomial:
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
         value = value if isinstance(value, GaussianRational) else GaussianRational(value)
-        if not value:
-            return cls._raw(nvars, {})
-        return cls._raw(nvars, {(0,) * nvars: value})
+        return cls._raw(nvars, {(0,) * nvars: value} if value else {})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
-        exp = [0] * nvars
-        exp[index] = 1
-        return cls._raw(nvars, {tuple(exp): ONE})
+        return cls._raw(nvars, {(0,) * index + (1,) + (0,) * (nvars - index - 1): ONE})
 
     @classmethod
     def linear_form(cls, coeffs) -> "Polynomial":
         """Sum of coeffs[j] * x_{j+1} over all j with nonzero coefficient."""
         coeffs = list(coeffs)
-        nvars = len(coeffs)
-        terms: dict[Exponents, GaussianRational] = {}
+        terms = {}
         for j, c in enumerate(coeffs):
-            if not isinstance(c, GaussianRational):
-                c = GaussianRational(c)
+            c = c if isinstance(c, GaussianRational) else GaussianRational(c)
             if c:
-                exp = [0] * nvars
-                exp[j] = 1
-                terms[tuple(exp)] = c
-        return cls._raw(nvars, terms)
+                terms[(0,) * j + (1,) + (0,) * (len(coeffs) - j - 1)] = c
+        return cls._raw(len(coeffs), terms)
 
     # -- predicates and measures ---------------------------------------
 
@@ -96,9 +157,7 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Maximum term degree; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms), default=0)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -115,9 +174,7 @@ class Polynomial:
 
     def _check_arity(self, other: "Polynomial") -> None:
         if self.nvars != other.nvars:
-            raise ArityMismatchError(
-                f"polynomials in {self.nvars} and {other.nvars} variables"
-            )
+            raise ArityMismatchError(f"polynomials in {self.nvars} and {other.nvars} variables")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_arity(other)
@@ -135,19 +192,7 @@ class Polynomial:
         return Polynomial._raw(self.nvars, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_arity(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            if acc is None:
-                out[e] = -c
-            else:
-                acc = acc - c
-                if acc:
-                    out[e] = acc
-                else:
-                    del out[e]
-        return Polynomial._raw(self.nvars, out)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -159,39 +204,19 @@ class Polynomial:
         """Exact product; with ``truncate_above`` set, terms of total degree
         above the cap are dropped and never computed.
 
-        Each term of ``self`` is paired with a row of ``other``'s terms: all
-        of them for an exact product; under a cap, the prefix of ``other``'s
-        terms sorted by degree that fits under the cap less the term's own
-        degree, found by bisection.
+        Under a cap, ``other``'s packed terms are sorted, hence by degree,
+        and each term of ``self`` meets only the prefix that fits.
         """
         self._check_arity(other)
-        out: dict[Exponents, GaussianRational] = {}
-        b_terms = other.terms.items()
+        pack, unpack, shift = _packing(self.nvars, self.total_degree() + other.total_degree())
+        b, limit = pack(other), None
         if truncate_above is not None:
-            b_terms = sorted(b_terms, key=lambda kv: sum(kv[0]))
-            b_degrees = [sum(e) for e, _ in b_terms]
-        for ea, ca in self.terms.items():
-            if truncate_above is None:
-                row = b_terms
-            else:
-                row = b_terms[: bisect_right(b_degrees, truncate_above - sum(ea))]
-            for eb, cb in row:
-                e = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
-                acc = out.get(e)
-                if acc is None:
-                    out[e] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        out[e] = acc
-                    else:
-                        del out[e]
-        return Polynomial._raw(self.nvars, out)
+            b.sort()
+            limit = (truncate_above + 1) << shift
+        return _polynomial(self.nvars, _sum_of_products([(pack(self), b)], limit), unpack)
 
     def cube(self, truncate_above: int | None = None) -> "Polynomial":
-        sq = self.mul(self, truncate_above)
-        return sq.mul(self, truncate_above)
+        return self.mul(self, truncate_above).mul(self, truncate_above)
 
     # -- calculus / evaluation -----------------------------------------
 
@@ -199,24 +224,17 @@ class Polynomial:
         """Exact partial derivative with respect to x_{var+1}."""
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range")
-        out: dict[Exponents, GaussianRational] = {}
-        for e, c in self.terms.items():
-            k = e[var]
-            if k == 0:
-                continue
-            new_e = e[:var] + (k - 1,) + e[var + 1:]
-            coeff = c * k
-            acc = out.get(new_e)
-            out[new_e] = coeff if acc is None else acc + coeff
-        return Polynomial._raw(self.nvars, {e: c for e, c in out.items() if c})
+        # distinct terms have distinct derivatives, so nothing is summed
+        return Polynomial._raw(self.nvars, {
+            e[:var] + (k - 1,) + e[var + 1:]: c * k
+            for e, c in self.terms.items() if (k := e[var])
+        })
 
     def evaluate(self, point) -> GaussianRational:
         """Exact value at a point (sequence of n GaussianRationals)."""
         point = [p if isinstance(p, GaussianRational) else GaussianRational(p) for p in point]
         if len(point) != self.nvars:
-            raise ArityMismatchError(
-                f"point of length {len(point)} for {self.nvars} variables"
-            )
+            raise ArityMismatchError(f"point of length {len(point)} for {self.nvars} variables")
         powers: list[dict[int, GaussianRational]] = [{0: ONE} for _ in range(self.nvars)]
 
         def var_power(j: int, k: int) -> GaussianRational:
@@ -278,25 +296,23 @@ class Polynomial:
 
 
 def linear_combination(coeffs, polys, nvars: int) -> Polynomial:
-    """Sum coeffs[k] * polys[k] into one term dict; exact, zero coefficients skipped."""
-    out: dict[Exponents, GaussianRational] = {}
+    """Sum coeffs[k] * polys[k] by the term kernel; exact, zero coefficients skipped.
+
+    A coefficient is a GaussianRational, int or Fraction (TypeError for anything
+    else).  It enters the kernel as the one term ``((), re, im)``: () + e == e,
+    so the keys stay exponent tuples, which ``tuple`` returns as they are.
+    """
+    pairs = []
     for c, p in zip(coeffs, polys):
-        if not c:
+        value = _coerce(c)
+        if value is None:
+            raise TypeError(f"coefficient {c!r} is not a Q(i) value")
+        if not value:
             continue
         if p.nvars != nvars:
             raise ArityMismatchError(f"polynomials in {nvars} and {p.nvars} variables")
-        for e, pc in p.terms.items():
-            term = c * pc
-            acc = out.get(e)
-            if acc is None:
-                out[e] = term
-            else:
-                acc = acc + term
-                if acc:
-                    out[e] = acc
-                else:
-                    del out[e]
-    return Polynomial._raw(nvars, out)
+        pairs.append(([((), value.re, value.im)], [(e, t.re, t.im) for e, t in p.terms.items()]))
+    return _polynomial(nvars, _sum_of_products(pairs), tuple)
 
 
 class PolyMap:
@@ -315,9 +331,8 @@ class PolyMap:
             if not components:
                 raise ValueError("empty map needs an explicit variable count")
             nvars = components[0].nvars
-        for p in components:
-            if p.nvars != nvars:
-                raise ArityMismatchError("components with mixed variable counts")
+        if any(p.nvars != nvars for p in components):
+            raise ArityMismatchError("components with mixed variable counts")
         self.components = components
         self.nvars = nvars
 
@@ -330,9 +345,7 @@ class PolyMap:
         return len(self.components)
 
     def max_degree(self) -> int:
-        if not self.components:
-            return 0
-        return max(p.total_degree() for p in self.components)
+        return max((p.total_degree() for p in self.components), default=0)
 
     def evaluate(self, point) -> list[GaussianRational]:
         return [p.evaluate(point) for p in self.components]
@@ -368,9 +381,7 @@ def compose_polynomial(
 ) -> Polynomial:
     """Exact substitution of inner's components for outer's variables."""
     if outer.nvars != inner.dimension:
-        raise ArityMismatchError(
-            f"outer arity {outer.nvars} vs inner dimension {inner.dimension}"
-        )
+        raise ArityMismatchError(f"outer arity {outer.nvars} vs inner dimension {inner.dimension}")
     memo = _memo if _memo is not None else {}
     if not memo:
         memo[(0,) * outer.nvars] = Polynomial.one(inner.nvars)
@@ -385,9 +396,7 @@ def compose(outer: PolyMap, inner: PolyMap) -> PolyMap:
     The components share one memo of power products of inner's components.
     """
     if outer.nvars != inner.dimension:
-        raise ArityMismatchError(
-            f"outer arity {outer.nvars} vs inner dimension {inner.dimension}"
-        )
+        raise ArityMismatchError(f"outer arity {outer.nvars} vs inner dimension {inner.dimension}")
     memo: dict[Exponents, Polynomial] = {}
     return PolyMap(
         [compose_polynomial(p, inner, memo) for p in outer.components],
@@ -410,20 +419,15 @@ class PolyMatrix:
             if not entries or not entries[0]:
                 raise ValueError("empty matrix needs an explicit variable count")
             nvars = entries[0][0].nvars
-        for row in entries:
-            for p in row:
-                if p.nvars != nvars:
-                    raise ArityMismatchError("entries with mixed variable counts")
+        if any(p.nvars != nvars for row in entries for p in row):
+            raise ArityMismatchError("entries with mixed variable counts")
         self.entries = entries
         self.nvars = nvars
 
     @classmethod
     def identity(cls, n: int, nvars: int) -> "PolyMatrix":
-        one = Polynomial.one(nvars)
-        zero = Polynomial.zero(nvars)
-        return cls(
-            [[one if i == j else zero for j in range(n)] for i in range(n)], nvars=nvars
-        )
+        one, zero = Polynomial.one(nvars), Polynomial.zero(nvars)
+        return cls([[one if i == j else zero for j in range(n)] for i in range(n)], nvars=nvars)
 
     @property
     def rows(self) -> int:
@@ -448,38 +452,34 @@ class PolyMatrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in polynomial matrix subtraction")
         return PolyMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
             nvars=self.nvars,
         )
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """Each entry is one kernel sum of a_ik * b_kj over k; each operand
+        is packed once."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in polynomial matrix product")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Polynomial.zero(self.nvars)
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out, nvars=self.nvars)
+        if self.nvars != other.nvars:
+            raise ArityMismatchError(f"matrices in {self.nvars} and {other.nvars} variables")
+        nvars = self.nvars
+        pack, unpack, _ = _packing(nvars, self.max_degree() + other.max_degree())
+        columns = list(zip(*_packed_rows(other, pack)))
+        return PolyMatrix([
+            [_polynomial(nvars, _sum_of_products(zip(row, column)), unpack) for column in columns]
+            for row in _packed_rows(self, pack)
+        ], nvars=nvars)
+
+    def max_degree(self) -> int:
+        return max((p.total_degree() for row in self.entries for p in row), default=0)
 
     def evaluate(self, point):
         """Entrywise evaluation; returns a grid of GaussianRationals."""
         return [[p.evaluate(point) for p in row] for row in self.entries]
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            ", ".join(p.to_text() for p in row) for row in self.entries
-        )
+        body = "; ".join(", ".join(p.to_text() for p in row) for row in self.entries)
         return f"PolyMatrix[{body}]"
 
 
@@ -509,25 +509,25 @@ def det(M: PolyMatrix) -> Polynomial:
         )
     if n == 0:
         return Polynomial.one(M.nvars)
-    memo: dict[tuple[int, ...], Polynomial] = {}
+    # minors stay packed term lists until the end
+    pack, unpack, _ = _packing(M.nvars, n * M.max_degree())
+    rows = _packed_rows(M, pack)
+    memo: dict[tuple[int, ...], list] = {}
 
-    def expand(cols: tuple[int, ...]) -> Polynomial:
+    def expand(cols: tuple[int, ...]) -> list:
         cached = memo.get(cols)
         if cached is not None:
             return cached
-        row_index = n - len(cols)
+        entries = rows[n - len(cols)]
         if len(cols) == 1:
-            value = M.entries[row_index][cols[0]]
+            value = entries[cols[0]]
         else:
-            value = Polynomial.zero(M.nvars)
-            for k, col in enumerate(cols):
-                entry = M.entries[row_index][col]
-                if not entry.terms:
-                    continue
-                minor = expand(cols[:k] + cols[k + 1:])
-                term = entry * minor
-                value = value + term if k % 2 == 0 else value - term
+            value = _sum_of_products(
+                (entries[col] if k % 2 == 0 else [(e, -re, -im) for e, re, im in entries[col]],
+                 expand(cols[:k] + cols[k + 1:]))
+                for k, col in enumerate(cols) if entries[col]
+            )
         memo[cols] = value
         return value
 
-    return expand(tuple(range(n)))
+    return _polynomial(M.nvars, expand(tuple(range(n))), unpack)

@@ -7,11 +7,15 @@ product, the Q(i) RREF, the lift and the one-output SplitMix64 below are
 second routes to what the library computes its own way, kept here as
 oracles only.  So are degree
 truncation and the truncated composition: the library composes exactly and
-truncates only inside ``Polynomial.mul`` and ``Polynomial.cube``.
+truncates only inside ``Polynomial.mul`` and ``Polynomial.cube``.  So is
+the tuple-keyed product below, with the matrix product, determinant and
+linear combination built on it: the library runs all four on one packed
+term kernel.
 """
 
 import itertools
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import sympy
@@ -27,7 +31,13 @@ from cubelin import (
     rank_bound_certificate,
 )
 from cubelin.druzkowski import cubic_terms, expand_map
-from cubelin.poly import Exponents, compose, compose_polynomial, linear_combination
+from cubelin.poly import (
+    Exponents,
+    PolyMatrix,
+    compose,
+    compose_polynomial,
+    linear_combination,
+)
 
 PAPER_EXAMPLE_ROWS = [
     ["1", "i", "1", "1"],
@@ -166,7 +176,8 @@ def random_polynomial(
     total = Polynomial.zero(nvars)
     for _ in range(rng.randint(1, max_terms)):
         exps = [0] * nvars
-        for _ in range(rng.randint(0, max_degree)):
+        # with no variables every term is a constant
+        for _ in range(rng.randint(0, max_degree) if nvars else 0):
             exps[rng.randrange(nvars)] += 1
         coeff = random_gaussian(rng, 3, den)
         if not coeff.is_zero():
@@ -205,6 +216,83 @@ def truncated_compose(outer: PolyMap, inner: PolyMap, max_degree: int) -> PolyMa
         ],
         nvars=inner.nvars,
     )
+
+
+def reference_mul(self, other, truncate_above=None):
+    """Exact product on exponent tuples and GaussianRational arithmetic;
+    with ``truncate_above`` set, terms of total degree above the cap are
+    dropped and never computed.
+
+    ``Polynomial.mul`` as it was before the packed term kernel, kept as its
+    oracle.  Each term of ``self`` is paired with a row of ``other``'s
+    terms: all of them for an exact product; under a cap, the prefix of
+    ``other``'s terms sorted by degree that fits under the cap less the
+    term's own degree, found by bisection.
+    """
+    self._check_arity(other)
+    out: dict[Exponents, GaussianRational] = {}
+    b_terms = other.terms.items()
+    if truncate_above is not None:
+        b_terms = sorted(b_terms, key=lambda kv: sum(kv[0]))
+        b_degrees = [sum(e) for e, _ in b_terms]
+    for ea, ca in self.terms.items():
+        if truncate_above is None:
+            row = b_terms
+        else:
+            row = b_terms[: bisect_right(b_degrees, truncate_above - sum(ea))]
+        for eb, cb in row:
+            e = tuple(x + y for x, y in zip(ea, eb))
+            c = ca * cb
+            acc = out.get(e)
+            if acc is None:
+                out[e] = c
+            else:
+                acc = acc + c
+                if acc:
+                    out[e] = acc
+                else:
+                    del out[e]
+    return Polynomial._raw(self.nvars, out)
+
+
+def reference_matmul(M: PolyMatrix, N: PolyMatrix) -> PolyMatrix:
+    """M @ N entry by entry, each a sum of :func:`reference_mul` products."""
+    return PolyMatrix(
+        [
+            [
+                sum(
+                    (reference_mul(M.entries[i][k], N.entries[k][j]) for k in range(M.cols)),
+                    Polynomial.zero(M.nvars),
+                )
+                for j in range(N.cols)
+            ]
+            for i in range(M.rows)
+        ],
+        nvars=M.nvars,
+    )
+
+
+def reference_det(M: PolyMatrix) -> Polynomial:
+    """Laplace expansion along the first row, unmemoized, on :func:`reference_mul`."""
+
+    def expand(rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
+        if not rows:
+            return Polynomial.one(M.nvars)
+        total = Polynomial.zero(M.nvars)
+        for k, col in enumerate(cols):
+            term = reference_mul(M.entries[rows[0]][col], expand(rows[1:], cols[:k] + cols[k + 1:]))
+            total = total + term if k % 2 == 0 else total - term
+        return total
+
+    return expand(tuple(range(M.rows)), tuple(range(M.cols)))
+
+
+def reference_linear_combination(coeffs, polys, nvars: int) -> Polynomial:
+    """Sum of constant(c) * p over the pairs, on :func:`reference_mul`."""
+    total = Polynomial.zero(nvars)
+    for c, p in zip(coeffs, polys):
+        total = total + reference_mul(Polynomial.constant(nvars, c), p)
+    return total
 
 
 def transpose(M: ScalarMatrix) -> ScalarMatrix:

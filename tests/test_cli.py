@@ -307,6 +307,25 @@ class TestSearch:
             assert done.stderr.startswith("error:"), done.stderr
             assert "Traceback" not in done.stderr
 
+    def test_reader_closing_the_pipe_early_exits_one_quietly(self, tmp_path):
+        # about 500 KB of records, far more than a pipe buffers, so the
+        # writer is still printing when the reader goes away
+        path = self.write_config(tmp_path, {
+            "n": 3, "alphabet": ["0", "1", "-1", "i", "-i"], "mode": "sample",
+            "count": 2000, "seed": 5, "checks": ["rank_bound"],
+        })
+        package_root = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(package_root)}
+        with subprocess.Popen(
+            [sys.executable, "-m", "cubelin.cli", "search", path, "--json", "--records"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as process:
+            assert len(process.stdout.read(100)) == 100
+            process.stdout.close()
+            err = process.stderr.read().decode()
+            assert process.wait(timeout=60) == 1, err
+        assert err == ""
+
     def test_unknown_config_key(self, capsys, tmp_path):
         path = self.write_config(
             tmp_path,
