@@ -42,7 +42,7 @@ from itertools import islice, product, repeat
 from typing import Iterator, Sequence
 
 from .druzkowski import RankBoundCertificate
-from .invert import _DIMENSION_CAP, corollary_pipeline, decide_automorphism, is_keller
+from .invert import _DIMENSION_CAP, GZPair, corollary_pipeline, decide_automorphism, is_keller
 from .kernel import certificate_ints, integer_pairs
 from .linalg import ScalarMatrix, rank
 from .matrixio import matrix_entries_text
@@ -275,10 +275,6 @@ class SearchReport:
     duration_seconds: float
     records: list[dict] | None = None
 
-    @property
-    def clean(self) -> bool:
-        return not self.anomalies
-
     def to_dict(self) -> dict:
         # duration stays last so byte comparisons can split it off
         return {
@@ -378,13 +374,15 @@ def _scan_range(
             # candidates that do; keller_only tests all, as the is_keller
             # spans of cubench's search-keller declare (ROADMAP item 1)
             want_keller = keller_filter or (holds and want_invert)
-            matrix = keller = certificate = None
+            matrix = pair = keller = certificate = None
             # the rank matters only to the rank_bound check where the trace
             # condition holds, or to a record, which certifies it below
             if want_keller or want_corollary or (holds and want_rank_bound):
                 matrix = _candidate_matrix(alphabet, n, digits)
+            if want_keller or want_corollary:
+                pair = GZPair(matrix)  # the one analysis every check reads
             if want_keller:
-                keller = is_keller(matrix)
+                keller = is_keller(pair)
                 if keller_filter and not keller:
                     continue
             totals["passed_filters"] += 1
@@ -404,7 +402,7 @@ def _scan_range(
                 totals["invert"]["checked"] += 1
                 if keller:
                     totals["invert"]["keller"] += 1
-                    result = decide_automorphism(matrix)
+                    result = decide_automorphism(pair)
                     if result.invertible:
                         totals["invert"]["invertible"] += 1
                         inverse_degree = result.inverse_degree
@@ -414,7 +412,7 @@ def _scan_range(
 
             if want_corollary:
                 totals["corollary"]["checked"] += 1
-                report = corollary_pipeline(matrix)
+                report = corollary_pipeline(pair)
                 if report.hypotheses_hold:
                     totals["corollary"]["applicable"] += 1
                 if report.verified:
@@ -427,7 +425,7 @@ def _scan_range(
                 if matrix is None:
                     matrix = _candidate_matrix(alphabet, n, digits)
                 if keller is None:
-                    keller = holds and is_keller(matrix)
+                    keller = holds and is_keller(matrix if pair is None else pair)
                 if certificate is None:
                     certificate = RankBoundCertificate(n, holds, delta, rank(matrix))
                 record = {

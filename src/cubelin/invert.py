@@ -8,27 +8,27 @@ C intertwines them, C o F == G o C, F and G are invertible together
 
     F^{-1}(Z) = Z - (B @ G^{-1}(C Z))^{*3}.
 
-F and G are also Keller together, so :func:`is_keller` tests G, on an
-r x r Jacobian; inversion and the corollary run that test on their own
-pair.  Every pair is built as ``GZPair(A)``, which derives B, C and G from A.
+``GZPair(A)`` is the analysis of one matrix.  It derives B, C and G, and
+keeps each step of the route once computed: the Keller bit (F and G are
+Keller together, so it is tested on an r x r Jacobian), G^{-1} and the
+lifted F^{-1}.  :func:`is_keller`, :func:`gz_reduce`,
+:func:`decide_automorphism` and :func:`corollary_pipeline` are views that
+take a square matrix or its pair.
 
-Inversion takes that route only: reduce, test Keller, decide G, lift.  A
-non-Keller map is answered from the Keller test alone, since an invertible
-map has det JF == 1.  G is decided by the fixed-point recurrence
-G^{-1} <- Y - C (B G^{-1})^{*3}, truncated at a degree bound, evaluated in
+A non-Keller G has no inverse, since an invertible map has det JF == 1.
+A Keller G is decided at its full bound 3^(r-1) by the fixed-point
+recurrence G^{-1} <- Y - C (B G^{-1})^{*3}, truncated there, evaluated in
 structured form: collapse the linear forms u_j = B_j . G^{-1} first, then
-cube.  The collapse is where all the
-cancellation lives, so iterates stay small.  Once the iteration is
-stationary, G o G^{-1} == id reduces to an exact identity on the
-collapsed forms (no truncation).  The lift works in the reduced space
-too: it cubes the forms B_j . G^{-1}(Y) in r variables and carries G^{-1}
-and the cubes to Z by one substitution Y = C Z, a ring homomorphism.  It
-checks G^{-1} o G == id, then C F^{-1} == G^{-1}(C Z) on r linear forms,
-which proves F o F^{-1} == id, G o G^{-1} == id and C o F == G o C;
-F^{-1} o F == id follows from the identities the route has checked (see
-:func:`decide_automorphism`).
+cube.  The collapse is where all the cancellation lives, so iterates stay
+small.  Once the iteration is stationary, G o G^{-1} == id reduces to an
+exact identity on the collapsed forms (no truncation).  The lift works in
+the reduced space too: it cubes the forms B_j . G^{-1}(Y) in r variables
+and carries G^{-1} and the cubes to Z by one substitution Y = C Z, a ring
+homomorphism.  It checks G^{-1} o G == id, then C F^{-1} == G^{-1}(C Z)
+on r linear forms, which proves F o F^{-1} == id, G o G^{-1} == id and
+C o F == G o C; F^{-1} o F == id follows (see :func:`decide_automorphism`).
 
-The paper's corollary, :func:`corollary_pipeline`, runs the same route
+The paper's corollary, :func:`corollary_pipeline`, reads the same route
 under its hypotheses: in dimension at most nine, a Keller map with a
 zero-free diagonal of A has r <= 4 by the rank bound, so its G is decided
 in at most four variables and lifted.  The trace condition that the rank
@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .druzkowski import _square_matrix, cubic_terms, expand_map
 from .linalg import ScalarMatrix, rank_factorization
@@ -139,6 +140,9 @@ class GZPair:
     B @ C == A exactly and builds G = Y + C (BY)^{*3}; at full rank B = A
     and C = I_n, so G is F and is built by :func:`expand_map`.  No pair's
     G can disagree with its factors, nor its factors with A.
+
+    ``keller``, ``g_inverse`` and ``f_inverse``, the steps of the route,
+    are computed on first use and kept.
     """
 
     matrix: ScalarMatrix
@@ -177,6 +181,40 @@ class GZPair:
             nvars=self.n,
         )
 
+    @cached_property
+    def keller(self) -> bool:
+        """Whether F is Keller: JG - I_r nilpotent (see :func:`is_keller`).
+
+        Up to the determinant's size cap, det JG == 1 must agree exactly; a
+        disagreement would be a bug, so it raises.  r = 0 (A = 0) is Keller.
+        """
+        r = self.r
+        if r == 0:
+            return True
+        JG = jacobian(self.G)
+        nilpotent = nilpotency_index(JG - PolyMatrix.identity(r, r)) is not None
+        if r <= _DET_SIZE_CAP:
+            det_says = det(JG) == Polynomial.one(r)
+            if det_says != nilpotent:
+                raise RuntimeError(
+                    "internal check failed: Jacobian determinant and nilpotency "
+                    f"disagree for {self.matrix!r}"
+                )
+        return nilpotent
+
+    @cached_property
+    def g_inverse(self) -> PolyMap | None:
+        """G^{-1}, decided at its full bound; None when G has none (a
+        non-Keller G is not iterated: see :func:`decide_automorphism`)."""
+        return _decide(self.B, self.C) if self.keller else None
+
+    @cached_property
+    def f_inverse(self) -> PolyMap | None:
+        """F^{-1}, lifted from ``g_inverse`` by :func:`lift_inverse`; None
+        when G has no inverse."""
+        g_inverse = self.g_inverse
+        return None if g_inverse is None else lift_inverse(self, g_inverse)
+
     def to_dict(self) -> dict:
         return {
             "r": self.r,
@@ -186,9 +224,15 @@ class GZPair:
         }
 
 
+def _pair(A) -> GZPair:
+    # the views take a square matrix or the pair already built from one
+    return A if isinstance(A, GZPair) else GZPair(A)
+
+
 def gz_reduce(A) -> GZPair:
-    """``GZPair(A)``, with C o F == G o C checked exactly below full rank
-    (at full rank C = I_n and G is F); a failure would be a bug, so it raises.
+    """A's :class:`GZPair`, with C o F == G o C checked exactly below full
+    rank (at full rank C = I_n and G is F); a failure would be a bug, so it
+    raises.  A may be a square matrix or its pair.
 
     The pair is consistent by construction (A = B @ C gives
     C (AX)^{*3} = C (B (CX))^{*3}), so the check re-tests polynomial
@@ -197,7 +241,7 @@ def gz_reduce(A) -> GZPair:
     and it is maps-int's only route into the declared druzkowski.expand_map
     span.  :func:`corollary_pipeline` skips it: its lift proves the identity.
     """
-    pair = GZPair(A)
+    pair = _pair(A)
     n = pair.n
     if pair.r == n:
         return pair
@@ -206,28 +250,6 @@ def gz_reduce(A) -> GZPair:
     if PolyMap(C_after_F, nvars=n) != compose(pair.G, pair.projection()):
         raise RuntimeError("internal check failed: reduction does not intertwine")
     return pair
-
-
-def _keller_on_pair(pair: GZPair) -> bool:
-    """Whether F is Keller, tested on its reduced map G: JG - I_r nilpotent.
-
-    For r up to the determinant's size cap, det JG == 1 is checked against
-    the nilpotency answer exactly; a disagreement would mean a bug, not a
-    mathematical finding, so it raises.  r = 0 (A = 0) is Keller.
-    """
-    r = pair.r
-    if r == 0:
-        return True
-    JG = jacobian(pair.G)
-    nilpotent = nilpotency_index(JG - PolyMatrix.identity(r, r)) is not None
-    if r <= _DET_SIZE_CAP:
-        det_says = det(JG) == Polynomial.one(r)
-        if det_says != nilpotent:
-            raise RuntimeError(
-                "internal check failed: Jacobian determinant and nilpotency "
-                f"disagree for {pair.matrix!r}"
-            )
-    return nilpotent
 
 
 def is_keller(A) -> bool:
@@ -246,11 +268,10 @@ def is_keller(A) -> bool:
     holds exactly when JG - I_r is nilpotent, which is what is tested, on an
     r x r matrix instead of an n x n one.
 
-    The test runs on ``GZPair(A)``, which checks B @ C == A exactly; the
-    intertwining C o F == G o C of :func:`gz_reduce` is not checked: this
-    test needs only G.
+    A may be a square matrix or its :class:`GZPair`, which checks
+    B @ C == A; the intertwining of :func:`gz_reduce` is not checked.
     """
-    return _keller_on_pair(GZPair(A))
+    return _pair(A).keller
 
 
 def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
@@ -293,13 +314,14 @@ def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
     return inverse
 
 
-def _decide(B: ScalarMatrix, C: ScalarMatrix, bound: int) -> PolyMap | None:
-    """G^{-1} for G(Y) = Y + C (BY)^{*3} if it has degree <= bound, else None.
+def _decide(B: ScalarMatrix, C: ScalarMatrix) -> PolyMap | None:
+    """G^{-1} for G(Y) = Y + C (BY)^{*3}, or None if G has no inverse.
 
-    The returned map satisfies G o G^{-1} == id exactly; None means G has
-    no inverse of degree at most ``bound``.
+    The iteration is truncated at 3^(r-1), the largest degree an inverse
+    can have; the returned map satisfies G o G^{-1} == id exactly.
     """
     r = B.cols
+    bound = default_degree_bound(r)
     identity = [Polynomial.variable(r, i) for i in range(r)]
     components = identity
     for _ in range(bound + 2):
@@ -321,55 +343,48 @@ def _decide(B: ScalarMatrix, C: ScalarMatrix, bound: int) -> PolyMap | None:
 def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
     """Decide whether X + (AX)^{*3} has a polynomial inverse of degree <= d.
 
-    d is ``degree_bound``, an int of at least 1 (ValueError for anything
-    else, a bool included), by default 3^(n-1), the maximum possible inverse
-    degree (Bass-Connell-Wright), so with it the answer is unconditional.
-    The map is reduced to G in dimension r = rank(A) and G is decided at
-    min(d, 3^(r-1)): C o F^{-1} == G^{-1} o C with C onto gives
-    deg G^{-1} <= deg F^{-1}, so a G with no inverse of degree <= d means an
-    F with none either.  The status is NotInvertible only when G has no
-    inverse at its full bound 3^(r-1), which proves F has no inverse at
-    all.  A G refused below that bound, or a lifted inverse of degree
-    above d, gives NoInverseWithinBound: F may still be invertible.
+    A is a square matrix or its :class:`GZPair`.  d is ``degree_bound``,
+    an int of at least 1 (ValueError for anything else, a bool included,
+    before A is factored), by default 3^(n-1), the maximum possible
+    inverse degree (Bass-Connell-Wright), so with it the answer is
+    unconditional.  The pair's route runs at G's full bound 3^(r-1), and
+    d only filters its answer: NotInvertible when G has no inverse and
+    d >= 3^(r-1), which proves F has none; NoInverseWithinBound when G has
+    no inverse and d is below that, or when deg F^{-1} > d.  These are the
+    statuses a decision truncated at min(d, 3^(r-1)) gives, at the full
+    decision's cost even for a small d: C o F^{-1} == G^{-1} o C with C
+    onto gives deg G^{-1} <= deg F^{-1}, so where such a run finds no
+    G^{-1}, the full run's lifted degree exceeds d.
 
-    G is Keller-tested first, and a non-Keller G is not iterated, which at
-    r = 4 can take hours: it gets the status that a refused G gets, and
-    the result carries the Keller bit.  That answer is exact.  An invertible polynomial map has a unit, hence
-    constant, Jacobian determinant, which is det JF(0) == 1; and an H that
-    :func:`_decide` returns has G o H == id, which forces det JG == 1 too.
+    A non-Keller G has no inverse and is not iterated (at r = 4 that can
+    take hours): an invertible polynomial map has a constant Jacobian
+    determinant, det JF(0) == 1, and G o G^{-1} == id forces det JG == 1.
+    The result carries the Keller bit.
 
     Both composition orders are verified exactly.  F o F^{-1} == id is
     checked directly by the lift.  F^{-1} o F == id follows from B C == A
-    and C o F == G o C (checked by the reduction) and G^{-1} o G == id
-    (checked by the lift):
+    and C o F == G o C (checked by :func:`gz_reduce`, here too) and
+    G^{-1} o G == id (checked by the lift):
 
         F^{-1}(F(X)) = F(X) - (B G^{-1}(C F(X)))^{*3}
                      = F(X) - (B G^{-1}(G(C X)))^{*3}
                      = F(X) - (B C X)^{*3}
                      = F(X) - (A X)^{*3} = X.
     """
-    A = _square_matrix(A)
-    bound = default_degree_bound(A.rows) if degree_bound is None else degree_bound
-    # bool counts as int, so it is refused by name
-    if isinstance(bound, bool) or not isinstance(bound, int):
-        raise ValueError(f"degree bound must be an integer, got {bound!r}")
-    if bound < 1:
-        raise ValueError("degree bound must be at least 1")
+    if degree_bound is not None:
+        # bool counts as int, so it is refused by name
+        if isinstance(degree_bound, bool) or not isinstance(degree_bound, int):
+            raise ValueError(f"degree bound must be an integer, got {degree_bound!r}")
+        if degree_bound < 1:
+            raise ValueError("degree bound must be at least 1")
     pair = gz_reduce(A)
-    g_bound = default_degree_bound(pair.r)
-    keller = _keller_on_pair(pair)
-    g_inverse = _decide(pair.B, pair.C, min(bound, g_bound)) if keller else None
-    if g_inverse is None:
-        status = NOT_INVERTIBLE if bound >= g_bound else NO_INVERSE_WITHIN_BOUND
-        return InverseResult(status=status, degree_bound_used=bound, keller=keller)
-    inverse = lift_inverse(pair, g_inverse)
-    if inverse.max_degree() > bound:
-        return InverseResult(
-            status=NO_INVERSE_WITHIN_BOUND, degree_bound_used=bound, keller=True
-        )
-    return InverseResult(
-        status=INVERTIBLE, degree_bound_used=bound, keller=True, inverse=inverse
-    )
+    bound = default_degree_bound(pair.n) if degree_bound is None else degree_bound
+    inverse = pair.f_inverse
+    if inverse is not None and inverse.max_degree() <= bound:
+        return InverseResult(INVERTIBLE, bound, keller=True, inverse=inverse)
+    refused = inverse is None and bound >= default_degree_bound(pair.r)
+    status = NOT_INVERTIBLE if refused else NO_INVERSE_WITHIN_BOUND
+    return InverseResult(status=status, degree_bound_used=bound, keller=pair.keller)
 
 
 @dataclass(frozen=True)
@@ -433,51 +448,45 @@ class CorollaryReport:
 def corollary_pipeline(A) -> CorollaryReport:
     """Run the full invertibility argument for dimension at most nine.
 
-    Stages, in order: dimension cap (hard error above nine), nonzero
-    diagonal, Keller condition, rank at most four, then the decision on G
-    at 3^(r-1) and the lift: the route of :func:`decide_automorphism`, with
-    the diagonal and rank gates added.  A failed hypothesis gate (diagonal or Keller) ends the run
-    quietly; any failure after both hypotheses hold is reported as an
-    anomaly.
+    Stages, in order: dimension cap (hard error above nine, before A is
+    factored), nonzero diagonal, Keller condition, rank at most four, then
+    the pair's G^{-1} and lift.  A failed hypothesis gate (diagonal or
+    Keller) ends the run quietly; any later failure is an anomaly.
 
-    A is factored once, by ``GZPair(A)`` (B @ C == A is checked), before
-    the gates.  F is Keller exactly when G is (see :func:`is_keller`), so
-    the Keller bit is the nilpotency of JG - I_r on that pair, the rank is
-    r, and the same pair is decided and lifted.  The intertwining
-    C o F == G o C is not checked apart: the lift checks G^{-1} o G == id
-    and C F^{-1} == G^{-1}(C Z), which give G = Y + C (BY)^{*3}, and with
-    B C == A that is C o F == G o C.  A map that a gate stops pays for no
-    composition.
+    A is a square matrix or its :class:`GZPair`, which checks B @ C == A.
+    The Keller bit is the pair's (F is Keller exactly when G is, see
+    :func:`is_keller`), and the rank is r.  C o F == G o C is not checked
+    apart: the lift checks G^{-1} o G == id and C F^{-1} == G^{-1}(C Z),
+    which give G = Y + C (BY)^{*3}, and with B C == A that is
+    C o F == G o C.  A map that a gate stops pays for no composition.
     """
-    A = _square_matrix(A)
-    n = A.rows
+    matrix = A.matrix if isinstance(A, GZPair) else _square_matrix(A)
+    n = matrix.rows
     if n > _DIMENSION_CAP:
         raise ValueError(
             f"the invertibility argument applies in dimension <= {_DIMENSION_CAP}, got {n}"
         )
-    diag_nonzero = all(A.diagonal())
-    pair = GZPair(A)
-    keller = _keller_on_pair(pair)
+    diag_nonzero = all(matrix.diagonal())
+    pair = _pair(A)
+    keller = pair.keller
     if not (diag_nonzero and keller):
         return CorollaryReport(n=n, diag_nonzero=diag_nonzero, keller=keller)
 
     r = pair.r
     if r > _RANK_CAP:
         report = CorollaryReport(n=n, diag_nonzero=True, keller=True, rank=r)
-        logger.warning("anomaly: rank above four for %r: %s", A, report.to_json())
+        logger.warning("anomaly: rank above four for %r: %s", matrix, report.to_json())
         return report
 
-    g_inverse = _decide(pair.B, pair.C, default_degree_bound(r))
+    g_inverse = pair.g_inverse
     base = dict(n=n, diag_nonzero=True, keller=True, rank=r, pair=pair)
     if g_inverse is None:
         report = CorollaryReport(**base)
         logger.warning(
-            "anomaly: reduced map not invertible for %r: %s", A, report.to_json()
+            "anomaly: reduced map not invertible for %r: %s", matrix, report.to_json()
         )
         return report
 
     return CorollaryReport(
-        **base,
-        g_inverse_degree=g_inverse.max_degree(),
-        f_inverse=lift_inverse(pair, g_inverse),
+        **base, g_inverse_degree=g_inverse.max_degree(), f_inverse=pair.f_inverse
     )

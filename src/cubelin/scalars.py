@@ -74,9 +74,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    def is_zero(self) -> bool:
-        return not self
-
     def is_gaussian_integer(self) -> bool:
         return self.re.denominator == 1 and self.im.denominator == 1
 
@@ -142,9 +139,6 @@ class GaussianRational:
             return NotImplemented
         return other / self
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational._raw(self.re, -self.im)
-
     def inverse(self) -> "GaussianRational":
         return ONE / self
 
@@ -198,8 +192,6 @@ def _coerce(value) -> GaussianRational | None:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-MINUS_ONE = GaussianRational(-1)
-I = GaussianRational(0, 1)
 
 
 # -- text form ---------------------------------------------------------

@@ -10,9 +10,11 @@ truncation and the truncated composition: the library composes exactly and
 truncates only inside ``Polynomial.mul`` and ``Polynomial.cube``.  So is
 the tuple-keyed product below, with the matrix product, determinant and
 linear combination built on it: the library runs all four on one packed
-term kernel.
+term kernel.  So is the inversion decision truncated at min(d, 3^(r-1)):
+the library decides G at 3^(r-1) and compares d with the lifted degree.
 """
 
+import functools
 import itertools
 import random
 from bisect import bisect_right
@@ -25,12 +27,21 @@ from cubelin import (
     GZPair,
     PolyMap,
     Polynomial,
+    InverseResult,
     ScalarMatrix,
+    gz_reduce,
     is_keller,
+    lift_inverse,
     parse_gaussian,
     rank_bound_certificate,
 )
 from cubelin.druzkowski import cubic_terms, expand_map
+from cubelin.invert import (
+    INVERTIBLE,
+    NO_INVERSE_WITHIN_BOUND,
+    NOT_INVERTIBLE,
+    default_degree_bound,
+)
 from cubelin.poly import (
     Exponents,
     PolyMatrix,
@@ -180,7 +191,7 @@ def random_polynomial(
         for _ in range(rng.randint(0, max_degree) if nvars else 0):
             exps[rng.randrange(nvars)] += 1
         coeff = random_gaussian(rng, 3, den)
-        if not coeff.is_zero():
+        if coeff:
             total = total + Polynomial(nvars, {tuple(exps): coeff})
     return total
 
@@ -481,6 +492,70 @@ def intertwines(A: ScalarMatrix, pair: GZPair) -> bool:
         if left != compose_polynomial(pair.G.components[i], projection):
             return False
     return True
+
+
+def orbit_member(A: ScalarMatrix, perm, s) -> ScalarMatrix:
+    """S P A P^-1 S^-3 for the permutation ``perm`` and diagonal ``s``: again
+    Keller and invertible when A is, of the same rank."""
+    n = A.rows
+    return ScalarMatrix(
+        [[s[i] * A.entries[perm[i]][perm[j]] / s[j] ** 3 for j in range(n)] for i in range(n)]
+    )
+
+
+def decide_at_bound(B: ScalarMatrix, C: ScalarMatrix, bound: int) -> PolyMap | None:
+    """G^{-1} for G(Y) = Y + C (BY)^{*3} if it has degree <= bound, else None.
+
+    The returned map satisfies G o G^{-1} == id exactly; None means G has
+    no inverse of degree at most ``bound``.
+    """
+    r = B.cols
+    identity = [Polynomial.variable(r, i) for i in range(r)]
+    components = identity
+    for _ in range(bound + 2):
+        terms = cubic_terms(B, C, components, bound)
+        new = [y - t for y, t in zip(identity, terms)]
+        if new == components:
+            break
+        components = new
+    else:
+        raise RuntimeError("fixed-point iteration failed to stabilize")
+
+    # Exact right-composition check: G(G^{-1}) == Y iff the untruncated
+    # cubic terms reproduce Y - G^{-1}.
+    if cubic_terms(B, C, components) != [y - h for y, h in zip(identity, components)]:
+        return None
+    return PolyMap(components, nvars=r)
+
+
+def bounded_decision(A, degree_bound: int | None = None) -> InverseResult:
+    """The inversion decision with G decided at min(d, 3^(r-1)): reduce,
+    test Keller, decide G by :func:`decide_at_bound`, lift, then compare
+    the lifted degree with d.  The oracle for ``decide_automorphism``,
+    which decides G at 3^(r-1) whatever d is."""
+    pair = gz_reduce(A)
+    bound = default_degree_bound(pair.n) if degree_bound is None else degree_bound
+    g_bound = default_degree_bound(pair.r)
+    keller = pair.keller
+    g_inverse = decide_at_bound(pair.B, pair.C, min(bound, g_bound)) if keller else None
+    if g_inverse is None:
+        status = NOT_INVERTIBLE if bound >= g_bound else NO_INVERSE_WITHIN_BOUND
+        return InverseResult(status=status, degree_bound_used=bound, keller=keller)
+    inverse = lift_inverse(pair, g_inverse)
+    if inverse.max_degree() > bound:
+        return InverseResult(NO_INVERSE_WITHIN_BOUND, bound, keller=True)
+    return InverseResult(INVERTIBLE, bound, keller=True, inverse=inverse)
+
+
+def count_keller_bits(monkeypatch) -> list:
+    """Make ``GZPair.keller`` append each pair whose bit it computes (not
+    one it reads back) to the returned list."""
+    pairs = []
+    compute = GZPair.__dict__["keller"].func
+    counted = functools.cached_property(lambda pair: pairs.append(pair) or compute(pair))
+    counted.__set_name__(GZPair, "keller")
+    monkeypatch.setattr(GZPair, "keller", counted)
+    return pairs
 
 
 def reduced_map(mix: ScalarMatrix, comb: ScalarMatrix) -> PolyMap:

@@ -186,14 +186,14 @@ def test_criterion_4_searches_find_no_anomalies(capsys, n2_matrices, n3_matrices
         exhaustive = run_search(SearchConfig.from_dict(N2_EXHAUSTIVE))
         assert exhaustive.totals["visited"] == 625
         assert exhaustive.totals["rank_bound"] == {"checked": 625, "anomalies": 0}
-        assert exhaustive.clean
+        assert not exhaustive.anomalies
 
         for config_data in (N3_SAMPLE, N4_SAMPLE):
             report = run_search(SearchConfig.from_dict(config_data))
             assert report.totals["visited"] == 10_000
             assert report.totals["rank_bound"]["checked"] == 10_000
             assert report.totals["rank_bound"]["anomalies"] == 0
-            assert report.clean
+            assert not report.anomalies
 
         assert len(n2_matrices) == 625
         assert len(n3_matrices) == 10_000

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from cubelin import RankBoundCertificate, cli, invert, parse_matrix
+from cubelin import RankBoundCertificate, cli, parse_matrix
 from cubelin.cli import main
 from cubelin.invert import NOT_INVERTIBLE, InverseResult
-from helpers import NON_KELLER_4X4_ROWS, PAPER_EXAMPLE_ROWS
+from helpers import NON_KELLER_4X4_ROWS, PAPER_EXAMPLE_ROWS, count_keller_bits
 
 
 def run(capsys, *argv):
@@ -94,11 +94,7 @@ class TestInvert:
     def test_exit_code_reuses_the_decisions_keller_test(self, capsys, monkeypatch, flag):
         # NotInvertible exits 2 only for a Keller map, and the decision has
         # already tested that; no second test runs for the exit code
-        calls = []
-        real = invert._keller_on_pair
-        monkeypatch.setattr(
-            invert, "_keller_on_pair", lambda pair: calls.append(pair) or real(pair)
-        )
+        calls = count_keller_bits(monkeypatch)
         code, out, _ = run(capsys, "invert", json.dumps(NON_KELLER_4X4_ROWS), *flag)
         assert code == 0
         assert "NotInvertible" in out
@@ -357,10 +353,10 @@ class TestSearch:
         target = parse_matrix('[["0", "1"], ["1", "0"]]')
         real = harness_module.is_keller
 
-        def planted(M):
-            if M == target:
+        def planted(pair):
+            if pair.matrix == target:
                 raise RuntimeError("internal check failed: planted")
-            return real(M)
+            return real(pair)
 
         monkeypatch.setattr(harness_module, "is_keller", planted)
         code, out, err = run(capsys, "search", path, "--json")

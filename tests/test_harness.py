@@ -2,6 +2,7 @@ import json
 import os
 import pickle
 import time
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,7 @@ from cubelin import (
     rank_bound_certificate,
     run_search,
 )
-from cubelin import harness
+from cubelin import harness, invert
 from cubelin.harness import (
     CEILING_ENV_VAR,
     DEFAULT_CEILING,
@@ -22,7 +23,7 @@ from cubelin.harness import (
     iter_candidate_matrices,
 )
 from cubelin.linalg import rank
-from helpers import splitmix64
+from helpers import count_keller_bits, splitmix64
 
 
 def g(text):
@@ -393,7 +394,7 @@ class TestCounts:
             "invertible": 3,
             "failures": 0,
         }
-        assert report.clean
+        assert not report.anomalies
 
     def test_rank_bound_exhaustive_full_alphabet(self):
         cfg = SearchConfig.from_dict(
@@ -407,7 +408,7 @@ class TestCounts:
         report = run_search(cfg)
         assert report.totals["visited"] == 625
         assert report.totals["rank_bound"] == {"checked": 625, "anomalies": 0}
-        assert report.clean
+        assert not report.anomalies
 
     def test_keller_inversion_full_alphabet(self):
         cfg = SearchConfig.from_dict(
@@ -440,7 +441,7 @@ class TestCounts:
             "verified": 16,
             "anomalies": 0,
         }
-        assert report.clean
+        assert not report.anomalies
 
 
 class TestDeterminism:
@@ -616,10 +617,35 @@ class TestInvertKellerBit:
                 M for _, M in iter_candidate_matrices(cfg)
                 if rank_bound_certificate(M).trace_condition_holds
             ]
-            assert calls == holding
+            assert [pair.matrix for pair in calls] == holding
             assert 0 < len(holding) < report.totals["visited"]
             if cfg.n == 2:
                 assert 0 < report.totals["invert"]["keller"] < len(holding)
+
+
+class TestOneAnalysisPerCandidate:
+    """With every check, the harness passes one GZPair per candidate to
+    is_keller, decide_automorphism and corollary_pipeline: each candidate
+    is factored and Keller-tested once, each Keller one decided and lifted
+    once."""
+
+    def test_counts_over_the_two_by_two_enumeration(self, monkeypatch):
+        calls = Counter()
+        for name in ("rank_factorization", "_decide", "lift_inverse"):
+            original = getattr(invert, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(invert, name, counted)
+        bits = count_keller_bits(monkeypatch)
+        cfg = config(alphabet=FULL_ALPHABET, checks=["rank_bound", "invert", "corollary"])
+        report = run_search(cfg, workers=1)
+        assert calls == {"rank_factorization": 625, "_decide": 25, "lift_inverse": 25}
+        assert len(bits) == 625
+        assert report.totals["invert"]["keller"] == 25
+        assert report.totals["corollary"]["checked"] == 625
 
 
 class TestRankOnDemand:
@@ -663,10 +689,10 @@ class TestInternalCheckErrors:
         assert rank_bound_certificate(target).trace_condition_holds
         real = harness.is_keller
 
-        def planted(M):
-            if M == target:
+        def planted(pair):
+            if pair.matrix == target:
                 raise RuntimeError("internal check failed: planted")
-            return real(M)
+            return real(pair)
 
         monkeypatch.setattr(harness, "is_keller", planted)
         with pytest.raises(RuntimeError, match="^candidate 6: internal check failed: planted$"):

@@ -27,8 +27,11 @@ from cubelin.linalg import rank, rank_factorization
 from cubelin.poly import PolyMatrix, compose, compose_polynomial, det, jacobian
 from helpers import (
     NON_KELLER_4X4_ROWS,
+    UNIT_ALPHABET,
+    bounded_decision,
     cubic_part,
     formal_inverse,
+    orbit_member,
     shear_matrix,
     sympy_det_jf_is_one,
     three_by_three_keller_corpus,
@@ -405,9 +408,9 @@ class TestReducedRoute:
 
     @pytest.mark.parametrize("bound", [1, 3, 8])
     def test_paper_example_below_its_degree(self, paper, bound):
-        # G's inverse has degree 3, so bound 1 stops G below its full bound
-        # 3, and bounds 3 and 8 reach the lift and are refused by the lifted
-        # degree 9; neither proves that F has no inverse
+        # G is decided at its full bound 3 whatever the bound, and the
+        # lifted degree 9 is above each of these; none proves that F has
+        # no inverse
         result = decide_automorphism(paper, degree_bound=bound)
         assert result.status == NO_INVERSE_WITHIN_BOUND
         assert result.degree_bound_used == bound
@@ -443,7 +446,7 @@ class TestReducedRoute:
         assert not is_keller(A)
         for bound in (None, 1, 30):
             result = decide_automorphism(A, degree_bound=bound)
-            # bound 1 decides the rank-2 G below its full bound 3
+            # bound 1 is below the rank-2 G's full bound 3
             below = bound is not None and bound < default_degree_bound(A.rows)
             assert result.status == (NO_INVERSE_WITHIN_BOUND if below else NOT_INVERTIBLE)
             assert result.inverse is None
@@ -469,4 +472,34 @@ class TestReducedRoute:
         assert non_keller
         for A in non_keller:
             pair = gz_reduce(A)
-            assert invert._decide(pair.B, pair.C, default_degree_bound(pair.r)) is None
+            assert invert._decide(pair.B, pair.C) is None
+
+
+class TestBoundFiltersTheFullDecision:
+    """decide_automorphism decides G at 3^(r-1) and compares d with the
+    lifted degree; the oracle decides G at min(d, 3^(r-1)) first.  Every
+    status, inverse and Keller bit agrees."""
+
+    @staticmethod
+    def assert_agrees(A, bound) -> str:
+        ours, oracle = decide_automorphism(A, bound), bounded_decision(A, bound)
+        assert ours.to_json() == oracle.to_json()
+        assert ours.keller is oracle.keller
+        return ours.status
+
+    def test_two_by_two(self):
+        statuses = set()
+        for A in all_two_by_two(ALPHABET):
+            for bound in (1, 2, 3):
+                statuses.add(self.assert_agrees(A, bound))
+        assert statuses == {INVERTIBLE, NOT_INVERTIBLE, NO_INVERSE_WITHIN_BOUND}
+
+    def test_paper_example_orbit(self, paper):
+        rng = random.Random("bound-filter")
+        members = [paper]
+        for scale in ("1", "1", "2", "2", "1+i", "1+i", "1/2", "1/2"):
+            s = [g(scale) * rng.choice(UNIT_ALPHABET[1:]) for _ in range(paper.rows)]
+            members.append(orbit_member(paper, rng.sample(range(paper.rows), paper.rows), s))
+        for A in members:
+            for bound in (1, 3, 8, 9, 27):
+                self.assert_agrees(A, bound)

@@ -17,13 +17,14 @@ from cubelin import (
 )
 from cubelin import decide_automorphism, druzkowski, invert, is_keller, linalg, poly
 from cubelin.druzkowski import expand_map
-from cubelin.invert import _decide, default_degree_bound
+from cubelin.invert import _decide
 from cubelin.linalg import rank
 from cubelin.poly import compose, linear_combination
 from helpers import (
     PAPER_EXAMPLE_ROWS,
     UNIT_ALPHABET,
     intertwines,
+    orbit_member,
     random_scalar_matrix,
     reduced_map,
     reference_lift,
@@ -43,19 +44,10 @@ def mat(rows):
 RANK_ONE = [["1", "i"], ["-i", "1"]]
 
 
-def orbit_member(A: ScalarMatrix, perm, s) -> ScalarMatrix:
-    """S P A P^-1 S^-3 for the permutation ``perm`` and diagonal ``s``: again
-    Keller and invertible when A is, of the same rank."""
-    n = A.rows
-    return ScalarMatrix(
-        [[s[i] * A.entries[perm[i]][perm[j]] / s[j] ** 3 for j in range(n)] for i in range(n)]
-    )
-
-
 def decided_pair(A: ScalarMatrix):
     """A's reduced pair and G's inverse at its full bound (None if G has none)."""
     pair = gz_reduce(A)
-    return pair, _decide(pair.B, pair.C, default_degree_bound(pair.r))
+    return pair, _decide(pair.B, pair.C)
 
 
 class TestGzReduce:
@@ -344,7 +336,7 @@ class TestCorollaryPipeline:
 
     def test_reduced_map_not_invertible_is_an_anomaly(self, paper, monkeypatch, caplog):
         # no input reaches this stage; a planted failure of G's decision does
-        monkeypatch.setattr(invert, "_decide", lambda B, C, bound: None)
+        monkeypatch.setattr(invert, "_decide", lambda B, C: None)
         with caplog.at_level(logging.WARNING, logger="cubelin.invert"):
             report = corollary_pipeline(paper)
         assert report.hypotheses_hold
@@ -358,7 +350,7 @@ class TestCorollaryPipeline:
         # no input reaches this stage either; I5 has rank 5 and a zero-free
         # diagonal, and a planted Keller answer takes it past that gate
         I5 = ScalarMatrix.identity(5)
-        monkeypatch.setattr(invert, "_keller_on_pair", lambda pair: True)
+        monkeypatch.setattr(invert.GZPair, "keller", True)
         with caplog.at_level(logging.WARNING, logger="cubelin.invert"):
             report = corollary_pipeline(I5)
         assert report.hypotheses_hold
@@ -407,6 +399,20 @@ class TestCorollaryPipeline:
         assert payload["rank"] is None
         assert payload["pair"] is None
         assert payload["f_inverse"] is None
+
+
+class TestViewsOnAPair:
+    """Each view answers the same for a GZPair as for its matrix, with the
+    pair passed through all of them as the harness passes it."""
+
+    def test_two_by_two(self):
+        for picks in itertools.product(UNIT_ALPHABET, repeat=4):
+            A = ScalarMatrix([picks[:2], picks[2:]])
+            pair = GZPair(A)
+            assert is_keller(pair) is is_keller(A)
+            assert gz_reduce(pair).to_dict() == gz_reduce(A).to_dict()
+            assert decide_automorphism(pair).to_json() == decide_automorphism(A).to_json()
+            assert corollary_pipeline(pair).to_json() == corollary_pipeline(A).to_json()
 
 
 class TestSingleReduction:

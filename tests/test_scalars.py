@@ -13,7 +13,7 @@ from cubelin import (
     is_keller,
     parse_gaussian,
 )
-from cubelin.scalars import I, MINUS_ONE, ONE, ZERO, _coerce, format_gaussian
+from cubelin.scalars import ONE, ZERO, _coerce, format_gaussian
 from helpers import reference_arithmetic
 
 
@@ -26,15 +26,15 @@ class TestArithmetic:
         assert g("1+i") * g("1-i") == g("2")
 
     def test_inverse_of_i(self):
-        assert ONE / I == g("-i")
-        assert I * I == MINUS_ONE
+        assert ONE / g("i") == g("-i")
+        assert g("i") * g("i") == g("-1")
 
     def test_fraction_addition(self):
         assert g("1/2") + g("1/3") == g("5/6")
 
     def test_mixed_components(self):
         assert g("-1/2+3i") * g("2") == g("-1+6i")
-        assert (g("1+2i") - g("1+2i")).is_zero()
+        assert not (g("1+2i") - g("1+2i"))
 
     def test_division_round_trip(self):
         a = g("3-7i")
@@ -48,7 +48,7 @@ class TestArithmetic:
     def test_power(self):
         assert g("1+i") ** 2 == g("2i")
         assert g("2") ** 0 == ONE
-        assert I ** 4 == ONE
+        assert g("i") ** 4 == ONE
 
     def test_int_and_fraction_coercion(self):
         assert GaussianRational(2) == g("2")
@@ -66,11 +66,9 @@ class TestArithmetic:
         with pytest.raises(TypeError, match="exact"):
             decide_automorphism([[0.5]])
 
-    def test_negation_and_conjugate(self):
+    def test_negation(self):
         a = g("3/4-2i")
         assert -a == g("-3/4+2i")
-        assert a.conjugate() == g("3/4+2i")
-        assert (a * a.conjugate()).im == 0
 
 
 class TestFieldAxioms:
@@ -92,8 +90,8 @@ class TestFieldAxioms:
             assert a * (b + c) == a * b + a * c
             assert a + ZERO == a
             assert a * ONE == a
-            assert (a - a).is_zero()
-            if not a.is_zero():
+            assert not (a - a)
+            if a:
                 assert a * a.inverse() == ONE
 
 
@@ -157,7 +155,7 @@ class TestParsing:
 
     def test_matrix_entries_accept_canonical_literals(self):
         M = ScalarMatrix([["0", "i"], ["-1/2+i", "0"]])
-        assert M.entries == ((ZERO, I), (g("-1/2+i"), ZERO))
+        assert M.entries == ((ZERO, g("i")), (g("-1/2+i"), ZERO))
         assert is_keller([["0", "i"], ["0", "0"]])
 
     def test_round_trip(self):
@@ -244,7 +242,6 @@ class TestIntegerParts:
             _, (re, im) = random_operand(rng)
             x = GaussianRational(re, im)
             assert_stored(-x, (-re, -im))
-            assert_stored(x.conjugate(), (re, -im))
             if not (re or im):
                 continue
             inverse = reference_arithmetic("/", (1, 0), (re, im))
@@ -268,4 +265,4 @@ class TestIntegerParts:
         assert_stored(parse_gaussian("4/2-9/3i"), (Fraction(2), Fraction(-3)))
         assert_stored(parse_gaussian("-2/4+i"), (Fraction(-1, 2), Fraction(1)))
         assert_stored(ZERO, (Fraction(0), Fraction(0)))
-        assert_stored(I, (Fraction(0), Fraction(1)))
+        assert_stored(g("i"), (Fraction(0), Fraction(1)))
