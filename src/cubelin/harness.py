@@ -21,8 +21,9 @@ worker count.
 
 Checks per candidate: "rank_bound" evaluates the rank-bound certificate
 and counts violations as anomalies, with the trace condition and delta
-from :mod:`cubelin.kernel` and, where the condition holds, the rank from
-:func:`cubelin.linalg.rank`; "invert" runs the exact inversion
+from :mod:`cubelin.kernel` and, where the condition holds, the rank: the
+candidate's ``GZPair`` holds it when another check built one, else
+:func:`cubelin.linalg.rank` computes it; "invert" runs the exact inversion
 decision on Keller candidates; "corollary" runs the full small-dimension
 pipeline.  Filters "trace_zero_only" and "keller_only" restrict which
 candidates are checked.
@@ -345,6 +346,12 @@ def _merge_totals(into: dict, part: dict) -> None:
             into[key] += value
 
 
+def _certificate(n, holds, delta, matrix, pair) -> RankBoundCertificate:
+    # a pair already holds r = rank(A), so only a matrix without one is reduced
+    r = rank(matrix) if pair is None else pair.r
+    return RankBoundCertificate(n, holds, delta, r)
+
+
 def _scan_range(
     config: SearchConfig, start: int, stop: int, collect_records: bool
 ) -> tuple[dict, list[dict], list[dict]]:
@@ -393,7 +400,7 @@ def _scan_range(
             if want_rank_bound:
                 totals["rank_bound"]["checked"] += 1
                 if holds:
-                    certificate = RankBoundCertificate(n, holds, delta, rank(matrix))
+                    certificate = _certificate(n, holds, delta, matrix, pair)
                     if not certificate.theorem_satisfied:
                         totals["rank_bound"]["anomalies"] += 1
                         anomaly = True
@@ -427,7 +434,7 @@ def _scan_range(
                 if keller is None:
                     keller = holds and is_keller(matrix if pair is None else pair)
                 if certificate is None:
-                    certificate = RankBoundCertificate(n, holds, delta, rank(matrix))
+                    certificate = _certificate(n, holds, delta, matrix, pair)
                 record = {
                     "index": index,
                     "matrix": matrix_entries_text(matrix),

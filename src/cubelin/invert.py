@@ -73,21 +73,28 @@ _RANK_CAP = 4
 def nilpotency_index(M: PolyMatrix) -> int | None:
     """Least k >= 1 with M^k == 0, or None if M is not nilpotent.
 
-    Powers are checked only up to the matrix size: over the fraction
-    field a nilpotent n x n matrix always dies by exponent n.
+    The powers are taken one row at a time: row i's chain e_i M, e_i M^2,
+    ... is a run of 1 x n products, cut when the row is zero.  That is
+    exact.  M^k == 0 exactly when e_i M^k == 0 for every i; once
+    e_i M^k == 0, so is e_i M^(k+1); so the least k with M^k == 0 is the
+    largest of the rows' indices.  Over the fraction field an n x n matrix
+    is nilpotent exactly when M^n == 0, so a row still nonzero after n
+    factors proves M is not, and the test stops there: a non-nilpotent M
+    costs n - 1 row products plus those of the rows that die before its
+    first surviving row.
     """
     if not M.is_square():
         raise ValueError("nilpotency is defined for square matrices only")
     n = M.rows
-    if M.is_zero():
-        return 1
-    power = M
-    for k in range(1, n + 1):
-        if power.is_zero():
-            return k
-        if k < n:
-            power = power * M
-    return None
+    index = 1
+    for row in M.entries:
+        power, k = PolyMatrix([row], nvars=M.nvars), 1
+        while not power.is_zero():
+            if k == n:
+                return None
+            power, k = power * M, k + 1
+        index = max(index, k)
+    return index
 
 
 def default_degree_bound(n: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .kernel import integer_pairs
-from .scalars import GaussianRational, ONE, ZERO, parse_gaussian
+from .scalars import GaussianRational, ONE, ZERO, _gaussian, parse_gaussian
 
 
 class ScalarMatrix:
@@ -191,7 +191,7 @@ def rank_factorization(M: ScalarMatrix) -> tuple[ScalarMatrix, ScalarMatrix]:
     norm = d_re * d_re + d_im * d_im
     C = tuple(
         tuple(
-            GaussianRational._raw(
+            _gaussian(
                 _quotient(a * d_re + b * d_im, norm), _quotient(b * d_re - a * d_im, norm)
             )
             for a, b in zip(row_re, row_im)

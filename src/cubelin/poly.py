@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from operator import lshift
 
-from .scalars import GaussianRational, ZERO, ONE, _coerce, _part, format_gaussian
+from .scalars import GaussianRational, ZERO, ONE, _coerce, _gaussian, _part, format_gaussian
 
 Exponents = tuple[int, ...]
 
@@ -93,8 +93,9 @@ def _sum_of_products(pairs, limit=None) -> list:
 
 def _polynomial(nvars: int, terms: list, unpack) -> "Polynomial":
     # one GaussianRational per term, its parts in stored form
-    raw = GaussianRational._raw
-    return Polynomial._raw(nvars, {unpack(k): raw(_part(re), _part(im)) for k, re, im in terms})
+    return Polynomial._raw(
+        nvars, {unpack(k): _gaussian(_part(re), _part(im)) for k, re, im in terms}
+    )
 
 
 def _packed_rows(M: "PolyMatrix", pack) -> list:

@@ -61,14 +61,6 @@ class GaussianRational:
         self.re = re if type(re) is int else _exact_part(re)
         self.im = im if type(im) is int else _exact_part(im)
 
-    @classmethod
-    def _raw(cls, re: Fraction | int, im: Fraction | int) -> "GaussianRational":
-        # Internal fast constructor: arguments must already be stored parts.
-        out = object.__new__(cls)
-        out.re = re
-        out.im = im
-        return out
-
     # -- predicates ----------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -83,7 +75,7 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational._raw(_part(self.re + other.re), _part(self.im + other.im))
+        return _gaussian(_part(self.re + other.re), _part(self.im + other.im))
 
     __radd__ = __add__
 
@@ -91,16 +83,16 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational._raw(_part(self.re - other.re), _part(self.im - other.im))
+        return _gaussian(_part(self.re - other.re), _part(self.im - other.im))
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational._raw(_part(other.re - self.re), _part(other.im - self.im))
+        return _gaussian(_part(other.re - self.re), _part(other.im - self.im))
 
     def __neg__(self):
-        return GaussianRational._raw(-self.re, -self.im)
+        return _gaussian(-self.re, -self.im)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -116,7 +108,7 @@ class GaussianRational:
             re, im = a * c, b * c
         else:
             re, im = a * c - b * d, a * d + b * c
-        return GaussianRational._raw(_part(re), _part(im))
+        return _gaussian(_part(re), _part(im))
 
     __rmul__ = __mul__
 
@@ -129,7 +121,7 @@ class GaussianRational:
         c, d = other.re, other.im
         norm = c * c + d * d
         a, b = self.re, self.im
-        return GaussianRational._raw(
+        return _gaussian(
             _part(Fraction(a * c + b * d, norm)), _part(Fraction(b * c - a * d, norm))
         )
 
@@ -180,11 +172,19 @@ class GaussianRational:
         return f"GaussianRational({format_gaussian(self)!r})"
 
 
+def _gaussian(re: Fraction | int, im: Fraction | int) -> GaussianRational:
+    # Internal fast constructor: arguments must already be stored parts.
+    out = object.__new__(GaussianRational)
+    out.re = re
+    out.im = im
+    return out
+
+
 def _coerce(value) -> GaussianRational | None:
     if type(value) is GaussianRational:
         return value
     if isinstance(value, (int, Fraction)):
-        return GaussianRational._raw(_part(value), 0)
+        return _gaussian(_part(value), 0)
     if isinstance(value, GaussianRational):
         return value
     return None

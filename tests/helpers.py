@@ -12,6 +12,8 @@ the tuple-keyed product below, with the matrix product, determinant and
 linear combination built on it: the library runs all four on one packed
 term kernel.  So is the inversion decision truncated at min(d, 3^(r-1)):
 the library decides G at 3^(r-1) and compares d with the lifted degree.
+So is the nilpotency index by full matrix powers: the library takes the
+powers one row at a time.
 """
 
 import functools
@@ -304,6 +306,29 @@ def reference_linear_combination(coeffs, polys, nvars: int) -> Polynomial:
     for c, p in zip(coeffs, polys):
         total = total + reference_mul(Polynomial.constant(nvars, c), p)
     return total
+
+
+def reference_nilpotency_index(M: PolyMatrix) -> int | None:
+    """Least k >= 1 with M^k == 0, or None if M is not nilpotent.
+
+    Powers are checked only up to the matrix size: over the fraction
+    field a nilpotent n x n matrix always dies by exponent n.
+
+    ``invert.nilpotency_index`` as it was before it took the powers one
+    row at a time, kept as its oracle: every power is a full n x n product.
+    """
+    if not M.is_square():
+        raise ValueError("nilpotency is defined for square matrices only")
+    n = M.rows
+    if M.is_zero():
+        return 1
+    power = M
+    for k in range(1, n + 1):
+        if power.is_zero():
+            return k
+        if k < n:
+            power = power * M
+    return None
 
 
 def transpose(M: ScalarMatrix) -> ScalarMatrix:

@@ -22,6 +22,7 @@ from cubelin.harness import (
     enumeration_ceiling,
     iter_candidate_matrices,
 )
+from cubelin.druzkowski import RankBoundCertificate
 from cubelin.linalg import rank
 from helpers import count_keller_bits, splitmix64
 
@@ -660,10 +661,37 @@ class TestRankOnDemand:
             "checked": 625, "keller": 25, "invertible": 25, "failures": 0
         }
         records = run_search(cfg, workers=1, collect_records=True).records
-        assert len(calls) == len(records) == 625
+        # where the trace condition holds, invert built the candidate's pair,
+        # which holds the rank; only the other records reduce their matrix
+        without_pair = [r for r in records if not r["certificate"]["trace_condition_holds"]]
+        assert len(records) == 625
+        assert 0 < len(calls) == len(without_pair) < 625
         for record in records:
             A = ScalarMatrix([[g(v) for v in row] for row in record["matrix"]])
             assert record["certificate"]["rank"] == rank(A)
+
+    def test_records_read_the_rank_from_the_pair(self, monkeypatch):
+        # with corollary every candidate has a pair, so no matrix is reduced
+        # a second time; the report and records are those of a run that does
+        cfg = config(alphabet=FULL_ALPHABET, checks=["invert", "corollary"])
+        real = harness.rank
+        calls = []
+        monkeypatch.setattr(harness, "rank", lambda M: calls.append(M) or real(M))
+        report = run_search(cfg, workers=1, collect_records=True)
+        assert calls == [] and len(report.records) == 625
+
+        def by_rank(n, holds, delta, matrix, pair):
+            return RankBoundCertificate(n, holds, delta, rank(matrix))
+
+        monkeypatch.setattr(harness, "_certificate", by_rank)
+        reduced = run_search(cfg, workers=1, collect_records=True)
+
+        def text(report):
+            payload = report.to_dict()
+            payload.pop("duration_seconds")
+            return json.dumps(payload), json.dumps(report.records)
+
+        assert text(report) == text(reduced)
 
 
 class TestReportShape:

@@ -32,6 +32,7 @@ from helpers import (
     cubic_part,
     formal_inverse,
     orbit_member,
+    reference_nilpotency_index,
     shear_matrix,
     sympy_det_jf_is_one,
     three_by_three_keller_corpus,
@@ -81,6 +82,152 @@ class TestNilpotency:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             nilpotency_index(PolyMatrix([[Polynomial.zero(1), Polynomial.zero(1)]]))
+
+
+def reduced_jacobian_minus_identity(A):
+    """JG - I_r for the reduced map G of A: the matrix is_keller tests."""
+    pair = invert.GZPair(A)
+    return jacobian(pair.G) - PolyMatrix.identity(pair.r, pair.r)
+
+
+def poly_matrix(rows, nvars=2):
+    """Entries written in x1, x2 as (coefficient, exponents) term lists."""
+    return PolyMatrix(
+        [[Polynomial(nvars, {e: g(c) for c, e in entry}) for entry in row] for row in rows],
+        nvars=nvars,
+    )
+
+
+X, Y = (1, 0), (0, 1)  # the exponents of x1 and x2
+
+
+def hand_built():
+    """(matrix, index) pairs: a strictly triangular one with constant
+    entries, a nilpotent one whose rows die at k = 2, 2, 3, a non-nilpotent
+    one with a zero row, and a non-nilpotent one whose first row dies
+    before the row that survives."""
+    def const(c):
+        return [(c, (0, 0))]
+
+    zero = []
+    triangular = poly_matrix([
+        [zero, const("1"), const("i"), const("-1/2")],
+        [zero, zero, const("2"), const("1+i")],
+        [zero, zero, zero, const("-i")],
+        [zero, zero, zero, zero],
+    ])
+    staggered = poly_matrix([
+        [[("1", X)], [("-1", X)], zero],
+        [[("1", X)], [("-1", X)], zero],
+        [[("1", Y)], [("1", X), ("-1", Y)], zero],
+    ])
+    zero_row = poly_matrix([
+        [zero, zero, zero],
+        [[("1", X)], const("1"), zero],
+        [zero, [("1", Y)], zero],
+    ])
+    dies_first = poly_matrix([
+        [zero, [("1", X)], zero],
+        [zero, zero, zero],
+        [zero, zero, const("1")],
+    ])
+    return [(triangular, 4), (staggered, 3), (zero_row, None), (dies_first, None)]
+
+
+def seeded_maps(n, count, seed):
+    rng = random.Random(seed)
+    return [
+        ScalarMatrix([[rng.choice(ALPHABET) for _ in range(n)] for _ in range(n)])
+        for _ in range(count)
+    ]
+
+
+def paper_orbit(paper):
+    rng = random.Random("nilpotency")
+    members = [paper]
+    for scale in ("1", "2", "1+i", "1/2"):
+        s = [g(scale) * rng.choice(UNIT_ALPHABET[1:]) for _ in range(paper.rows)]
+        members.append(orbit_member(paper, rng.sample(range(paper.rows), paper.rows), s))
+    return members
+
+
+class TestNilpotencyAgainstFullPowers:
+    """The row-at-a-time index equals the index by full matrix powers, kept
+    in the tests as its oracle, on every input, None included."""
+
+    def assert_agrees(self, M):
+        expected = reference_nilpotency_index(M)
+        assert nilpotency_index(M) == expected, M
+        return expected
+
+    def test_two_by_two_enumeration(self):
+        # the Keller maps here have r <= 1, so their JG - I is zero; the
+        # full Jacobian of the shear dies at k = 2
+        reduced = {self.assert_agrees(reduced_jacobian_minus_identity(A))
+                   for A in all_two_by_two(ALPHABET)}
+        full = {self.assert_agrees(jacobian(cubic_part(A))) for A in all_two_by_two(ALPHABET)}
+        assert reduced == {None, 1} and full == {None, 1, 2}
+
+    def test_keller_corpus_and_paper_example_orbit(self, paper):
+        for A in three_by_three_keller_corpus() + paper_orbit(paper):
+            assert self.assert_agrees(reduced_jacobian_minus_identity(A)) is not None
+            assert self.assert_agrees(jacobian(cubic_part(A))) is not None
+
+    @pytest.mark.parametrize("n, count", [(3, 60), (4, 12)])
+    def test_full_jacobians_of_seeded_maps(self, n, count):
+        for A in seeded_maps(n, count, seed=n):
+            self.assert_agrees(jacobian(cubic_part(A)))
+
+    def test_hand_built(self):
+        for M, index in hand_built():
+            assert self.assert_agrees(M) == index
+
+
+def count_products(monkeypatch) -> list:
+    """Make each PolyMatrix product append its left operand's row count."""
+    lefts = []
+    real = PolyMatrix.__mul__
+    monkeypatch.setattr(PolyMatrix, "__mul__", lambda M, N: lefts.append(M.rows) or real(M, N))
+    return lefts
+
+
+class TestNilpotencyEarlyExit:
+    """Every product has a one-row left operand.  A non-nilpotent n x n
+    matrix stops after n - 1 products past the rows that die before its
+    first surviving row; a nilpotent one makes at most n (n - 1)."""
+
+    def test_non_nilpotent_stops_at_the_first_surviving_row(self, monkeypatch):
+        lefts = count_products(monkeypatch)
+        matrices = [reduced_jacobian_minus_identity(A) for A in all_two_by_two(ALPHABET)]
+        matrices += [
+            reduced_jacobian_minus_identity(A)
+            for n, count in ((3, 60), (4, 12)) for A in seeded_maps(n, count, seed=n)
+        ]
+        matrices.append(hand_built()[2][0])
+        checked = 0
+        for M in matrices:
+            lefts.clear()
+            if nilpotency_index(M) is None:
+                checked += 1
+                assert set(lefts) <= {1} and len(lefts) <= M.rows - 1
+        assert checked > 600
+
+    def test_rows_that_die_first_are_paid_for(self, monkeypatch):
+        # row 1 dies after one product, row 2 is zero, row 3 survives two
+        lefts = count_products(monkeypatch)
+        assert nilpotency_index(hand_built()[3][0]) is None
+        assert lefts == [1, 1, 1]
+
+    def test_nilpotent_makes_at_most_n_times_n_minus_one(self, monkeypatch, paper):
+        lefts = count_products(monkeypatch)
+        matrices = [M for M, index in hand_built() if index is not None]
+        for A in three_by_three_keller_corpus() + paper_orbit(paper):
+            matrices += [reduced_jacobian_minus_identity(A), jacobian(cubic_part(A))]
+        for M in matrices:
+            lefts.clear()
+            assert nilpotency_index(M) is not None
+            n = M.rows
+            assert set(lefts) <= {1} and len(lefts) <= n * (n - 1)
 
 
 class TestIsKeller:
