@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .druzkowski import rank_bound_certificate
-from .harness import SearchConfig, run_search
+from .harness import CHECK_NAMES, SearchConfig, run_search
 from .invert import (
     NOT_INVERTIBLE,
     corollary_pipeline,
@@ -198,7 +198,7 @@ def _cmd_search(args) -> int:
     else:
         print(f"visited: {report.totals['visited']}")
         print(f"passed_filters: {report.totals['passed_filters']}")
-        for check in ("rank_bound", "invert", "corollary"):
+        for check in CHECK_NAMES:
             if check in report.totals:
                 body = ", ".join(
                     f"{k}={v}" for k, v in report.totals[check].items()

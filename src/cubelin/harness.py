@@ -20,13 +20,14 @@ results merge in chunk order, which makes reports byte-stable for every
 worker count.
 
 Checks per candidate: "rank_bound" evaluates the rank-bound certificate
-and counts violations as anomalies, with the trace condition and delta
-from :mod:`cubelin.kernel` and, where the condition holds, the rank: the
-candidate's ``GZPair`` holds it when another check built one, else
-:func:`cubelin.linalg.rank` computes it; "invert" runs the exact inversion
+and counts violations as anomalies; "invert" runs the exact inversion
 decision on Keller candidates; "corollary" runs the full small-dimension
 pipeline.  Filters "trace_zero_only" and "keller_only" restrict which
-candidates are checked.
+candidates are checked.  The trace condition and delta come from
+:mod:`cubelin.kernel`; the matrix, its ``GZPair``, the rank (the pair's
+r, else :func:`cubelin.linalg.rank`) and the Keller bit are each derived
+once.  A candidate that fails the trace condition is not Keller and is
+not tested, except under "keller_only".
 """
 
 from __future__ import annotations
@@ -53,7 +54,13 @@ DEFAULT_CEILING = 10_000_000
 CEILING_ENV_VAR = "CUBELIN_CEILING"
 
 FILTER_NAMES = ("keller_only", "trace_zero_only")
-CHECK_NAMES = ("rank_bound", "invert", "corollary")
+# each check's counters, in report order
+_CHECK_COUNTERS = {
+    "rank_bound": ("checked", "anomalies"),
+    "invert": ("checked", "keller", "invertible", "failures"),
+    "corollary": ("checked", "applicable", "verified", "anomalies"),
+}
+CHECK_NAMES = tuple(_CHECK_COUNTERS)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -291,11 +298,12 @@ class SearchReport:
 
 def _iter_digit_vectors(
     config: SearchConfig, start: int, stop: int
-) -> Iterator[Sequence[int]]:
+) -> Iterator[tuple[int, Sequence[int]]]:
+    """(index, digits) of candidates ``start`` .. ``stop - 1``."""
     width = config.n * config.n
     base = len(config.alphabet)
     if config.mode == "enumerate":
-        yield from islice(product(range(base), repeat=width), start, stop)
+        yield from enumerate(islice(product(range(base), repeat=width), start, stop), start)
     else:
         seed = config.seed
         per_block = max(1, _BLOCK_LANES // width)
@@ -303,8 +311,8 @@ def _iter_digit_vectors(
             count = min(per_block, stop - first)
             words = _splitmix64_block(seed, first * width, count * width)
             digits = [w % base for w in words]
-            for offset in range(0, count * width, width):
-                yield digits[offset : offset + width]
+            vectors = [digits[k : k + width] for k in range(0, count * width, width)]
+            yield from zip(range(first, first + count), vectors)
 
 
 def _candidate_matrix(
@@ -318,23 +326,15 @@ def _candidate_matrix(
 def iter_candidate_matrices(config: SearchConfig) -> Iterator[tuple[int, ScalarMatrix]]:
     """All (index, matrix) pairs of a run, in canonical order."""
     config.check_ceiling()
-    for index, digits in enumerate(_iter_digit_vectors(config, 0, config.total_candidates())):
+    for index, digits in _iter_digit_vectors(config, 0, config.total_candidates()):
         yield index, _candidate_matrix(config.alphabet, config.n, digits)
 
 
 def _empty_totals(config: SearchConfig) -> dict:
     totals: dict = {"visited": 0, "passed_filters": 0}
-    if "rank_bound" in config.checks:
-        totals["rank_bound"] = {"checked": 0, "anomalies": 0}
-    if "invert" in config.checks:
-        totals["invert"] = {"checked": 0, "keller": 0, "invertible": 0, "failures": 0}
-    if "corollary" in config.checks:
-        totals["corollary"] = {
-            "checked": 0,
-            "applicable": 0,
-            "verified": 0,
-            "anomalies": 0,
-        }
+    for name, counters in _CHECK_COUNTERS.items():
+        if name in config.checks:
+            totals[name] = dict.fromkeys(counters, 0)
     return totals
 
 
@@ -344,12 +344,6 @@ def _merge_totals(into: dict, part: dict) -> None:
             _merge_totals(into[key], value)
         else:
             into[key] += value
-
-
-def _certificate(n, holds, delta, matrix, pair) -> RankBoundCertificate:
-    # a pair already holds r = rank(A), so only a matrix without one is reduced
-    r = rank(matrix) if pair is None else pair.r
-    return RankBoundCertificate(n, holds, delta, r)
 
 
 def _scan_range(
@@ -368,57 +362,57 @@ def _scan_range(
     want_invert = "invert" in config.checks
     want_corollary = "corollary" in config.checks
 
-    for index, digits in zip(
-        range(start, stop), _iter_digit_vectors(config, start, stop)
-    ):
-        totals["visited"] += 1
+    passed = 0
+    for index, digits in _iter_digit_vectors(config, start, stop):
         try:
             flat = [x for d in digits for x in pairs[d]]
             holds, delta = certificate_ints(n, flat)
             if trace_filter and not holds:
                 continue
-            # Keller maps meet the trace condition, so invert tests only the
-            # candidates that do; keller_only tests all, as the is_keller
-            # spans of cubench's search-keller declare (ROADMAP item 1)
-            want_keller = keller_filter or (holds and want_invert)
-            matrix = pair = keller = certificate = None
-            # the rank matters only to the rank_bound check where the trace
-            # condition holds, or to a record, which certifies it below
-            if want_keller or want_corollary or (holds and want_rank_bound):
+            # each value is derived in one place, before the first filter,
+            # check or record that reads it; most candidates of a rank_bound
+            # search fail the trace condition and get no matrix
+            matrix = pair = certificate = None
+            bound_broken = keller = False
+            want_pair = keller_filter or want_corollary or (
+                holds and (want_invert or collect_records)
+            )
+            if want_pair or collect_records or (holds and want_rank_bound):
                 matrix = _candidate_matrix(alphabet, n, digits)
-            if want_keller or want_corollary:
-                pair = GZPair(matrix)  # the one analysis every check reads
-            if want_keller:
-                keller = is_keller(pair)
+                if want_pair:
+                    pair = GZPair(matrix)  # the one analysis every check reads
+                # a pair holds r = rank(A); only a matrix without one is reduced
+                r = rank(matrix) if pair is None else pair.r
+                certificate = RankBoundCertificate(n, holds, delta, r)
+                bound_broken = want_rank_bound and not certificate.theorem_satisfied
+            # Keller maps meet the trace condition, so a candidate that fails
+            # it is not Keller and is not tested; keller_only tests all, as
+            # cubench's search-keller spans declare (ROADMAP item 1).  Where it
+            # holds, every pair is tested (the corollary computes the bit
+            # anyway); only a broken bound's record is tested without a pair.
+            if bound_broken or (pair is not None and (holds or keller_filter)):
+                keller = is_keller(matrix if pair is None else pair)
                 if keller_filter and not keller:
                     continue
-            totals["passed_filters"] += 1
+            passed += 1
 
-            anomaly = False
+            anomaly = bound_broken
             inverse_degree: int | None = None
 
-            if want_rank_bound:
-                totals["rank_bound"]["checked"] += 1
-                if holds:
-                    certificate = _certificate(n, holds, delta, matrix, pair)
-                    if not certificate.theorem_satisfied:
-                        totals["rank_bound"]["anomalies"] += 1
-                        anomaly = True
+            if bound_broken:
+                totals["rank_bound"]["anomalies"] += 1
 
-            if want_invert:
-                totals["invert"]["checked"] += 1
-                if keller:
-                    totals["invert"]["keller"] += 1
-                    result = decide_automorphism(pair)
-                    if result.invertible:
-                        totals["invert"]["invertible"] += 1
-                        inverse_degree = result.inverse_degree
-                    else:
-                        totals["invert"]["failures"] += 1
-                        anomaly = True
+            if want_invert and keller:
+                totals["invert"]["keller"] += 1
+                result = decide_automorphism(pair)
+                if result.invertible:
+                    totals["invert"]["invertible"] += 1
+                    inverse_degree = result.inverse_degree
+                else:
+                    totals["invert"]["failures"] += 1
+                    anomaly = True
 
             if want_corollary:
-                totals["corollary"]["checked"] += 1
                 report = corollary_pipeline(pair)
                 if report.hypotheses_hold:
                     totals["corollary"]["applicable"] += 1
@@ -428,13 +422,9 @@ def _scan_range(
                     totals["corollary"]["anomalies"] += 1
                     anomaly = True
 
+            # every anomaly comes from a check that built the matrix and its
+            # certificate, so a record only reads what is already there
             if anomaly or collect_records:
-                if matrix is None:
-                    matrix = _candidate_matrix(alphabet, n, digits)
-                if keller is None:
-                    keller = holds and is_keller(matrix if pair is None else pair)
-                if certificate is None:
-                    certificate = _certificate(n, holds, delta, matrix, pair)
                 record = {
                     "index": index,
                     "matrix": matrix_entries_text(matrix),
@@ -450,6 +440,12 @@ def _scan_range(
         except RuntimeError as exc:
             raise RuntimeError(f"candidate {index}: {exc}") from exc
 
+    # every candidate of the range is visited, and each check sees every
+    # candidate that passes the filters
+    totals["visited"] = stop - start
+    totals["passed_filters"] = passed
+    for name in config.checks:
+        totals[name]["checked"] = passed
     return totals, anomalies, records
 
 

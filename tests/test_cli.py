@@ -9,6 +9,7 @@ import pytest
 
 from cubelin import RankBoundCertificate, cli, parse_matrix
 from cubelin.cli import main
+from cubelin.harness import CHECK_NAMES
 from cubelin.invert import NOT_INVERTIBLE, InverseResult
 from helpers import NON_KELLER_4X4_ROWS, PAPER_EXAMPLE_ROWS, count_keller_bits
 
@@ -198,14 +199,19 @@ class TestSearch:
                 "alphabet": ["0", "1"],
                 "mode": "enumerate",
                 "filters": ["keller_only"],
-                "checks": ["invert"],
+                "checks": ["corollary", "invert", "rank_bound"],
             },
         )
         code, out, _ = run(capsys, "search", path)
         assert code == 0
         assert "visited: 16" in out
         assert "passed_filters: 3" in out
-        assert "invert: checked=3, keller=3, invertible=3, failures=0" in out
+        # one line per check, in the order of the report's totals
+        assert [line for line in out.splitlines() if line.split(":")[0] in CHECK_NAMES] == [
+            "rank_bound: checked=3, anomalies=0",
+            "invert: checked=3, keller=3, invertible=3, failures=0",
+            "corollary: checked=3, applicable=0, verified=0, anomalies=0",
+        ]
         assert "anomalies: 0" in out
 
     def test_records_stream(self, capsys, tmp_path):

@@ -3,6 +3,7 @@ import os
 import pickle
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +15,7 @@ from cubelin import (
     rank_bound_certificate,
     run_search,
 )
-from cubelin import harness, invert
+from cubelin import harness, invert, linalg
 from cubelin.harness import (
     CEILING_ENV_VAR,
     DEFAULT_CEILING,
@@ -22,13 +23,18 @@ from cubelin.harness import (
     enumeration_ceiling,
     iter_candidate_matrices,
 )
-from cubelin.druzkowski import RankBoundCertificate
+from cubelin.invert import GZPair, is_keller
+from cubelin.kernel import integer_pairs
 from cubelin.linalg import rank
 from helpers import count_keller_bits, splitmix64
 
 
 def g(text):
     return parse_gaussian(text)
+
+
+def matrix_of(rows):
+    return ScalarMatrix([[g(v) for v in row] for row in rows])
 
 
 FULL_ALPHABET = ["0", "1", "-1", "i", "-i"]
@@ -371,9 +377,11 @@ class TestSampling:
                     "mode": "sample", "count": 1, "seed": seed,
                 })
                 for start, stop in ranges:
-                    got = [list(d) for d in harness._iter_digit_vectors(cfg, start, stop)]
+                    got = [
+                        (c, list(d)) for c, d in harness._iter_digit_vectors(cfg, start, stop)
+                    ]
                     expected = [
-                        [splitmix64(seed, c * width + e) % base for e in range(width)]
+                        (c, [splitmix64(seed, c * width + e) % base for e in range(width)])
                         for c in range(start, stop)
                     ]
                     assert got == expected, (n, base, start, stop)
@@ -589,7 +597,7 @@ class TestRecordKellerBit:
             assert len(calls) == len(holding)
             assert 0 < len(holding) < len(records)
             for record in records:
-                A = ScalarMatrix([[g(v) for v in row] for row in record["matrix"]])
+                A = matrix_of(record["matrix"])
                 assert record["keller"] is real(A)
             if cfg.n == 2:
                 assert {r["keller"] for r in holding} == {True, False}
@@ -667,12 +675,13 @@ class TestRankOnDemand:
         assert len(records) == 625
         assert 0 < len(calls) == len(without_pair) < 625
         for record in records:
-            A = ScalarMatrix([[g(v) for v in row] for row in record["matrix"]])
+            A = matrix_of(record["matrix"])
             assert record["certificate"]["rank"] == rank(A)
 
     def test_records_read_the_rank_from_the_pair(self, monkeypatch):
         # with corollary every candidate has a pair, so no matrix is reduced
-        # a second time; the report and records are those of a run that does
+        # a second time; the report and records are those of a run whose
+        # ranks all come from linalg.rank
         cfg = config(alphabet=FULL_ALPHABET, checks=["invert", "corollary"])
         real = harness.rank
         calls = []
@@ -680,10 +689,7 @@ class TestRankOnDemand:
         report = run_search(cfg, workers=1, collect_records=True)
         assert calls == [] and len(report.records) == 625
 
-        def by_rank(n, holds, delta, matrix, pair):
-            return RankBoundCertificate(n, holds, delta, rank(matrix))
-
-        monkeypatch.setattr(harness, "_certificate", by_rank)
+        monkeypatch.setattr(GZPair, "r", property(lambda pair: rank(pair.matrix)))
         reduced = run_search(cfg, workers=1, collect_records=True)
 
         def text(report):
@@ -692,6 +698,20 @@ class TestRankOnDemand:
             return json.dumps(payload), json.dumps(report.records)
 
         assert text(report) == text(reduced)
+
+    def test_records_reduce_each_matrix_once(self, monkeypatch):
+        # a records run Keller-tests a trace-holding candidate through the
+        # pair whose factorization also gives its rank; every other
+        # candidate's rank is one linalg.rank
+        calls = []
+        real = linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate", lambda M: calls.append(M) or real(M))
+        records = run_search(
+            config(alphabet=FULL_ALPHABET), workers=1, collect_records=True
+        ).records
+        assert len(records) == len(calls) == 625
+        holding = [r for r in records if r["certificate"]["trace_condition_holds"]]
+        assert {r["keller"] for r in holding} == {True, False}
 
 
 class TestReportShape:
@@ -725,3 +745,82 @@ class TestInternalCheckErrors:
         monkeypatch.setattr(harness, "is_keller", planted)
         with pytest.raises(RuntimeError, match="^candidate 6: internal check failed: planted$"):
             run_search(cfg)
+
+
+class TestAnomalyRecords:
+    """Each anomaly source, planted at the call the harness makes, gives an
+    anomaly record equal to the candidate's record in a records run with
+    the same plant, with the candidate's own Keller bit and certificate."""
+
+    def run_planted(self, monkeypatch, cfg, name, plant):
+        monkeypatch.setattr(harness, name, plant)
+        report = run_search(cfg, workers=1)
+        records = run_search(cfg, workers=1, collect_records=True).records
+        assert [r for r in records if r["anomaly"]] == report.anomalies
+        for record in report.anomalies:
+            assert record["keller"] is is_keller(matrix_of(record["matrix"]))
+        return report
+
+    def test_rank_above_the_bound(self, monkeypatch):
+        # delta planted at 0 puts the bound at 3, below 2 * 2 for these two
+        # rank-2 candidates, one Keller and one not; a rank_bound search
+        # builds no pair for a candidate it does not record
+        cfg = config(n=3, checks=["rank_bound"])
+        targets = [
+            matrix_of([["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]]),
+            matrix_of([["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]]),
+        ]
+        pairs = integer_pairs(cfg.alphabet)
+        flats = [
+            [x for row in M.entries for v in row for x in pairs[cfg.alphabet.index(v)]]
+            for M in targets
+        ]
+        real = harness.certificate_ints
+
+        def planted(n, flat):
+            holds, delta = real(n, flat)
+            return (holds, 0) if flat in flats else (holds, delta)
+
+        report = self.run_planted(monkeypatch, cfg, "certificate_ints", planted)
+        assert report.totals["rank_bound"] == {"checked": 512, "anomalies": 2}
+        assert [matrix_of(r["matrix"]) for r in report.anomalies] == targets
+        assert [r["keller"] for r in report.anomalies] == [True, False]
+        for record, M in zip(report.anomalies, targets):
+            planted_fields = {"delta": 0, "bound_times_two": 3, "theorem_satisfied": False}
+            assert record["certificate"] == {
+                **rank_bound_certificate(M).to_dict(), **planted_fields
+            }
+            assert record["inverse_degree"] is None
+
+    def test_refused_inversion(self, monkeypatch):
+        cfg = config(alphabet=FULL_ALPHABET, checks=["invert"])
+        target = matrix_of([["0", "1"], ["0", "0"]])
+        real = harness.decide_automorphism
+        refused = SimpleNamespace(invertible=False, inverse_degree=None)
+
+        def planted(pair):
+            return refused if pair.matrix == target else real(pair)
+
+        report = self.run_planted(monkeypatch, cfg, "decide_automorphism", planted)
+        assert report.totals["invert"]["failures"] == 1
+        [record] = report.anomalies
+        assert matrix_of(record["matrix"]) == target
+        assert record["keller"] is True and record["inverse_degree"] is None
+        assert record["certificate"] == rank_bound_certificate(target).to_dict()
+
+    def test_anomalous_corollary(self, monkeypatch):
+        # the identity fails the trace condition, the shear meets it
+        cfg = config(alphabet=FULL_ALPHABET, checks=["corollary"])
+        targets = [matrix_of([["0", "1"], ["0", "0"]]), matrix_of([["1", "0"], ["0", "1"]])]
+        real = harness.corollary_pipeline
+        anomalous = SimpleNamespace(hypotheses_hold=True, verified=False, is_anomaly=True)
+
+        def planted(pair):
+            return anomalous if pair.matrix in targets else real(pair)
+
+        report = self.run_planted(monkeypatch, cfg, "corollary_pipeline", planted)
+        assert report.totals["corollary"]["anomalies"] == 2
+        assert [matrix_of(r["matrix"]) for r in report.anomalies] == targets
+        assert [r["keller"] for r in report.anomalies] == [True, False]
+        for record, M in zip(report.anomalies, targets):
+            assert record["certificate"] == rank_bound_certificate(M).to_dict()
