@@ -15,6 +15,11 @@ lifted F^{-1}.  :func:`is_keller`, :func:`gz_reduce`,
 :func:`decide_automorphism` and :func:`corollary_pipeline` are views that
 take a square matrix or its pair.
 
+For A with denominators, ``GZPair`` runs that route on lambda^2 A over
+Z[i], for the lambda of least norm that clears them, and maps each answer
+back by one rescale per degree: S^{-1} o F_A o S = F_{lambda^2 A} for
+S = lambda^3 I.  ``Fraction`` is then paid only by that rescale.
+
 A non-Keller G has no inverse, since an invertible map has det JF == 1.
 A Keller G is decided at its full bound 3^(r-1) by the fixed-point
 recurrence G^{-1} <- Y - C (B G^{-1})^{*3}, truncated there, evaluated in
@@ -44,9 +49,11 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 from .druzkowski import _square_matrix, cubic_terms, expand_map
+from .kernel import conjugating_scale
 from .linalg import ScalarMatrix, rank_factorization
 from .matrixio import matrix_entries_text
 from .poly import (
@@ -59,6 +66,7 @@ from .poly import (
     jacobian,
     linear_combination,
 )
+from .scalars import ONE, GaussianRational, _gaussian, _part
 
 INVERTIBLE = "Invertible"
 NOT_INVERTIBLE = "NotInvertible"
@@ -139,39 +147,84 @@ class InverseResult:
         return json.dumps(self.to_dict())
 
 
+def _rescale(H: PolyMap, lam: GaussianRational) -> PolyMap:
+    """T o H o T^{-1} for T = lam^3 I: each degree-k coefficient times
+    mu^(1-k) = conj(mu)^(k-1) / N(mu)^(k-1), mu = lam^3; H itself at 1."""
+    if lam == ONE:
+        return H
+    mu = lam**3
+    factors = [(mu, 1), (ONE, 1)]  # (numerator, denominator) at each degree
+    while len(factors) <= H.max_degree():
+        w, d = factors[-1]
+        factors.append((w * _gaussian(mu.re, -mu.im), d * (mu.re**2 + mu.im**2)))
+
+    def term(e, c):
+        w, d = factors[sum(e)]
+        re, im = c.re * w.re - c.im * w.im, c.re * w.im + c.im * w.re
+        return _gaussian(_part(Fraction(re, d)), _part(Fraction(im, d)))
+
+    return PolyMap([Polynomial._raw(H.nvars, {e: term(e, c) for e, c in p.terms.items()})
+                    for p in H.components], nvars=H.nvars)
+
+
 @dataclass(frozen=True)
 class GZPair:
     """A cubic-linear map with its reduced partner, all derived from A.
 
-    ``GZPair(A)`` takes B and C from :func:`rank_factorization`, checks
-    B @ C == A exactly and builds G = Y + C (BY)^{*3}; at full rank B = A
-    and C = I_n, so G is F and is built by :func:`expand_map`.  No pair's
-    G can disagree with its factors, nor its factors with A.
+    The route runs on ``conjugate``, the pair of lambda^2 A over Z[i] for
+    lambda = ``scale``, from :func:`~cubelin.kernel.conjugating_scale`;
+    for A over Z[i], lambda = 1 and that is the pair itself, which takes
+    B and C from :func:`rank_factorization` and builds G = Y + C (BY)^{*3};
+    at full rank B = A and C = I_n, so G is F and is built by
+    :func:`expand_map`.  Otherwise ``_eliminate`` first scales to Z[i], so
+    lambda^2 A keeps A's pivots and RREF: B = lambda^-2 B', C = C' and
+    G = T o G' o T^{-1} (:func:`_rescale`, T = lambda^3 I_r), from the
+    conjugate's B', C' and G'.  B @ C == A is checked exactly.
 
     ``keller``, ``g_inverse`` and ``f_inverse``, the steps of the route,
-    are computed on first use and kept.
+    are the conjugate's mapped back (see :func:`decide_automorphism`),
+    computed on first use and kept.
     """
 
     matrix: ScalarMatrix
     B: ScalarMatrix = field(init=False)
     C: ScalarMatrix = field(init=False)
     G: PolyMap = field(init=False)
+    scale: GaussianRational = field(init=False)
+    # None at lambda = 1: a pair that held itself would be a reference cycle
+    _conjugate: GZPair | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         A = _square_matrix(self.matrix)
-        B, C = rank_factorization(A)
+        lam = conjugating_scale([c for row in A.entries for c in row])
+        if lam == ONE:
+            conjugate, (B, C) = None, rank_factorization(A)
+            r = B.cols
+            if r == A.rows:
+                G = expand_map(A)
+            else:
+                Y = PolyMap.identity(r).components
+                G = PolyMap([y + t for y, t in zip(Y, cubic_terms(B, C, Y))], nvars=r)
+        else:
+            square = lam * lam
+            conjugate = GZPair(ScalarMatrix([[square * a for a in row] for row in A.entries]))
+            B = ScalarMatrix(
+                [[b / square for b in row] for row in conjugate.B.entries], conjugate.r
+            )
+            C, G = conjugate.C, _rescale(conjugate.G, lam)
         if B * C != A:
             raise RuntimeError(
                 "internal check failed: rank factorization does not multiply back"
             )
-        r = B.cols
-        if r == A.rows:
-            G = expand_map(A)
-        else:
-            Y = PolyMap.identity(r).components
-            G = PolyMap([y + t for y, t in zip(Y, cubic_terms(B, C, Y))], nvars=r)
-        for name, value in (("matrix", A), ("B", B), ("C", C), ("G", G)):
+        for name, value in (("matrix", A), ("B", B), ("C", C), ("G", G), ("scale", lam),
+                            ("_conjugate", conjugate)):
             object.__setattr__(self, name, value)
+
+    @property
+    def conjugate(self) -> GZPair:
+        """The pair of lambda^2 A that the route runs on; the pair itself
+        at lambda = 1."""
+        return self._conjugate or self
 
     @property
     def n(self) -> int:
@@ -190,7 +243,8 @@ class GZPair:
 
     @cached_property
     def keller(self) -> bool:
-        """Whether F is Keller: JG - I_r nilpotent (see :func:`is_keller`).
+        """Whether F is Keller: JG - I_r nilpotent for the conjugate's G
+        (see :func:`is_keller`).
 
         Up to the determinant's size cap, det JG == 1 must agree exactly; a
         disagreement would be a bug, so it raises.  r = 0 (A = 0) is Keller.
@@ -198,7 +252,7 @@ class GZPair:
         r = self.r
         if r == 0:
             return True
-        JG = jacobian(self.G)
+        JG = jacobian(self.conjugate.G)
         nilpotent = nilpotency_index(JG - PolyMatrix.identity(r, r)) is not None
         if r <= _DET_SIZE_CAP:
             det_says = det(JG) == Polynomial.one(r)
@@ -210,17 +264,26 @@ class GZPair:
         return nilpotent
 
     @cached_property
+    def _conjugate_g_inverse(self) -> PolyMap | None:
+        pair = self.conjugate
+        return _decide(pair.B, pair.C) if self.keller else None
+
+    @cached_property
     def g_inverse(self) -> PolyMap | None:
-        """G^{-1}, decided at its full bound; None when G has none (a
-        non-Keller G is not iterated: see :func:`decide_automorphism`)."""
-        return _decide(self.B, self.C) if self.keller else None
+        """G^{-1}, decided on the conjugate at its full bound; None when G
+        has none (a non-Keller G is not iterated: see
+        :func:`decide_automorphism`)."""
+        g_inverse = self._conjugate_g_inverse
+        return None if g_inverse is None else _rescale(g_inverse, self.scale)
 
     @cached_property
     def f_inverse(self) -> PolyMap | None:
-        """F^{-1}, lifted from ``g_inverse`` by :func:`lift_inverse`; None
+        """F^{-1}, lifted on the conjugate by :func:`lift_inverse`; None
         when G has no inverse."""
-        g_inverse = self.g_inverse
-        return None if g_inverse is None else lift_inverse(self, g_inverse)
+        g_inverse = self._conjugate_g_inverse
+        if g_inverse is None:
+            return None
+        return _rescale(lift_inverse(self.conjugate, g_inverse), self.scale)
 
     def to_dict(self) -> dict:
         return {
@@ -241,7 +304,8 @@ def gz_reduce(A) -> GZPair:
     rank (at full rank C = I_n and G is F); a failure would be a bug, so it
     raises.  A may be a square matrix or its pair.
 
-    The pair is consistent by construction (A = B @ C gives
+    The check runs on the pair's conjugate (see :class:`GZPair`).  The pair
+    is consistent by construction (A = B @ C gives
     C (AX)^{*3} = C (B (CX))^{*3}), so the check re-tests polynomial
     arithmetic.  It stays here for two reasons: a NotInvertible answer of
     :func:`decide_automorphism` rests on G as built, which no lift checks,
@@ -249,12 +313,12 @@ def gz_reduce(A) -> GZPair:
     span.  :func:`corollary_pipeline` skips it: its lift proves the identity.
     """
     pair = _pair(A)
-    n = pair.n
+    n, conjugate = pair.n, pair.conjugate
     if pair.r == n:
         return pair
-    F = expand_map(pair.matrix)
-    C_after_F = [linear_combination(row, F.components, n) for row in pair.C.entries]
-    if PolyMap(C_after_F, nvars=n) != compose(pair.G, pair.projection()):
+    F = expand_map(conjugate.matrix)
+    C_after_F = [linear_combination(row, F.components, n) for row in conjugate.C.entries]
+    if PolyMap(C_after_F, nvars=n) != compose(conjugate.G, conjugate.projection()):
         raise RuntimeError("internal check failed: reduction does not intertwine")
     return pair
 
@@ -368,15 +432,24 @@ def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
     determinant, det JF(0) == 1, and G o G^{-1} == id forces det JG == 1.
     The result carries the Keller bit.
 
-    Both composition orders are verified exactly.  F o F^{-1} == id is
-    checked directly by the lift.  F^{-1} o F == id follows from B C == A
-    and C o F == G o C (checked by :func:`gz_reduce`, here too) and
-    G^{-1} o G == id (checked by the lift):
+    The whole route runs on the pair's conjugate, the pair of lambda^2 A
+    over Z[i] (see :class:`GZPair`); in this paragraph A, B, C, F and G are
+    the conjugate's.  Both composition orders are verified exactly there.
+    F o F^{-1} == id is checked directly by the lift.  F^{-1} o F == id
+    follows from B C == A and C o F == G o C (checked by :func:`gz_reduce`,
+    on the conjugate) and G^{-1} o G == id (checked by the lift):
 
         F^{-1}(F(X)) = F(X) - (B G^{-1}(C F(X)))^{*3}
                      = F(X) - (B G^{-1}(G(C X)))^{*3}
                      = F(X) - (B C X)^{*3}
                      = F(X) - (A X)^{*3} = X.
+
+    For the pair's own A, with S = lambda^3 I_n, S^{-1} o F_A o S =
+    F_{lambda^2 A}, as (lambda^2)^3 = lambda^6.  So S o F^{-1} o S^{-1}, which
+    :func:`_rescale` forms, is F_A^{-1} in both orders, by composing with a
+    linear map, not by a cited theorem; the Keller bit
+    (JF_A(S X) = S JF_{lambda^2 A}(X) S^{-1}), invertibility and the inverse
+    degree are the conjugate's as well.
     """
     if degree_bound is not None:
         # bool counts as int, so it is refused by name

@@ -13,7 +13,9 @@ linear combination built on it: the library runs all four on one packed
 term kernel.  So is the inversion decision truncated at min(d, 3^(r-1)):
 the library decides G at 3^(r-1) and compares d with the lifted degree.
 So is the nilpotency index by full matrix powers: the library takes the
-powers one row at a time.
+powers one row at a time.  So is :class:`DirectPair`, the route run on A
+itself over Q(i): the library runs it on lambda^2 A over Z[i] and rescales
+each answer back.
 """
 
 import functools
@@ -44,6 +46,7 @@ from cubelin.invert import (
     NOT_INVERTIBLE,
     default_degree_bound,
 )
+from cubelin.linalg import rank_factorization
 from cubelin.poly import (
     Exponents,
     PolyMatrix,
@@ -51,6 +54,7 @@ from cubelin.poly import (
     compose_polynomial,
     linear_combination,
 )
+from cubelin.scalars import ONE
 
 PAPER_EXAMPLE_ROWS = [
     ["1", "i", "1", "1"],
@@ -614,3 +618,19 @@ def three_by_three_keller_corpus() -> list[ScalarMatrix]:
     c = parse_gaussian("1/2+1/2i")
     corpus.append(ScalarMatrix([[c * a for a in row] for row in sampled[0].entries]))
     return corpus
+
+
+class DirectPair(GZPair):
+    """A :class:`GZPair` built without the conjugation: B and C come from
+    ``rank_factorization(A)``, G from them, and the Keller test, ``_decide``
+    and the lift run on A's own pair over Q(i), where the library runs them
+    on the pair of lambda^2 A and rescales back.  Every view
+    (``is_keller``, ``gz_reduce``, ``decide_automorphism``,
+    ``corollary_pipeline``) takes it as a pair."""
+
+    def __post_init__(self) -> None:
+        A = self.matrix
+        B, C = rank_factorization(A)
+        G = expand_map(A) if B.cols == A.rows else reduced_map(B, C)
+        for name, value in (("B", B), ("C", C), ("G", G), ("scale", ONE), ("_conjugate", None)):
+            object.__setattr__(self, name, value)
