@@ -15,10 +15,10 @@ lifted F^{-1}.  :func:`is_keller`, :func:`gz_reduce`,
 :func:`decide_automorphism` and :func:`corollary_pipeline` are views that
 take a square matrix or its pair.
 
-For A with denominators, ``GZPair`` runs that route on lambda^2 A over
-Z[i], for the lambda of least norm that clears them, and maps each answer
-back by one rescale per degree: S^{-1} o F_A o S = F_{lambda^2 A} for
-S = lambda^3 I.  ``Fraction`` is then paid only by that rescale.
+For A with denominators, ``GZPair`` runs that route on L^2 A over Z[i],
+for L the lcm of the denominators of A's parts, and maps each answer back
+by one rescale per degree: S^{-1} o F_A o S = F_{L^2 A} for S = L^3 I.
+``Fraction`` is then paid only by that rescale.
 
 A non-Keller G has no inverse, since an invertible map has det JF == 1.
 A Keller G is decided at its full bound 3^(r-1) by the fixed-point
@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .druzkowski import _square_matrix, cubic_terms, expand_map
-from .kernel import conjugating_scale
+from .kernel import _common_denominator
 from .linalg import ScalarMatrix, rank_factorization
 from .matrixio import matrix_entries_text
 from .poly import (
@@ -66,7 +66,7 @@ from .poly import (
     jacobian,
     linear_combination,
 )
-from .scalars import ONE, GaussianRational, _gaussian, _part
+from .scalars import _gaussian, _part
 
 INVERTIBLE = "Invertible"
 NOT_INVERTIBLE = "NotInvertible"
@@ -147,21 +147,18 @@ class InverseResult:
         return json.dumps(self.to_dict())
 
 
-def _rescale(H: PolyMap, lam: GaussianRational) -> PolyMap:
-    """T o H o T^{-1} for T = lam^3 I: each degree-k coefficient times
-    mu^(1-k) = conj(mu)^(k-1) / N(mu)^(k-1), mu = lam^3; H itself at 1."""
-    if lam == ONE:
+def _rescale(H: PolyMap, scale: int) -> PolyMap:
+    """T o H o T^{-1} for T = L^3 I, L = ``scale``: each degree-k coefficient
+    times the rational L^(3-3k), both parts alike; H itself at L = 1."""
+    if scale == 1:
         return H
-    mu = lam**3
-    factors = [(mu, 1), (ONE, 1)]  # (numerator, denominator) at each degree
-    while len(factors) <= H.max_degree():
-        w, d = factors[-1]
-        factors.append((w * _gaussian(mu.re, -mu.im), d * (mu.re**2 + mu.im**2)))
+    # L^(3-3k) as (numerator, denominator): Fraction(int, int) is the
+    # constructor's fast path, which int * Fraction does not take
+    factors = [(scale**3, 1)] + [(1, scale ** (3 * k)) for k in range(H.max_degree())]
 
     def term(e, c):
         w, d = factors[sum(e)]
-        re, im = c.re * w.re - c.im * w.im, c.re * w.im + c.im * w.re
-        return _gaussian(_part(Fraction(re, d)), _part(Fraction(im, d)))
+        return _gaussian(_part(Fraction(c.re * w, d)), _part(Fraction(c.im * w, d)))
 
     return PolyMap([Polynomial._raw(H.nvars, {e: term(e, c) for e, c in p.terms.items()})
                     for p in H.components], nvars=H.nvars)
@@ -171,14 +168,14 @@ def _rescale(H: PolyMap, lam: GaussianRational) -> PolyMap:
 class GZPair:
     """A cubic-linear map with its reduced partner, all derived from A.
 
-    The route runs on ``conjugate``, the pair of lambda^2 A over Z[i] for
-    lambda = ``scale``, from :func:`~cubelin.kernel.conjugating_scale`;
-    for A over Z[i], lambda = 1 and that is the pair itself, which takes
-    B and C from :func:`rank_factorization` and builds G = Y + C (BY)^{*3};
-    at full rank B = A and C = I_n, so G is F and is built by
-    :func:`expand_map`.  Otherwise ``_eliminate`` first scales to Z[i], so
-    lambda^2 A keeps A's pivots and RREF: B = lambda^-2 B', C = C' and
-    G = T o G' o T^{-1} (:func:`_rescale`, T = lambda^3 I_r), from the
+    The route runs on ``conjugate``, the pair of L^2 A over Z[i] for the
+    int L = ``scale``, the lcm of the denominators of A's parts (L A is over
+    Z[i], so L^2 A is too); for A over Z[i], L = 1 and that is the pair
+    itself, which takes B and C from :func:`rank_factorization` and builds
+    G = Y + C (BY)^{*3}; at full rank B = A and C = I_n, so G is F and is
+    built by :func:`expand_map`.  Otherwise ``_eliminate`` first scales to
+    Z[i], so L^2 A keeps A's pivots and RREF: B = L^-2 B', C = C' and
+    G = T o G' o T^{-1} (:func:`_rescale`, T = L^3 I_r), from the
     conjugate's B', C' and G'.  B @ C == A is checked exactly.
 
     ``keller``, ``g_inverse`` and ``f_inverse``, the steps of the route,
@@ -190,14 +187,14 @@ class GZPair:
     B: ScalarMatrix = field(init=False)
     C: ScalarMatrix = field(init=False)
     G: PolyMap = field(init=False)
-    scale: GaussianRational = field(init=False)
-    # None at lambda = 1: a pair that held itself would be a reference cycle
+    scale: int = field(init=False)
+    # None at L = 1: a pair that held itself would be a reference cycle
     _conjugate: GZPair | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         A = _square_matrix(self.matrix)
-        lam = conjugating_scale([c for row in A.entries for c in row])
-        if lam == ONE:
+        scale = _common_denominator([c for row in A.entries for c in row])
+        if scale == 1:
             conjugate, (B, C) = None, rank_factorization(A)
             r = B.cols
             if r == A.rows:
@@ -206,24 +203,24 @@ class GZPair:
                 Y = PolyMap.identity(r).components
                 G = PolyMap([y + t for y, t in zip(Y, cubic_terms(B, C, Y))], nvars=r)
         else:
-            square = lam * lam
+            square = scale * scale
             conjugate = GZPair(ScalarMatrix([[square * a for a in row] for row in A.entries]))
             B = ScalarMatrix(
                 [[b / square for b in row] for row in conjugate.B.entries], conjugate.r
             )
-            C, G = conjugate.C, _rescale(conjugate.G, lam)
+            C, G = conjugate.C, _rescale(conjugate.G, scale)
         if B * C != A:
             raise RuntimeError(
                 "internal check failed: rank factorization does not multiply back"
             )
-        for name, value in (("matrix", A), ("B", B), ("C", C), ("G", G), ("scale", lam),
+        for name, value in (("matrix", A), ("B", B), ("C", C), ("G", G), ("scale", scale),
                             ("_conjugate", conjugate)):
             object.__setattr__(self, name, value)
 
     @property
     def conjugate(self) -> GZPair:
-        """The pair of lambda^2 A that the route runs on; the pair itself
-        at lambda = 1."""
+        """The pair of L^2 A that the route runs on; the pair itself at
+        L = 1."""
         return self._conjugate or self
 
     @property
@@ -432,24 +429,24 @@ def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
     determinant, det JF(0) == 1, and G o G^{-1} == id forces det JG == 1.
     The result carries the Keller bit.
 
-    The whole route runs on the pair's conjugate, the pair of lambda^2 A
-    over Z[i] (see :class:`GZPair`); in this paragraph A, B, C, F and G are
-    the conjugate's.  Both composition orders are verified exactly there.
-    F o F^{-1} == id is checked directly by the lift.  F^{-1} o F == id
-    follows from B C == A and C o F == G o C (checked by :func:`gz_reduce`,
-    on the conjugate) and G^{-1} o G == id (checked by the lift):
+    The whole route runs on the pair's conjugate, the pair of L^2 A over
+    Z[i] for L the lcm of A's denominators (see :class:`GZPair`); in this
+    paragraph A, B, C, F and G are the conjugate's.  Both composition
+    orders are verified exactly there.  F o F^{-1} == id is checked
+    directly by the lift.  F^{-1} o F == id follows from B C == A and
+    C o F == G o C (checked by :func:`gz_reduce`, on the conjugate) and
+    G^{-1} o G == id (checked by the lift):
 
         F^{-1}(F(X)) = F(X) - (B G^{-1}(C F(X)))^{*3}
                      = F(X) - (B G^{-1}(G(C X)))^{*3}
                      = F(X) - (B C X)^{*3}
                      = F(X) - (A X)^{*3} = X.
 
-    For the pair's own A, with S = lambda^3 I_n, S^{-1} o F_A o S =
-    F_{lambda^2 A}, as (lambda^2)^3 = lambda^6.  So S o F^{-1} o S^{-1}, which
-    :func:`_rescale` forms, is F_A^{-1} in both orders, by composing with a
-    linear map, not by a cited theorem; the Keller bit
-    (JF_A(S X) = S JF_{lambda^2 A}(X) S^{-1}), invertibility and the inverse
-    degree are the conjugate's as well.
+    For the pair's own A, with S = L^3 I_n, S^{-1} o F_A o S = F_{L^2 A},
+    as (L^2)^3 = L^6.  So S o F^{-1} o S^{-1}, which :func:`_rescale` forms,
+    is F_A^{-1} in both orders, by composing with a linear map, not by a
+    cited theorem; the Keller bit (JF_A(S X) = S JF_{L^2 A}(X) S^{-1}),
+    invertibility and the inverse degree are the conjugate's as well.
     """
     if degree_bound is not None:
         # bool counts as int, so it is refused by name
@@ -558,7 +555,9 @@ def corollary_pipeline(A) -> CorollaryReport:
         logger.warning("anomaly: rank above four for %r: %s", matrix, report.to_json())
         return report
 
-    g_inverse = pair.g_inverse
+    # the conjugate's G^{-1}: the rescale to the pair's keeps every
+    # monomial, so the degree and the None test read the same without it
+    g_inverse = pair._conjugate_g_inverse
     base = dict(n=n, diag_nonzero=True, keller=True, rank=r, pair=pair)
     if g_inverse is None:
         report = CorollaryReport(**base)

@@ -14,8 +14,8 @@ multiplies every entry by one common denominator L.  Scaling A by L keeps
 delta and the rank and multiplies the Gram matrix A^T diag(a_ii) A by L^3,
 so no answer changes.  Tests cross-check the trace condition and delta
 against a Q(i) Gram product kept in ``tests/helpers.py`` as the reference.
-:func:`conjugating_scale` reads the same L: its lambda, with lambda^2 A over
-Z[i], is built from the Gaussian primes over L's prime factors.
+:class:`cubelin.invert.GZPair` reads the same L: it decides a matrix A
+with denominators on L^2 A, which is over Z[i] because L A is.
 
 :func:`certificate_ints` calls :func:`certificate_ints_pure`.  They stay
 two distinct functions because the benchmark in ``cubench/`` traces each
@@ -28,11 +28,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .scalars import ONE, GaussianRational
+from .scalars import GaussianRational
 
 BACKEND = "pure"
-
-_TRIAL_DIVISION_CAP = 1 << 10
 
 
 def _common_denominator(values: Sequence[GaussianRational]) -> int:
@@ -52,43 +50,6 @@ def integer_pairs(values: Sequence[GaussianRational]) -> list[tuple[int, int]]:
          c.im.numerator * (scale // c.im.denominator))
         for c in values
     ]
-
-
-def conjugating_scale(values: Sequence[GaussianRational]) -> GaussianRational:
-    """The lambda in Z[i] of least norm with lambda^2 c in Z[i] for every
-    value c: the product over the Gaussian primes pi over L of pi^ceil(e/2),
-    with e = max(0, v_pi(L) - min v_pi(L c)) the largest exponent of pi in
-    a denominator.  Trial division stops at a cap; a cofactor of L with no
-    prime factor up to it is taken whole as one inert prime, so lambda^2 c
-    stays integral but lambda may not be least."""
-    if all(c.is_gaussian_integer() for c in values):
-        return ONE
-    scale = _common_denominator(values)
-    numerators = [GaussianRational(re, im) for re, im in integer_pairs(values) if re or im]
-
-    def valuation(z: GaussianRational, pi: GaussianRational) -> int:  # z != 0
-        k = 0
-        while (z := z / pi).is_gaussian_integer():
-            k += 1
-        return k
-
-    lam, m, p = ONE, scale, 1
-    while m > 1:
-        p += 1
-        if p * p > m or p > _TRIAL_DIVISION_CAP:
-            p = m
-        if m % p:
-            continue
-        while m % p == 0:
-            m //= p
-        # a + bi with a^2 + b^2 = p, one for 2 and two for a split p; else p
-        roots = range(1, math.isqrt(p) + 1) if p <= _TRIAL_DIVISION_CAP**2 else ()
-        primes = [GaussianRational(a, b) for a in roots
-                  if (b := math.isqrt(p - a * a)) ** 2 == p - a * a] or [GaussianRational(p)]
-        for pi in primes:
-            e = valuation(GaussianRational(scale), pi) - min(valuation(z, pi) for z in numerators)
-            lam = lam * pi ** ((max(e, 0) + 1) // 2)
-    return lam
 
 
 def certificate_ints(n: int, flat: list[int]) -> tuple[bool, int]:

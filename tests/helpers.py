@@ -14,8 +14,8 @@ term kernel.  So is the inversion decision truncated at min(d, 3^(r-1)):
 the library decides G at 3^(r-1) and compares d with the lifted degree.
 So is the nilpotency index by full matrix powers: the library takes the
 powers one row at a time.  So is :class:`DirectPair`, the route run on A
-itself over Q(i): the library runs it on lambda^2 A over Z[i] and rescales
-each answer back.
+itself over Q(i): the library runs it on L^2 A over Z[i], for L the lcm of
+A's denominators, and rescales each answer back.
 """
 
 import functools
@@ -54,7 +54,6 @@ from cubelin.poly import (
     compose_polynomial,
     linear_combination,
 )
-from cubelin.scalars import ONE
 
 PAPER_EXAMPLE_ROWS = [
     ["1", "i", "1", "1"],
@@ -624,7 +623,7 @@ class DirectPair(GZPair):
     """A :class:`GZPair` built without the conjugation: B and C come from
     ``rank_factorization(A)``, G from them, and the Keller test, ``_decide``
     and the lift run on A's own pair over Q(i), where the library runs them
-    on the pair of lambda^2 A and rescales back.  Every view
+    on the pair of L^2 A and rescales back.  Every view
     (``is_keller``, ``gz_reduce``, ``decide_automorphism``,
     ``corollary_pipeline``) takes it as a pair."""
 
@@ -632,5 +631,5 @@ class DirectPair(GZPair):
         A = self.matrix
         B, C = rank_factorization(A)
         G = expand_map(A) if B.cols == A.rows else reduced_map(B, C)
-        for name, value in (("B", B), ("C", C), ("G", G), ("scale", ONE), ("_conjugate", None)):
+        for name, value in (("B", B), ("C", C), ("G", G), ("scale", 1), ("_conjugate", None)):
             object.__setattr__(self, name, value)

@@ -1,13 +1,15 @@
-"""The route over Z[i]: a non-integral A is decided on lambda^2 A.
+"""The route over Z[i]: a non-integral A is decided on L^2 A.
 
 ``GZPair`` runs the Keller test, the decision, the lift and the
-intertwining check on the pair of lambda^2 A, for the lambda of least norm
-that makes it a Gaussian-integer matrix, and rescales each answer back.
+intertwining check on the pair of L^2 A, for L the lcm of the denominators
+of A's parts, which makes it a Gaussian-integer matrix, and rescales each
+answer back.
 ``helpers.DirectPair`` runs the same route on A itself over Q(i), and is
 the oracle: every view must give the same bytes on both.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -18,10 +20,10 @@ from cubelin import (
     corollary_pipeline,
     decide_automorphism,
     gz_reduce,
+    invert,
     is_keller,
     parse_gaussian,
 )
-from cubelin.kernel import conjugating_scale
 from cubelin.linalg import rank_factorization
 from helpers import UNIT_ALPHABET, DirectPair, orbit_member
 
@@ -38,8 +40,8 @@ def entries(A):
     return [c for row in A.entries for c in row]
 
 
-def norm(z):
-    return z.re * z.re + z.im * z.im
+def lcm_of_denominators(A):
+    return math.lcm(*(part.denominator for c in entries(A) for part in (c.re, c.im)))
 
 
 SCALES = [g(s) for s in ("1/2", "-1/2i", "1/3", "2/5+1/5i")]
@@ -109,8 +111,28 @@ class TestAgainstTheDirectRoute:
 
     def test_paper_example_orbit(self, paper):
         members = paper_orbit_members(paper)
-        assert {str(GZPair(M).scale) for M in members} == {"2i", "1+i", "3"}
+        assert {str(GZPair(M).scale) for M in members} == {"4", "2", "9"}
         assert assert_routes_agree(members) == len(members)
+
+    @pytest.mark.parametrize("c", ["1/8", "1/9", "1/25", "2/5+1/5i", "1/6"])
+    def test_paper_example_scaled(self, paper, c):
+        # a smaller lambda in Z[i] would clear these too (1/8: L = 8, where
+        # (1+i)^3, of norm 8, would do), so L itself is tested here
+        A = scaled(paper, g(c))
+        assert views(GZPair(A)) == views(DirectPair(A))
+        assert GZPair(A).f_inverse is not None
+
+    def test_corollary_rescales_no_g_inverse(self, paper, monkeypatch):
+        # a rescale keeps every monomial, so the corollary reads the degree
+        # of G^{-1} on the conjugate: one rescale for G, one for F^{-1}
+        calls = []
+        rescale = invert._rescale
+        monkeypatch.setattr(invert, "_rescale", lambda H, s: calls.append(s) or rescale(H, s))
+        A = paper_orbit_members(paper)[0]
+        report = corollary_pipeline(A)
+        assert calls == [4, 4]
+        assert report.verified
+        assert report.g_inverse_degree == report.pair.g_inverse.max_degree()
 
     def test_rational_three_by_three_sample(self):
         assert assert_routes_agree(rational_three_by_three()) >= 8
@@ -125,15 +147,17 @@ class TestAgainstTheDirectRoute:
             assert is_keller(A) == is_keller(direct)
 
     def test_large_prime_denominators(self, paper):
-        # no prime factor below the trial division cap: the cofactor is
-        # taken whole, and the answers still agree
+        # L is the denominator itself, with no factoring
         for p in (2**61 - 1, 10**12 + 39, 1031**2):
             A = scaled(paper, g(f"1/{p}"))
-            assert all((GZPair(A).scale ** 2 * c).is_gaussian_integer() for c in entries(A))
+            assert GZPair(A).scale == p
             assert views(GZPair(A)) == views(DirectPair(A))
 
 
 class TestConjugatingScale:
+    """``GZPair(A).scale`` is the int L, the lcm of the denominators of A's
+    parts: L A is over Z[i], so L^2 A is too."""
+
     def corpus(self, paper):
         sample = list(two_by_two_scaled())[::7]
         return sample + paper_orbit_members(paper) + rational_three_by_three()
@@ -143,58 +167,54 @@ class TestConjugatingScale:
         matrices = self.corpus(paper) + [ScalarMatrix([p[:2], p[2:]]) for p in units]
         for A in matrices:
             integral = all(c.is_gaussian_integer() for c in entries(A))
-            assert (conjugating_scale(entries(A)) == 1) == integral, A
+            scale = GZPair(A).scale
+            assert type(scale) is int
+            assert (scale == 1) == integral, A
+            assert scale == lcm_of_denominators(A), A
 
     def test_square_clears_every_denominator(self, paper):
         for A in self.corpus(paper):
-            lam = conjugating_scale(entries(A))
-            assert all((lam * lam * c).is_gaussian_integer() for c in entries(A)), A
+            square = GZPair(A).scale ** 2
+            assert all((square * c).is_gaussian_integer() for c in entries(A)), A
 
     @pytest.mark.parametrize(
-        "values, least",
+        "values, lcm",
         [
-            (["1/2"], 2),  # ramified: (1+i)^2 = 2i
+            (["1/2"], 2),
             (["1/4"], 4),
             (["1/8"], 8),
             (["-1/2i", "1/2"], 2),
-            (["1/3"], 9),  # inert
+            (["1/3"], 3),
             (["1/9"], 9),
-            (["1/5"], 25),  # split, both primes over 5
-            (["2/5+1/5i"], 5),  # 1/(2-i): one prime over 5
+            (["1/5"], 5),
+            (["2/5+1/5i"], 5),
             (["1/25"], 25),
             (["3/13+2/13i", "1/2"], 26),
-            (["1/2", "1/3", "2i"], 18),
+            (["1/2", "1/3", "2i"], 6),
         ],
     )
-    def test_least_norm(self, values, least):
+    def test_lcm_of_denominators(self, values, lcm):
         values = [g(v) for v in values]
-        lam = conjugating_scale(values)
-        assert norm(lam) == least
-        assert all((lam * lam * c).is_gaussian_integer() for c in values)
-        # no Gaussian integer of smaller norm clears the denominators
-        bound = int(least**0.5) + 1
-        for x, y in itertools.product(range(-bound, bound + 1), repeat=2):
-            mu = g(f"{x}") + g(f"{y}") * g("i")
-            if 0 < norm(mu) < least:
-                assert not all((mu * mu * c).is_gaussian_integer() for c in values), mu
+        A = ScalarMatrix([[values[i] if i == j else g("0") for j in range(len(values))]
+                          for i in range(len(values))])
+        assert GZPair(A).scale == lcm
 
     def test_conjugate_factors(self, paper):
-        # lambda^2 A keeps A's pivots and reduced echelon form
+        # L^2 A keeps A's pivots and reduced echelon form
         for A in self.corpus(paper):
-            lam2 = conjugating_scale(entries(A)) ** 2
+            square = GZPair(A).scale ** 2
             B, C = rank_factorization(A)
-            assert rank_factorization(scaled(A, lam2)) == (scaled(B, lam2), C), A
+            assert rank_factorization(scaled(A, square)) == (scaled(B, square), C), A
 
     def test_pair_holds_its_conjugate(self, paper):
         for A in self.corpus(paper):
             pair = GZPair(A)
-            lam = conjugating_scale(entries(A))
-            assert pair.scale == lam
+            scale = pair.scale
             conjugate = pair.conjugate
-            if lam == 1:
+            if scale == 1:
                 assert conjugate is pair
                 continue
-            assert conjugate.matrix == scaled(A, lam * lam)
+            assert conjugate.matrix == scaled(A, scale * scale)
             assert all(c.is_gaussian_integer() for c in entries(conjugate.matrix))
             assert conjugate.conjugate is conjugate
             assert (pair.B, pair.C) == rank_factorization(A)
@@ -202,8 +222,7 @@ class TestConjugatingScale:
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_empty_and_zero_matrices(self, n):
         Z = ScalarMatrix([[0] * n for _ in range(n)], n)
-        assert conjugating_scale(entries(Z)) == 1
         pair = GZPair(Z)
+        assert pair.scale == 1
         assert pair.conjugate is pair
         assert views(pair) == views(DirectPair(Z))
-        assert conjugating_scale([]) == 1
