@@ -27,11 +27,11 @@ structured form: collapse the linear forms u_j = B_j . G^{-1} first, then
 cube.  The collapse is where all the cancellation lives, so iterates stay
 small.  Once the iteration is stationary, G o G^{-1} == id reduces to an
 exact identity on the collapsed forms (no truncation).  The lift works in
-the reduced space too: it cubes the forms B_j . G^{-1}(Y) in r variables
-and carries G^{-1} and the cubes to Z by one substitution Y = C Z, a ring
-homomorphism.  It checks G^{-1} o G == id, then C F^{-1} == G^{-1}(C Z)
-on r linear forms, which proves F o F^{-1} == id, G o G^{-1} == id and
-C o F == G o C; F^{-1} o F == id follows (see :func:`decide_automorphism`).
+the reduced space too: -u_j^3 is formed in r variables, Y = C Z is
+substituted into it and G^{-1} by one ring homomorphism, then Z_j is added.
+It checks G^{-1} o G == id, then C F^{-1} == G^{-1}(C Z) on r linear
+forms, which proves F o F^{-1} == id, G o G^{-1} == id and C o F == G o C;
+F^{-1} o F == id follows (see :func:`decide_automorphism`).
 
 The paper's corollary, :func:`corollary_pipeline`, reads the same route
 under its hypotheses: in dimension at most nine, a Keller map with a
@@ -348,11 +348,11 @@ def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
     ``g_inverse`` must satisfy G^{-1} o G == id (ValueError if not); the
     lifted map is checked against F exactly (RuntimeError if not).
 
-    The lift is F^{-1}_i = Z_i - l_i^3 with l_i = B_i . G^{-1}(C Z).  The
-    forms u_i = B_i . G^{-1}(Y) are cubed in the r reduced variables, and
-    Y = C Z is substituted into G^{-1}'s r components and the n cubes by
-    one composition, which shares the power products of C's rows.  It is
-    a ring homomorphism, so the substituted u_i^3 is l_i^3 exactly.  The
+    The lift is F^{-1}_i = Z_i - l_i^3 with l_i = B_i . G^{-1}(C Z).  Each
+    -u_i^3, u_i = B_i . G^{-1}(Y), is formed in the r reduced variables; one
+    composition, sharing the power products of C's rows, substitutes
+    Y = C Z into them and G^{-1}'s r components; then Z_i is added.  It is
+    a ring homomorphism, so the substituted -u_i^3 is -l_i^3 exactly.  The
     check C F^{-1} == G^{-1}(C Z), on r linear forms, proves two things:
 
     - F o F^{-1} == id: with A = B C (held by :class:`GZPair`),
@@ -372,11 +372,11 @@ def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
         raise ValueError("supplied map is not a verified inverse of the reduced map")
     n = pair.n
     collapsed = [linear_combination(row, g_inverse.components, r) for row in pair.B.entries]
-    reduced = PolyMap([*g_inverse.components, *(u.cube() for u in collapsed)], nvars=r)
+    reduced = PolyMap([*g_inverse.components, *(-u.cube() for u in collapsed)], nvars=r)
     substituted = compose(reduced, pair.projection()).components
-    g_of_CZ, cubes = substituted[:r], substituted[r:]
-    inverse = PolyMap([Polynomial.variable(n, i) - cubes[i] for i in range(n)], nvars=n)
-    for row, target in zip(pair.C.entries, g_of_CZ):
+    Z = [Polynomial.variable(n, i) for i in range(n)]
+    inverse = PolyMap([c + z for c, z in zip(substituted[r:], Z)], nvars=n)
+    for row, target in zip(pair.C.entries, substituted[:r]):
         if linear_combination(row, inverse.components, n) != target:
             raise RuntimeError("internal check failed: lifted map does not invert F")
     return inverse

@@ -7,12 +7,13 @@ term dict.  Canonical term order is graded lexicographic (higher total
 degree first, then lexicographically larger exponent tuple first), which
 fixes the printed form and makes golden-file comparisons possible.
 
-Products, matrix products, determinants and linear combinations run on one
-term kernel, :func:`_sum_of_products`: terms ``(key, re, im)`` with the raw int
-or Fraction parts, summed in one accumulator, one :class:`GaussianRational` per
-surviving term.  A product's key is the exponent tuple packed into an int
-(Monagan and Pearce, CASC 2007; :func:`_packing`), so monomials multiply by one
-integer addition; packing stays in the kernel's callers, ``.terms`` keeps tuples.
+Products, matrix products, determinants, linear combinations and
+compositions run on one term kernel, :func:`_sum_of_products`: terms
+``(key, re, im)`` with raw int or Fraction parts, one accumulator, one
+:class:`GaussianRational` per surviving term.  A key is the exponent tuple
+packed into an int (Monagan and Pearce, CASC 2007; :func:`_packing`), so
+monomials multiply by one integer addition; ``.terms`` keeps tuples.  Minors
+and power products stay packed, unpacked once per entry or component.
 
 Variables render as x1..xn.  A term like (1+i)*x1*x2^2 renders with the
 mixed coefficient parenthesized: ``(1+i)x1x2^2``.
@@ -34,10 +35,6 @@ class ArityMismatchError(ValueError):
 
 class UnsupportedSizeError(ValueError):
     """Determinant size above the cofactor cap; use the nilpotency route."""
-
-
-def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
-    return (sum(exps), exps)
 
 
 def _packing(nvars: int, top: int):
@@ -258,7 +255,7 @@ class Polynomial:
     # -- rendering -----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponents, GaussianRational]]:
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def to_text(self) -> str:
         """Canonical graded-lex text form, e.g. ``x1^3+3x1^2x2-2i``."""
@@ -361,44 +358,47 @@ class PolyMap:
         return f"PolyMap[{body}]"
 
 
-def _power_product(
-    exps: Exponents, inner: PolyMap, memo: dict[Exponents, Polynomial]
-) -> Polynomial:
-    cached = memo.get(exps)
-    if cached is not None:
-        return cached
-    # peel one factor off the last nonzero slot so chains share prefixes
-    j = len(exps) - 1
-    while exps[j] == 0:
-        j -= 1
-    parent = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
-    value = _power_product(parent, inner, memo).mul(inner.components[j])
-    memo[exps] = value
-    return value
+def _powers(memo: dict | None, arity: int, inner: PolyMap, degree: int) -> dict:
+    # compose_polynomial's memo, repacked if its top is below degree times
+    # inner's: None -> (top, unpack, inner packed), exponents -> power product
+    if arity != inner.dimension:
+        raise ArityMismatchError(f"outer arity {arity} vs inner dimension {inner.dimension}")
+    memo, top = {} if memo is None else memo, degree * inner.max_degree()
+    if memo.get(None, (-1,))[0] < top:
+        pack, unpack, _ = _packing(inner.nvars, top)
+        memo.clear()
+        memo[None] = (top, unpack, [pack(p) for p in inner.components])
+        memo[(0,) * inner.dimension] = [(0, 1, 0)]
+    return memo
 
 
-def compose_polynomial(
-    outer: Polynomial, inner: PolyMap, _memo: dict[Exponents, Polynomial] | None = None
-) -> Polynomial:
-    """Exact substitution of inner's components for outer's variables."""
-    if outer.nvars != inner.dimension:
-        raise ArityMismatchError(f"outer arity {outer.nvars} vs inner dimension {inner.dimension}")
-    memo = _memo if _memo is not None else {}
-    if not memo:
-        memo[(0,) * outer.nvars] = Polynomial.one(inner.nvars)
-    terms = sorted(outer.terms.items(), key=lambda kv: _grlex_key(kv[0]))
-    powers = [_power_product(e, inner, memo) for e, _ in terms]
-    return linear_combination([c for _, c in terms], powers, inner.nvars)
+def compose_polynomial(outer: Polynomial, inner: PolyMap, _memo: dict | None = None) -> Polynomial:
+    """Exact substitution of inner's components for outer's variables: one
+    kernel call sums outer's terms times their power products from the memo,
+    each its parent (one factor off the last nonzero slot) times one packed
+    component.  ``_memo`` may be shared by calls with one inner."""
+    memo = _powers(_memo, outer.nvars, inner, outer.total_degree())
+    _, unpack, factors = memo[None]
+
+    def power(exps: Exponents) -> list:
+        value = memo.get(exps)
+        if value is None:
+            j = max(k for k, e in enumerate(exps) if e)
+            parent = power(exps[:j] + (exps[j] - 1,) + exps[j + 1:])
+            value = memo[exps] = _sum_of_products([(parent, factors[j])])
+        return value
+
+    return _polynomial(inner.nvars, _sum_of_products(
+        ([(0, c.re, c.im)], power(e)) for e, c in outer.terms.items()
+    ), unpack)
 
 
 def compose(outer: PolyMap, inner: PolyMap) -> PolyMap:
     """Exact map composition outer(inner(X)), with no degree truncation.
 
-    The components share one memo of power products of inner's components.
+    The components share one memo, packed once for outer's largest degree.
     """
-    if outer.nvars != inner.dimension:
-        raise ArityMismatchError(f"outer arity {outer.nvars} vs inner dimension {inner.dimension}")
-    memo: dict[Exponents, Polynomial] = {}
+    memo = _powers({}, outer.nvars, inner, outer.max_degree())
     return PolyMap(
         [compose_polynomial(p, inner, memo) for p in outer.components],
         nvars=inner.nvars,

@@ -13,9 +13,11 @@ linear combination built on it: the library runs all four on one packed
 term kernel.  So is the inversion decision truncated at min(d, 3^(r-1)):
 the library decides G at 3^(r-1) and compares d with the lifted degree.
 So is the nilpotency index by full matrix powers: the library takes the
-powers one row at a time.  So is :class:`DirectPair`, the route run on A
-itself over Q(i): the library runs it on L^2 A over Z[i], for L the lcm of
-A's denominators, and rescales each answer back.
+powers one row at a time.  So is the composition whose power products are
+``Polynomial`` products: the library keeps them packed term lists.  So is
+:class:`DirectPair`, the route run on A itself over Q(i): the library runs
+it on L^2 A over Z[i], for L the lcm of A's denominators, and rescales
+each answer back.
 """
 
 import functools
@@ -50,8 +52,6 @@ from cubelin.linalg import rank_factorization
 from cubelin.poly import (
     Exponents,
     PolyMatrix,
-    compose,
-    compose_polynomial,
     linear_combination,
 )
 
@@ -206,13 +206,15 @@ def truncate(p: Polynomial, max_degree: int) -> Polynomial:
     return Polynomial(p.nvars, {e: c for e, c in p.terms.items() if sum(e) <= max_degree})
 
 
-def truncated_compose(outer: PolyMap, inner: PolyMap, max_degree: int) -> PolyMap:
-    """outer(inner(X)) without its terms of total degree above ``max_degree``.
+def truncated_compose(outer: PolyMap, inner: PolyMap, max_degree: int | None) -> PolyMap:
+    """outer(inner(X)) without its terms of total degree above ``max_degree``;
+    exact for ``max_degree`` None.
 
-    Every power product of inner's components is truncated as it is
-    multiplied, so no term above the cap is ever computed.  Composing
-    exactly and truncating afterwards gives the same map, but through a
-    degree-9 inverse that takes seconds.
+    Every power product of inner's components is a ``Polynomial``, one
+    ``Polynomial.mul`` from its parent, truncated as it is multiplied, so no
+    term above the cap is ever computed.  Composing exactly and truncating
+    afterwards gives the same map, but through a degree-9 inverse that
+    takes seconds.
     """
     memo: dict[Exponents, Polynomial] = {(0,) * outer.nvars: Polynomial.one(inner.nvars)}
 
@@ -232,6 +234,16 @@ def truncated_compose(outer: PolyMap, inner: PolyMap, max_degree: int) -> PolyMa
         ],
         nvars=inner.nvars,
     )
+
+
+def reference_compose(outer: PolyMap, inner: PolyMap) -> PolyMap:
+    """outer(inner(X)) exactly, by :func:`truncated_compose` with no cap.
+
+    ``compose`` as it was before its power products stayed packed term
+    lists, kept as its oracle: each power product is unpacked into a
+    ``Polynomial`` and packed again for the next product.
+    """
+    return truncated_compose(outer, inner, None)
 
 
 def reference_mul(self, other, truncate_above=None):
@@ -495,7 +507,7 @@ def reference_lift(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
     substituting Y = C Z.
     """
     n = pair.n
-    g_of_CZ = compose(g_inverse, pair.projection()).components
+    g_of_CZ = reference_compose(g_inverse, pair.projection()).components
     return PolyMap(
         [
             Polynomial.variable(n, i) - linear_combination(row, g_of_CZ, n).cube()
@@ -507,17 +519,18 @@ def reference_lift(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
 
 def intertwines(A: ScalarMatrix, pair: GZPair) -> bool:
     """C o F == G o C for F = X + (AX)^{*3}, recomputed from scratch: each
-    row of C summed term by term against the expanded F, each G_i composed
-    with Y = C X.  The library checks this in ``gz_reduce`` only; this is
-    the oracle for every other route to a pair."""
+    row of C summed term by term against the expanded F, G composed with
+    Y = C X by :func:`reference_compose`.  The library checks this in
+    ``gz_reduce`` only; this is the oracle for every other route to a
+    pair."""
     n = A.rows
     F = expand_map(A)
-    projection = pair.projection()
+    G_of_CX = reference_compose(pair.G, pair.projection()).components
     for i in range(pair.r):
         left = Polynomial.zero(n)
         for j in range(n):
             left = left + Polynomial.constant(n, pair.C.entries[i][j]) * F.components[j]
-        if left != compose_polynomial(pair.G.components[i], projection):
+        if left != G_of_CX[i]:
             return False
     return True
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -123,6 +124,36 @@ class TestInvert:
         code, out, _ = run(capsys, "invert", "shear-2", "--json")
         assert code == 2
         assert json.loads(out)["status"] == "NotInvertible"
+
+
+QUARTER_PAPER_EXAMPLE = json.dumps([
+    ["1/4", "1/4i", "1/4", "1/4"], ["-1/4i", "1/4", "-1/4i", "-1/4i"],
+    ["-1/4", "-1/4i", "1/4", "-1/4"], ["-1/4", "-1/4i", "1/4", "-1/4"],
+])
+TRIANGULAR_4X4 = json.dumps([["0", "1", "1", "1"], ["0", "0", "1", "1"], ["0", "0", "0", "1"],
+                             ["0", "0", "0", "0"]])
+
+
+class TestPinnedOutput:
+    """sha256 of the ``--json`` output, recorded before compositions kept
+    their power products packed: F^{-1}'s text must not change with the
+    route that computes it.  The triangular map's inverse has degree 27,
+    the widest packing the lift reaches."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("invert", "paper-example"),
+         "9e2be5ae0aff77d8743bb9abb7324435855fcc4735834c398cfcf5742f0445b6"),
+        (("corollary", "paper-example"),
+         "8c0622503d7009258e22f349f2bc2dbcad43bcb0a25ca205977d2a2b622b8663"),
+        (("invert", QUARTER_PAPER_EXAMPLE),
+         "ef2a712c333ed52e6372888421ed572bc0fd23830648e60f2217aad987f1c04c"),
+        (("invert", TRIANGULAR_4X4),
+         "e43e30cfe0dac3eb8e6812d93fefa015355255d7edc3ca810629800fe79ee7c6"),
+    ], ids=["invert-paper", "corollary-paper", "invert-quarter", "invert-triangular"])
+    def test_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestReduce:

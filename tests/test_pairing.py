@@ -238,6 +238,18 @@ class TestLiftInverse:
             assert lifted == reference_lift(pair, g_inverse)
             assert lifted.max_degree() == 9
 
+    def test_agrees_with_reference_at_the_widest_packing(self):
+        # rank 3, so G^{-1} has degree 9 and G^{-1} o G and the substitution
+        # of the degree-27 negated cubes are packed for degree 27
+        A = mat([["0", "1", "1", "1"], ["0", "0", "1", "1"], ["0", "0", "0", "1"],
+                 ["0", "0", "0", "0"]])
+        pair, g_inverse = decided_pair(A)
+        assert pair.r == 3 and g_inverse.max_degree() == 9
+        lifted = lift_inverse(pair, g_inverse)
+        assert lifted == reference_lift(pair, g_inverse)
+        assert lifted.max_degree() == 27
+        assert sum(len(p.terms) for p in lifted.components) == 137
+
     def test_agrees_with_reference_on_the_zero_matrix(self):
         pair, g_inverse = decided_pair(ScalarMatrix([[0] * 3] * 3, 3))
         assert pair.r == 0
@@ -261,7 +273,7 @@ class TestLiftInverse:
     @staticmethod
     def plant_constant(monkeypatch, pair, position):
         # add 1 to one component of the lift's substitution Y = C Z, which
-        # carries G^{-1}'s r components and then the n cubes
+        # carries G^{-1}'s r components and then the n negated cubes
         real_compose = invert.compose
 
         def corrupted(outer, inner, *args):
@@ -275,8 +287,8 @@ class TestLiftInverse:
         monkeypatch.setattr(invert, "compose", corrupted)
 
     def test_rejects_a_corrupted_cube(self, paper, monkeypatch):
-        # a constant added to the first cube (index r) shifts F^{-1}_1 by
-        # -e_1, which C does not kill, so C F^{-1} != G^{-1}(C Z)
+        # a constant added to the first negated cube (index r) shifts
+        # F^{-1}_1 by e_1, which C does not kill, so C F^{-1} != G^{-1}(C Z)
         pair, g_inverse = decided_pair(paper)
         self.plant_constant(monkeypatch, pair, pair.r)
         with pytest.raises(RuntimeError, match="does not invert F"):

@@ -21,6 +21,7 @@ from helpers import (
     poly_to_sympy,
     random_gaussian,
     random_polynomial,
+    reference_compose,
     scalar_to_sympy,
     truncate,
     truncated_compose,
@@ -204,16 +205,22 @@ class TestComposition:
             compose(PolyMap.identity(2), PolyMap.identity(3))
 
     def test_compose_polynomial_shares_memo(self):
+        # degree 3 outers, packed for degree 9 (4-bit fields); then one of
+        # degree 6, whose products reach x2^18 and overflow those fields
+        # unless the memo is repacked; then one of degree 2
         inner = PolyMap([x(2, 0) + x(2, 1).cube(), x(2, 1) - x(2, 0) * x(2, 0)])
         memo = {}
-        p = Polynomial(2, {(2, 1): g("1+i")})
-        q = Polynomial(2, {(1, 2): g("-1/2")})
-        separate = (compose_polynomial(p, inner), compose_polynomial(q, inner))
-        shared = (
-            compose_polynomial(p, inner, _memo=memo),
-            compose_polynomial(q, inner, _memo=memo),
-        )
+        outers = [
+            Polynomial(2, {(2, 1): g("1+i")}),
+            Polynomial(2, {(1, 2): g("-1/2")}),
+            Polynomial(2, {(6, 0): g("2i"), (3, 1): g("1")}),
+            Polynomial(2, {(1, 1): g("3"), (0, 0): g("-i")}),
+        ]
+        separate = [compose_polynomial(p, inner) for p in outers]
+        shared = [compose_polynomial(p, inner, _memo=memo) for p in outers]
         assert separate == shared
+        assert separate == list(reference_compose(PolyMap(outers, nvars=2), inner).components)
+        assert separate[2].total_degree() == 18
 
     def test_linear_combination(self):
         polys = [x(2, 0) * x(2, 0), x(2, 1)]

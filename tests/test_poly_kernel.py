@@ -1,11 +1,12 @@
 """Differential tests of the packed term kernel in ``cubelin.poly``.
 
-``Polynomial.mul``, ``PolyMatrix.__mul__``, ``det`` and
-``linear_combination`` all run on one kernel that packs exponents into
-ints and sums raw re/im parts.  Each is compared here with the
-tuple-keyed oracles in ``helpers`` on seeded inputs: 0 to 4 variables,
-int and Fraction parts, forced cancellation, every truncation cap, and
-degree sums at the edges of the packed field widths.
+``Polynomial.mul``, ``PolyMatrix.__mul__``, ``det``,
+``linear_combination`` and the compositions all run on one kernel that
+packs exponents into ints and sums raw re/im parts.  Each is compared
+here with the oracles in ``helpers`` on seeded inputs: 0 to 4 variables,
+int and Fraction parts, forced cancellation, every truncation cap,
+degree sums at the edges of the packed field widths, and zero and
+constant components.
 """
 
 import random
@@ -13,14 +14,23 @@ from fractions import Fraction
 
 import pytest
 
-from cubelin import GaussianRational, Polynomial, ScalarMatrix, decide_automorphism
+from cubelin import GaussianRational, PolyMap, Polynomial, ScalarMatrix, decide_automorphism
 from cubelin.druzkowski import expand_map
 from cubelin.invert import nilpotency_index
-from cubelin.poly import ArityMismatchError, PolyMatrix, det, jacobian, linear_combination
+from cubelin.poly import (
+    ArityMismatchError,
+    PolyMatrix,
+    compose,
+    compose_polynomial,
+    det,
+    jacobian,
+    linear_combination,
+)
 from helpers import (
     paper_example,
     random_gaussian,
     random_polynomial,
+    reference_compose,
     reference_det,
     reference_linear_combination,
     reference_matmul,
@@ -206,6 +216,61 @@ class TestLinearCombination:
     def test_other_coefficients_are_refused(self, bad):
         with pytest.raises(TypeError, match="not a Q\\(i\\) value"):
             linear_combination([bad], [Polynomial.variable(1, 0)], 1)
+
+
+def sampled_map(rng: random.Random, dimension: int, nvars: int, den: int) -> PolyMap:
+    """``dimension`` components in ``nvars`` variables: each zero, constant
+    or a random polynomial of degree up to 3."""
+    kinds = (
+        lambda: Polynomial.zero(nvars),
+        lambda: Polynomial.constant(nvars, random_gaussian(rng, 3, den)),
+        lambda: random_polynomial(rng, nvars, den=den),
+        lambda: random_polynomial(rng, nvars, den=den),
+    )
+    return PolyMap([rng.choice(kinds)() for _ in range(dimension)], nvars=nvars)
+
+
+class TestComposition:
+    """``compose`` and ``compose_polynomial`` keep power products packed;
+    ``reference_compose`` multiplies them as polynomials."""
+
+    @pytest.mark.parametrize("den", DENOMINATORS)
+    @pytest.mark.parametrize("nvars", range(4))
+    def test_sampled_compositions(self, nvars, den):
+        rng = random.Random(700 + 10 * nvars + den)
+        for _ in range(30):
+            # outer's arity is inner's dimension, 0 to 3, apart from nvars
+            dimension = rng.randint(0, 3)
+            outer = sampled_map(rng, rng.randint(1, 3), dimension, den)
+            inner = sampled_map(rng, dimension, nvars, den)
+            expected = reference_compose(outer, inner)
+            ours = compose(outer, inner)
+            assert ours == expected, (outer, inner)
+            assert all_stored(*ours.components)
+            for p, q in zip(outer.components, expected.components):
+                assert compose_polynomial(p, inner) == q
+
+    def test_constant_and_zero_components(self):
+        half = GaussianRational(Fraction(1, 2), -1)
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        c, zero = Polynomial.constant(2, half), Polynomial.zero(2)
+        outer = PolyMap([x * x * y + c, zero, c, y.cube()], nvars=2)
+        for inner in (
+            PolyMap([c, zero], nvars=2),
+            PolyMap([zero, zero], nvars=2),
+            PolyMap([c, c], nvars=2),
+            PolyMap([x + c, zero], nvars=2),
+            PolyMap([Polynomial.constant(3, half), Polynomial.variable(3, 2)], nvars=3),
+            PolyMap([Polynomial.one(0), Polynomial.zero(0)], nvars=0),
+        ):
+            ours = compose(outer, inner)
+            assert ours == reference_compose(outer, inner), inner
+            assert ours.components[1].is_zero()
+            assert ours.components[2] == Polynomial.constant(inner.nvars, half)
+
+    def test_arity_mismatch(self):
+        with pytest.raises(ArityMismatchError):
+            compose_polynomial(Polynomial.variable(2, 0), PolyMap.identity(3))
 
 
 class TestStoredParts:
