@@ -24,10 +24,10 @@ and counts violations as anomalies; "invert" runs the exact inversion
 decision on Keller candidates; "corollary" runs the full small-dimension
 pipeline.  Filters "trace_zero_only" and "keller_only" restrict which
 candidates are checked.  The trace condition and delta come from
-:mod:`cubelin.kernel`; the matrix, its ``GZPair``, the rank (the pair's
-r, else :func:`cubelin.linalg.rank`) and the Keller bit are each derived
-once.  A candidate that fails the trace condition is not Keller and is
-not tested, except under "keller_only".
+:mod:`cubelin.kernel`; the candidate's ``GZPair``, its rank (the pair's
+r) and the Keller bit are each derived once.  A candidate that fails the
+trace condition is not Keller and is not tested, except under
+"keller_only".
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Iterator, Sequence
 from .druzkowski import RankBoundCertificate
 from .invert import _DIMENSION_CAP, GZPair, corollary_pipeline, decide_automorphism, is_keller
 from .kernel import certificate_ints, integer_pairs
-from .linalg import ScalarMatrix, rank
+from .linalg import ScalarMatrix
 from .matrixio import matrix_entries_text
 from .scalars import GaussianRational, format_gaussian, parse_gaussian
 
@@ -158,6 +158,12 @@ def _require_names(key: str, names) -> None:
         )
 
 
+def _require_workers(workers) -> None:
+    # a bool is an int to Python, so it is refused by name
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Declarative description of one search run.
@@ -204,7 +210,7 @@ class SearchConfig:
             _require_names(key, names)
             object.__setattr__(self, key, tuple(sorted(set(names))))
         # JSON true/false load as bool, which Python counts as int
-        for name in ("n", "count", "seed", "workers"):
+        for name in ("n", "count", "seed"):
             if isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be an integer, not a boolean")
         if not isinstance(self.n, int) or self.n < 1:
@@ -234,8 +240,7 @@ class SearchConfig:
             raise ValueError(
                 f"the corollary check applies in dimension <= {_DIMENSION_CAP} only"
             )
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ValueError(f"workers must be a positive integer, got {self.workers!r}")
+        _require_workers(self.workers)
 
     def total_candidates(self) -> int:
         if self.mode == "sample":
@@ -371,27 +376,26 @@ def _scan_range(
                 continue
             # each value is derived in one place, before the first filter,
             # check or record that reads it; most candidates of a rank_bound
-            # search fail the trace condition and get no matrix
-            matrix = pair = certificate = None
+            # search fail the trace condition and get no pair
+            pair = certificate = None
             bound_broken = keller = False
-            want_pair = keller_filter or want_corollary or (
-                holds and (want_invert or collect_records)
-            )
-            if want_pair or collect_records or (holds and want_rank_bound):
-                matrix = _candidate_matrix(alphabet, n, digits)
-                if want_pair:
-                    pair = GZPair(matrix)  # the one analysis every check reads
-                # a pair holds r = rank(A); only a matrix without one is reduced
-                r = rank(matrix) if pair is None else pair.r
-                certificate = RankBoundCertificate(n, holds, delta, r)
+            if keller_filter or want_corollary or collect_records or (
+                holds and (want_invert or want_rank_bound)
+            ):
+                # the one analysis every check reads; r = rank(A) is its own
+                pair = GZPair(_candidate_matrix(alphabet, n, digits))
+                certificate = RankBoundCertificate(n, holds, delta, pair.r)
                 bound_broken = want_rank_bound and not certificate.theorem_satisfied
             # Keller maps meet the trace condition, so a candidate that fails
             # it is not Keller and is not tested; keller_only tests all, as
             # cubench's search-keller spans declare (ROADMAP item 1).  Where it
-            # holds, every pair is tested (the corollary computes the bit
-            # anyway); only a broken bound's record is tested without a pair.
-            if bound_broken or (pair is not None and (holds or keller_filter)):
-                keller = is_keller(matrix if pair is None else pair)
+            # holds, a candidate is tested when a check or record reads the
+            # bit (the corollary computes it anyway), and a broken bound's
+            # record is always tested.
+            if bound_broken or keller_filter or (
+                holds and (want_invert or want_corollary or collect_records)
+            ):
+                keller = is_keller(pair)
                 if keller_filter and not keller:
                     continue
             passed += 1
@@ -422,12 +426,12 @@ def _scan_range(
                     totals["corollary"]["anomalies"] += 1
                     anomaly = True
 
-            # every anomaly comes from a check that built the matrix and its
+            # every anomaly comes from a check that built the pair and its
             # certificate, so a record only reads what is already there
             if anomaly or collect_records:
                 record = {
                     "index": index,
-                    "matrix": matrix_entries_text(matrix),
+                    "matrix": matrix_entries_text(pair.matrix),
                     "certificate": certificate.to_dict(),
                     "keller": keller,
                     "inverse_degree": inverse_degree,
@@ -471,14 +475,13 @@ def run_search(
     worker count; only ``duration_seconds`` varies.
     """
     config.check_ceiling()
-    effective_workers = config.workers if workers is None else workers
-    if effective_workers < 1:
-        raise ValueError("workers must be positive")
+    workers = config.workers if workers is None else workers
+    _require_workers(workers)
     total = config.total_candidates()
     started = time.perf_counter()
 
     # a pool forks all its workers at once; past one per CPU they only wait
-    chunks = min(effective_workers, total, os.cpu_count() or 1)
+    chunks = min(workers, total, os.cpu_count() or 1)
     starts, stops = zip(*_chunk_bounds(total, chunks))
     args = (repeat(config), starts, stops, repeat(collect_records))
     if len(starts) == 1:

@@ -8,17 +8,19 @@ C intertwines them, C o F == G o C, F and G are invertible together
 
     F^{-1}(Z) = Z - (B @ G^{-1}(C Z))^{*3}.
 
-``GZPair(A)`` is the analysis of one matrix.  It derives B, C and G, and
-keeps each step of the route once computed: the Keller bit (F and G are
+``GZPair(A)`` is the analysis of one matrix.  It holds A and derives
+each value on first read, once: B and C, G, the Keller bit (F and G are
 Keller together, so it is tested on an r x r Jacobian), G^{-1} and the
-lifted F^{-1}.  :func:`is_keller`, :func:`gz_reduce`,
-:func:`decide_automorphism` and :func:`corollary_pipeline` are views that
-take a square matrix or its pair.
+lifted F^{-1}.  Building a pair does no elimination and no polynomial
+work.  :func:`is_keller`, :func:`gz_reduce`, :func:`decide_automorphism`
+and :func:`corollary_pipeline` are views that take a square matrix or its
+pair.
 
 For A with denominators, ``GZPair`` runs that route on L^2 A over Z[i],
-for L the lcm of the denominators of A's parts, and maps each answer back
-by one rescale per degree: S^{-1} o F_A o S = F_{L^2 A} for S = L^3 I.
-``Fraction`` is then paid only by that rescale.
+for L the lcm of the denominators of A's parts, and maps each inverse
+back by one rescale per degree: S^{-1} o F_A o S = F_{L^2 A} for
+S = L^3 I.  ``Fraction`` is then paid only by that rescale, and by A's
+own B, C and G, which are built only when printed.
 
 A non-Keller G has no inverse, since an invertible map has det JF == 1.
 A Keller G is decided at its full bound 3^(r-1) by the fixed-point
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -168,68 +170,76 @@ def _rescale(H: PolyMap, scale: int) -> PolyMap:
 class GZPair:
     """A cubic-linear map with its reduced partner, all derived from A.
 
+    The pair holds only the square matrix A.  Every other value is derived
+    on first read and kept.  B and C come from :func:`rank_factorization`,
+    and B @ C == A is checked exactly before any of B, C, r or G is
+    returned.  G = Y + C (BY)^{*3} is built from them; at full rank B = A
+    and C = I_n, so G is F and is built by :func:`expand_map`.
+
     The route runs on ``conjugate``, the pair of L^2 A over Z[i] for the
     int L = ``scale``, the lcm of the denominators of A's parts (L A is over
     Z[i], so L^2 A is too); for A over Z[i], L = 1 and that is the pair
-    itself, which takes B and C from :func:`rank_factorization` and builds
-    G = Y + C (BY)^{*3}; at full rank B = A and C = I_n, so G is F and is
-    built by :func:`expand_map`.  Otherwise ``_eliminate`` first scales to
-    Z[i], so L^2 A keeps A's pivots and RREF: B = L^-2 B', C = C' and
-    G = T o G' o T^{-1} (:func:`_rescale`, T = L^3 I_r), from the
-    conjugate's B', C' and G'.  B @ C == A is checked exactly.
-
-    ``keller``, ``g_inverse`` and ``f_inverse``, the steps of the route,
-    are the conjugate's mapped back (see :func:`decide_automorphism`),
-    computed on first use and kept.
+    itself.  ``keller``, ``g_inverse`` and ``f_inverse``, the steps of the
+    route, are the conjugate's mapped back (see :func:`decide_automorphism`).
+    The rank is read off the conjugate too, since rank(L^2 A) = rank(A), so
+    a map with denominators whose B, C and G are never read is factored
+    once, over Z[i].
     """
 
     matrix: ScalarMatrix
-    B: ScalarMatrix = field(init=False)
-    C: ScalarMatrix = field(init=False)
-    G: PolyMap = field(init=False)
-    scale: int = field(init=False)
-    # None at L = 1: a pair that held itself would be a reference cycle
-    _conjugate: GZPair | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        A = _square_matrix(self.matrix)
-        scale = _common_denominator([c for row in A.entries for c in row])
-        if scale == 1:
-            conjugate, (B, C) = None, rank_factorization(A)
-            r = B.cols
-            if r == A.rows:
-                G = expand_map(A)
-            else:
-                Y = PolyMap.identity(r).components
-                G = PolyMap([y + t for y, t in zip(Y, cubic_terms(B, C, Y))], nvars=r)
-        else:
-            square = scale * scale
-            conjugate = GZPair(ScalarMatrix([[square * a for a in row] for row in A.entries]))
-            B = ScalarMatrix(
-                [[b / square for b in row] for row in conjugate.B.entries], conjugate.r
-            )
-            C, G = conjugate.C, _rescale(conjugate.G, scale)
-        if B * C != A:
-            raise RuntimeError(
-                "internal check failed: rank factorization does not multiply back"
-            )
-        for name, value in (("matrix", A), ("B", B), ("C", C), ("G", G), ("scale", scale),
-                            ("_conjugate", conjugate)):
-            object.__setattr__(self, name, value)
-
-    @property
-    def conjugate(self) -> GZPair:
-        """The pair of L^2 A that the route runs on; the pair itself at
-        L = 1."""
-        return self._conjugate or self
+        object.__setattr__(self, "matrix", _square_matrix(self.matrix))
 
     @property
     def n(self) -> int:
         return self.matrix.rows
 
+    @cached_property
+    def scale(self) -> int:
+        return _common_denominator([c for row in self.matrix.entries for c in row])
+
+    @property
+    def conjugate(self) -> GZPair:
+        """The pair of L^2 A that the route runs on; the pair itself at
+        L = 1, which is not kept, because a pair that held itself would be
+        a reference cycle."""
+        return self if self.scale == 1 else self._scaled
+
+    @cached_property
+    def _scaled(self) -> GZPair:
+        square = self.scale * self.scale
+        return GZPair(ScalarMatrix([[square * a for a in row] for row in self.matrix.entries]))
+
+    @cached_property
+    def _factors(self) -> tuple[ScalarMatrix, ScalarMatrix]:
+        A = self.matrix
+        B, C = rank_factorization(A)
+        if B * C != A:
+            raise RuntimeError(
+                "internal check failed: rank factorization does not multiply back"
+            )
+        return B, C
+
+    @property
+    def B(self) -> ScalarMatrix:
+        return self._factors[0]
+
+    @property
+    def C(self) -> ScalarMatrix:
+        return self._factors[1]
+
     @property
     def r(self) -> int:
-        return self.B.cols
+        return self.conjugate.B.cols
+
+    @cached_property
+    def G(self) -> PolyMap:
+        B, C = self._factors
+        if B.cols == self.n:
+            return expand_map(self.matrix)
+        Y = PolyMap.identity(B.cols).components
+        return PolyMap([y + t for y, t in zip(Y, cubic_terms(B, C, Y))], nvars=B.cols)
 
     def projection(self) -> PolyMap:
         """The linear map Y = C X as a polynomial map."""
@@ -537,14 +547,13 @@ def corollary_pipeline(A) -> CorollaryReport:
     which give G = Y + C (BY)^{*3}, and with B C == A that is
     C o F == G o C.  A map that a gate stops pays for no composition.
     """
-    matrix = A.matrix if isinstance(A, GZPair) else _square_matrix(A)
-    n = matrix.rows
+    pair = _pair(A)
+    matrix, n = pair.matrix, pair.n
     if n > _DIMENSION_CAP:
         raise ValueError(
             f"the invertibility argument applies in dimension <= {_DIMENSION_CAP}, got {n}"
         )
     diag_nonzero = all(matrix.diagonal())
-    pair = _pair(A)
     keller = pair.keller
     if not (diag_nonzero and keller):
         return CorollaryReport(n=n, diag_nonzero=diag_nonzero, keller=keller)

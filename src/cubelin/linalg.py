@@ -79,19 +79,16 @@ class ScalarMatrix:
     def __mul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
         if self._cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
+        # row i is the sum of a_ik times row k of other, over nonzero a_ik
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other._cols):
-                acc = ZERO
-                for k in range(self._cols):
-                    a = self.entries[i][k]
-                    if a:
-                        b = other.entries[k][j]
+        for row in self.entries:
+            acc = [ZERO] * other._cols
+            for a, other_row in zip(row, other.entries):
+                if a:
+                    for j, b in enumerate(other_row):
                         if b:
-                            acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
+                            acc[j] = acc[j] + a * b
+            out.append(tuple(acc))
         return ScalarMatrix._raw(tuple(out), other._cols)
 
     def __eq__(self, other) -> bool:

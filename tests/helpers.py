@@ -633,16 +633,20 @@ def three_by_three_keller_corpus() -> list[ScalarMatrix]:
 
 
 class DirectPair(GZPair):
-    """A :class:`GZPair` built without the conjugation: B and C come from
-    ``rank_factorization(A)``, G from them, and the Keller test, ``_decide``
-    and the lift run on A's own pair over Q(i), where the library runs them
-    on the pair of L^2 A and rescales back.  Every view
-    (``is_keller``, ``gz_reduce``, ``decide_automorphism``,
+    """A :class:`GZPair` built without the conjugation: its scale is 1, so
+    the Keller test, ``_decide`` and the lift run on A's own pair over Q(i),
+    where the library runs them on the pair of L^2 A and rescales back.
+    B and C come from ``rank_factorization(A)`` and G from
+    :func:`reduced_map`, set here in place of the library's derivations.
+    Every view (``is_keller``, ``gz_reduce``, ``decide_automorphism``,
     ``corollary_pipeline``) takes it as a pair."""
 
-    def __post_init__(self) -> None:
-        A = self.matrix
-        B, C = rank_factorization(A)
-        G = expand_map(A) if B.cols == A.rows else reduced_map(B, C)
-        for name, value in (("B", B), ("C", C), ("G", G), ("scale", 1), ("_conjugate", None)):
-            object.__setattr__(self, name, value)
+    scale = 1
+
+    @functools.cached_property
+    def _factors(self) -> tuple[ScalarMatrix, ScalarMatrix]:
+        return rank_factorization(self.matrix)
+
+    @functools.cached_property
+    def G(self) -> PolyMap:
+        return reduced_map(*self._factors)

@@ -132,13 +132,18 @@ QUARTER_PAPER_EXAMPLE = json.dumps([
 ])
 TRIANGULAR_4X4 = json.dumps([["0", "1", "1", "1"], ["0", "0", "1", "1"], ["0", "0", "0", "1"],
                              ["0", "0", "0", "0"]])
+RANK_ONE_NON_KELLER = json.dumps([["1/2", "-1/3+i"], ["1/2", "-1/3+i"]])
+RANK_ONE_KELLER = json.dumps([["1/2", "-1/16"], ["1", "-1/8"]])
 
 
 class TestPinnedOutput:
     """sha256 of the ``--json`` output, recorded before compositions kept
     their power products packed: F^{-1}'s text must not change with the
     route that computes it.  The triangular map's inverse has degree 27,
-    the widest packing the lift reaches."""
+    the widest packing the lift reaches.  The non-integral cases, recorded
+    while G was still the conjugate's G rescaled, pin the G that a pair
+    builds from its own B and C: the rank-1 maps' C = (1, -2/3+2i) and
+    C = (1, -1/8) have denominators."""
 
     @pytest.mark.parametrize("argv, digest", [
         (("invert", "paper-example"),
@@ -149,7 +154,19 @@ class TestPinnedOutput:
          "ef2a712c333ed52e6372888421ed572bc0fd23830648e60f2217aad987f1c04c"),
         (("invert", TRIANGULAR_4X4),
          "e43e30cfe0dac3eb8e6812d93fefa015355255d7edc3ca810629800fe79ee7c6"),
-    ], ids=["invert-paper", "corollary-paper", "invert-quarter", "invert-triangular"])
+        (("reduce", QUARTER_PAPER_EXAMPLE),
+         "f97be65c21e3b54d8f56c2d911c06e0241e96b3b872bd4ccd59189f5a61c3d51"),
+        (("corollary", QUARTER_PAPER_EXAMPLE),
+         "23a13a5e892cdbb38b5d8752060b9ff9bb5fb8ba9a2977aa7003d909203c67bc"),
+        (("reduce", RANK_ONE_NON_KELLER),
+         "943d7b26665392376162ad75eeadf6aad025fd01a69cb75b183d25d8f569970f"),
+        (("corollary", RANK_ONE_KELLER),
+         "3efaab2aac5087419d56b0b05d0c4ad7d781492ac4fd1de53f4a0c1f552ead2f"),
+        (("invert", RANK_ONE_KELLER),
+         "c1efde241371e82fdd053af6bbcfec51e6be23d52b01b7810e66c511fceca40a"),
+    ], ids=["invert-paper", "corollary-paper", "invert-quarter", "invert-triangular",
+            "reduce-quarter", "corollary-quarter", "reduce-rank-one", "corollary-rank-one",
+            "invert-rank-one"])
     def test_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0

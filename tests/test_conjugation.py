@@ -3,7 +3,7 @@
 ``GZPair`` runs the Keller test, the decision, the lift and the
 intertwining check on the pair of L^2 A, for L the lcm of the denominators
 of A's parts, which makes it a Gaussian-integer matrix, and rescales each
-answer back.
+inverse back; B, C and G it builds from A's own factors.
 ``helpers.DirectPair`` runs the same route on A itself over Q(i), and is
 the oracle: every view must give the same bytes on both.
 """
@@ -124,15 +124,30 @@ class TestAgainstTheDirectRoute:
 
     def test_corollary_rescales_no_g_inverse(self, paper, monkeypatch):
         # a rescale keeps every monomial, so the corollary reads the degree
-        # of G^{-1} on the conjugate: one rescale for G, one for F^{-1}
+        # of G^{-1} on the conjugate, and G is built from A's own factors:
+        # one rescale, for F^{-1}
         calls = []
         rescale = invert._rescale
         monkeypatch.setattr(invert, "_rescale", lambda H, s: calls.append(s) or rescale(H, s))
         A = paper_orbit_members(paper)[0]
         report = corollary_pipeline(A)
-        assert calls == [4, 4]
+        assert calls == [4]
         assert report.verified
         assert report.g_inverse_degree == report.pair.g_inverse.max_degree()
+
+    @pytest.mark.parametrize(
+        "view, rescales",
+        [(is_keller, 0), (decide_automorphism, 1), (corollary_pipeline, 1)],
+        ids=["is_keller", "decide_automorphism", "corollary_pipeline"],
+    )
+    def test_rescales_per_view(self, paper, monkeypatch, view, rescales):
+        # only an inverse is rescaled: the Keller test reads the conjugate's
+        # G, and no view rescales a G that it does not print
+        calls = []
+        rescale = invert._rescale
+        monkeypatch.setattr(invert, "_rescale", lambda H, s: calls.append(s) or rescale(H, s))
+        view(paper_orbit_members(paper)[0])
+        assert calls == [4] * rescales
 
     def test_rational_three_by_three_sample(self):
         assert assert_routes_agree(rational_three_by_three()) >= 8

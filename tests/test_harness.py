@@ -658,36 +658,44 @@ class TestOneAnalysisPerCandidate:
 
 
 class TestRankOnDemand:
-    def test_invert_search_computes_rank_only_for_records(self, monkeypatch):
-        real = harness.rank
+    """Every candidate that gets a matrix gets a pair, and its rank is the
+    pair's r: each analysed candidate is factored once, and no candidate is
+    reduced apart by ``linalg.rank``."""
+
+    def count(self, monkeypatch, module, name):
         calls = []
-        monkeypatch.setattr(harness, "rank", lambda M: calls.append(M) or real(M))
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    def test_invert_search_computes_rank_only_for_records(self, monkeypatch):
+        factored = self.count(monkeypatch, invert, "rank_factorization")
+        ranked = self.count(monkeypatch, linalg, "rank")
         cfg = config(alphabet=FULL_ALPHABET, checks=["invert"])
         report = run_search(cfg, workers=1)
-        assert calls == []
+        holding = [
+            M for _, M in iter_candidate_matrices(cfg)
+            if rank_bound_certificate(M).trace_condition_holds
+        ]
+        assert [M for M, in factored] == holding
         assert report.totals["invert"] == {
             "checked": 625, "keller": 25, "invertible": 25, "failures": 0
         }
+        factored.clear()
         records = run_search(cfg, workers=1, collect_records=True).records
-        # where the trace condition holds, invert built the candidate's pair,
-        # which holds the rank; only the other records reduce their matrix
-        without_pair = [r for r in records if not r["certificate"]["trace_condition_holds"]]
-        assert len(records) == 625
-        assert 0 < len(calls) == len(without_pair) < 625
+        # a record needs the rank, so every candidate gets its pair
+        assert len(records) == len(factored) == 625
+        assert ranked == []
         for record in records:
             A = matrix_of(record["matrix"])
             assert record["certificate"]["rank"] == rank(A)
 
     def test_records_read_the_rank_from_the_pair(self, monkeypatch):
-        # with corollary every candidate has a pair, so no matrix is reduced
-        # a second time; the report and records are those of a run whose
-        # ranks all come from linalg.rank
+        # the report and records are those of a run whose ranks all come
+        # from linalg.rank
         cfg = config(alphabet=FULL_ALPHABET, checks=["invert", "corollary"])
-        real = harness.rank
-        calls = []
-        monkeypatch.setattr(harness, "rank", lambda M: calls.append(M) or real(M))
         report = run_search(cfg, workers=1, collect_records=True)
-        assert calls == [] and len(report.records) == 625
+        assert len(report.records) == 625
 
         monkeypatch.setattr(GZPair, "r", property(lambda pair: rank(pair.matrix)))
         reduced = run_search(cfg, workers=1, collect_records=True)
@@ -698,6 +706,22 @@ class TestRankOnDemand:
             return json.dumps(payload), json.dumps(report.records)
 
         assert text(report) == text(reduced)
+
+    def test_rank_bound_search_builds_no_reduced_map(self, monkeypatch):
+        # a trace-holding candidate's pair is factored for its rank only
+        factored = self.count(monkeypatch, invert, "rank_factorization")
+        built = [
+            self.count(monkeypatch, invert, name) for name in ("expand_map", "cubic_terms")
+        ]
+        cfg = config(alphabet=FULL_ALPHABET, checks=["rank_bound"])
+        report = run_search(cfg, workers=1)
+        holding = [
+            M for _, M in iter_candidate_matrices(cfg)
+            if rank_bound_certificate(M).trace_condition_holds
+        ]
+        assert report.totals["rank_bound"] == {"checked": 625, "anomalies": 0}
+        assert 0 < len(factored) == len(holding) < 625
+        assert built == [[], []]
 
     def test_records_reduce_each_matrix_once(self, monkeypatch):
         # a records run Keller-tests a trace-holding candidate through the
@@ -726,6 +750,16 @@ class TestReportShape:
     def test_invalid_worker_override(self):
         with pytest.raises(ValueError, match="workers"):
             run_search(config(), workers=0)
+
+    @pytest.mark.parametrize("workers", [True, "2", 2.5, -1], ids=repr)
+    def test_worker_override_is_checked_like_the_config(self, workers):
+        # a bool is an int to Python, and 2.5 would reach the chunking
+        message = f"workers must be a positive integer, got {workers!r}"
+        with pytest.raises(ValueError) as from_run:
+            run_search(config(), workers=workers)
+        with pytest.raises(ValueError) as from_config:
+            config(workers=workers)
+        assert str(from_run.value) == str(from_config.value) == message
 
 
 class TestInternalCheckErrors:

@@ -1,6 +1,8 @@
 import itertools
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from cubelin import invert
 from cubelin.druzkowski import expand_map
 from cubelin.invert import (
     INVERTIBLE,
+    GZPair,
     NO_INVERSE_WITHIN_BOUND,
     NOT_INVERTIBLE,
     default_degree_bound,
@@ -357,6 +360,61 @@ class TestReducedKeller:
         monkeypatch.setattr(invert, "rank_factorization", wrong)
         with pytest.raises(RuntimeError, match="does not multiply back"):
             is_keller(paper)
+
+
+class TestDerivedOnRead:
+    """``GZPair(A)`` holds the square-checked A only; every other value is
+    derived when first read, and B @ C == A is checked before any B, C, r
+    or G is returned."""
+
+    def members(self, paper):
+        # an integral map and a non-integral one, whose rank comes from L^2 A
+        return [paper, orbit_member(paper, [1, 0, 3, 2], [g("1+i")] * 4)]
+
+    def test_construction_does_no_elimination_or_polynomial_work(self, paper):
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add((Path(frame.f_code.co_filename).name, frame.f_code.co_name))
+
+        members = self.members(paper)
+        sys.setprofile(profile)
+        try:
+            pairs = [GZPair(A) for A in members]
+        finally:
+            sys.setprofile(None)
+        assert [vars(pair) for pair in pairs] == [{"matrix": A} for A in members]
+        assert not {name for name in called if name[0] in ("poly.py", "kernel.py")}
+        assert not {name for name in called if name[1] in ("rank_factorization", "_eliminate")}
+
+    def test_non_square_raises_at_construction(self):
+        with pytest.raises(ValueError, match="square"):
+            GZPair(ScalarMatrix([[g("1"), g("0")]]))
+
+    def test_route_factors_only_the_conjugate(self, monkeypatch, paper):
+        # rank(L^2 A) = rank(A): the Keller test and the decision factor
+        # L^2 A alone, and A's own factors are built when printed
+        factored = []
+        real = invert.rank_factorization
+        monkeypatch.setattr(invert, "rank_factorization", lambda M: factored.append(M) or real(M))
+        A = self.members(paper)[1]
+        pair = GZPair(A)
+        assert is_keller(pair) and decide_automorphism(pair).invertible
+        assert factored == [pair.conjugate.matrix] != [A]
+        pair.to_dict()
+        assert factored == [pair.conjugate.matrix, A]
+
+    @pytest.mark.parametrize("read", ["B", "C", "r", "G", "keller", "f_inverse"])
+    def test_every_read_checks_the_factorization(self, monkeypatch, paper, read):
+        def wrong(M):
+            B, C = rank_factorization(M)
+            return B, ScalarMatrix([[x + g("1") for x in row] for row in C.entries])
+
+        monkeypatch.setattr(invert, "rank_factorization", wrong)
+        for A in self.members(paper):
+            with pytest.raises(RuntimeError, match="does not multiply back"):
+                getattr(GZPair(A), read)
 
 
 class TestDefaultDegreeBound:

@@ -187,6 +187,16 @@ class TestMatrixOps:
         N = mat([["1", "0"], ["1", "-1"]])
         assert M * N == mat([["1+i", "-i"], ["2", "-2"]])
 
+    def test_product_against_sympy(self):
+        # random shapes, integral or not, against the textbook product
+        rng = random.Random(19)
+        for _ in range(60):
+            rows, inner, cols = (rng.randint(1, 4) for _ in range(3))
+            den = rng.choice([1, 3])
+            M, N = random_matrix(rng, rows, inner, den), random_matrix(rng, inner, cols, den)
+            product = matrix_to_sympy(M) * matrix_to_sympy(N)
+            assert (matrix_to_sympy(M * N) - product).expand().is_zero_matrix
+
     def test_shape_errors(self):
         M = mat([["1", "2"]])
         with pytest.raises(ValueError):
