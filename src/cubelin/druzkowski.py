@@ -10,7 +10,8 @@ where D = diag(a_11, ..., a_nn) and the transpose is plain (no conjugation;
 the quadratic form t_i^2 is not a Hermitian norm).  When it vanishes,
 2 * rank(A) <= n + delta with delta the number of zero diagonal entries.
 The certificate below records both sides of that inequality; it tests the
-Gram matrix through :mod:`cubelin.kernel`, the routine searches use.
+Gram matrix through the row codes of :mod:`cubelin.kernel`, the routine
+searches use.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import logging
 from dataclasses import dataclass
 
-from .kernel import certificate_ints, integer_pairs
+from .kernel import certificate_ints, field_width, integer_pairs, row_code
 from .linalg import ScalarMatrix, rank
 from .poly import Polynomial, PolyMap, linear_combination
 
@@ -83,13 +84,15 @@ class RankBoundCertificate:
 def rank_bound_certificate(A) -> RankBoundCertificate:
     """Evaluate every quantity in the rank bound exactly and package it.
 
-    The trace condition and delta come from the integer kernel, on the
-    entries times one common denominator, as in a search.
+    The trace condition and delta come from the row codes of the integer
+    kernel, on the entries times one common denominator, as in a search.
     """
     A = _square_matrix(A)
     n = A.rows
     pairs = integer_pairs([c for row in A.entries for c in row])
-    holds, delta = certificate_ints(n, [x for pair in pairs for x in pair])
+    width = field_width(n, pairs)
+    codes = [row_code(i, pairs[i * n : (i + 1) * n], width) for i in range(n)]
+    holds, delta = certificate_ints(n, codes)
     certificate = RankBoundCertificate(
         n=n,
         trace_condition_holds=holds,

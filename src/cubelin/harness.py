@@ -1,30 +1,37 @@
 """Deterministic search over candidate matrices.
 
 Candidates come either from exhaustive enumeration or from seeded
-sampling.  Enumeration is ``itertools.product`` over the K alphabet
-indices, one factor per entry in row-major order, so candidate c is c
-read as a base-K numeral whose most significant digit is entry (1,1); a
-chunk of candidates is an ``islice`` of that stream.  Sampling uses
-SplitMix64: the digit for entry e of candidate c is
+sampling.  A candidate is n rows of digits, one alphabet index per entry.
+Enumeration is ``itertools.product`` over the K^n rows, one factor per
+row, which is the same order as one product over all n^2 entries: candidate
+c is c read as a base-K numeral whose most significant digit is entry
+(1,1), and a chunk of candidates is an ``islice`` of that stream.  Sampling
+uses SplitMix64: the digit for entry e of candidate c is
 
     splitmix64(seed, c * n^2 + e) mod K
 
 so any subrange of candidates can be regenerated without walking the
-stream.  The stream is evaluated a block of whole candidates at a time,
-at most 4096 outputs: output j of the block gets bits 128j .. 128j+127 of
-one Python int, and the generator's additions, shifts and 64-bit products
-run on every lane at once as a few whole-int operations; the words come
-back out through ``array("Q")``.  Work splits into one contiguous index
-chunk per worker, with at most one worker per CPU, and the per-chunk
-results merge in chunk order, which makes reports byte-stable for every
-worker count.
+stream.  The stream is evaluated a block of whole candidates at a time, at
+most 4096 outputs: output j of the block gets bits 128j .. 128j+127 of one
+Python int, and the generator's additions, shifts and 64-bit products run
+on every lane at once as a few whole-int operations; the words come back
+out through ``array("Q")``.  Work splits into one contiguous index chunk
+per worker, with at most one worker per CPU, and the per-chunk results
+merge in chunk order, which makes reports byte-stable for every worker
+count.
+
+The trace condition and delta of a candidate are read off the sum of its
+n row codes (see :mod:`cubelin.kernel`).  A row's code depends only on its
+digits and its position, so each range keeps one table per row position,
+keyed by the row's digit tuple and filled on first use; a candidate then
+costs n lookups and one kernel call.  The tables live for one range only
+and stop growing at a fixed size.
 
 Checks per candidate: "rank_bound" evaluates the rank-bound certificate
 and counts violations as anomalies; "invert" runs the exact inversion
 decision on Keller candidates; "corollary" runs the full small-dimension
 pipeline.  Filters "trace_zero_only" and "keller_only" restrict which
-candidates are checked.  The trace condition and delta come from
-:mod:`cubelin.kernel`; the candidate's ``GZPair``, its rank (the pair's
+candidates are checked.  The candidate's ``GZPair``, its rank (the pair's
 r) and the Keller bit are each derived once.  A candidate that fails the
 trace condition is not Keller and is not tested, except under
 "keller_only".
@@ -45,7 +52,7 @@ from typing import Iterator, Sequence
 
 from .druzkowski import RankBoundCertificate
 from .invert import _DIMENSION_CAP, GZPair, corollary_pipeline, decide_automorphism, is_keller
-from .kernel import certificate_ints, integer_pairs
+from .kernel import certificate_ints, field_width, integer_pairs, row_code
 from .linalg import ScalarMatrix
 from .matrixio import matrix_entries_text
 from .scalars import GaussianRational, format_gaussian, parse_gaussian
@@ -303,36 +310,59 @@ class SearchReport:
 
 def _iter_digit_vectors(
     config: SearchConfig, start: int, stop: int
-) -> Iterator[tuple[int, Sequence[int]]]:
-    """(index, digits) of candidates ``start`` .. ``stop - 1``."""
-    width = config.n * config.n
+) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """(index, rows) of candidates ``start`` .. ``stop - 1``, where rows are
+    the n tuples of the candidate's digits, one per matrix row."""
+    n = config.n
+    width = n * n
     base = len(config.alphabet)
     if config.mode == "enumerate":
-        yield from enumerate(islice(product(range(base), repeat=width), start, stop), start)
+        # the same big-endian order as one product over all n^2 digits
+        rows = product(product(range(base), repeat=n), repeat=n)
+        yield from enumerate(islice(rows, start, stop), start)
     else:
         seed = config.seed
         per_block = max(1, _BLOCK_LANES // width)
         for first in range(start, stop, per_block):
             count = min(per_block, stop - first)
             words = _splitmix64_block(seed, first * width, count * width)
-            digits = [w % base for w in words]
-            vectors = [digits[k : k + width] for k in range(0, count * width, width)]
-            yield from zip(range(first, first + count), vectors)
+            # n digits to a row and n rows to a candidate, as zip groups them
+            rows = zip(*[iter([w % base for w in words])] * n)
+            yield from zip(range(first, first + count), zip(*[rows] * n))
 
 
 def _candidate_matrix(
-    alphabet: tuple[GaussianRational, ...], n: int, digits: Sequence[int]
+    alphabet: tuple[GaussianRational, ...], n: int, rows: Sequence[Sequence[int]]
 ) -> ScalarMatrix:
-    rows = range(n)
-    entries = tuple(tuple(alphabet[digits[i * n + j]] for j in rows) for i in rows)
+    entries = tuple(tuple(alphabet[d] for d in row) for row in rows)
     return ScalarMatrix._raw(entries, n)
 
 
-def iter_candidate_matrices(config: SearchConfig) -> Iterator[tuple[int, ScalarMatrix]]:
-    """All (index, matrix) pairs of a run, in canonical order."""
-    config.check_ceiling()
-    for index, digits in _iter_digit_vectors(config, 0, config.total_candidates()):
-        yield index, _candidate_matrix(config.alphabet, config.n, digits)
+# Entries a row table keeps: every row of an n = 4 search over 5 letters
+# (625) or of an n = 6 one over 5 (15,625) fits; an n = 9 sample draws from
+# 5^9 rows per position and would otherwise keep every one it meets.
+_TABLE_CAP = 1 << 14
+
+
+class _RowTable(dict):
+    """The row codes of one row position, keyed by the row's digit tuple
+    and filled on first use.  Past ``_TABLE_CAP`` keys a code is computed
+    and returned but not stored."""
+
+    __slots__ = ("position", "pairs", "width")
+
+    def __init__(self, position: int, pairs: list[tuple[int, int]], width: int):
+        super().__init__()
+        self.position = position
+        self.pairs = pairs
+        self.width = width
+
+    def __missing__(self, digits: tuple[int, ...]) -> int:
+        pairs = self.pairs
+        code = row_code(self.position, [pairs[d] for d in digits], self.width)
+        if len(self) < _TABLE_CAP:
+            self[digits] = code
+        return code
 
 
 def _empty_totals(config: SearchConfig) -> dict:
@@ -357,6 +387,10 @@ def _scan_range(
     n = config.n
     alphabet = config.alphabet
     pairs = integer_pairs(alphabet)
+    # one table per row position, for this range only
+    width = field_width(n, pairs)
+    tables = [_RowTable(i, pairs, width) for i in range(n)]
+    lookup = _RowTable.__getitem__
     totals = _empty_totals(config)
     anomalies: list[dict] = []
     records: list[dict] = []
@@ -368,10 +402,9 @@ def _scan_range(
     want_corollary = "corollary" in config.checks
 
     passed = 0
-    for index, digits in _iter_digit_vectors(config, start, stop):
+    for index, rows in _iter_digit_vectors(config, start, stop):
         try:
-            flat = [x for d in digits for x in pairs[d]]
-            holds, delta = certificate_ints(n, flat)
+            holds, delta = certificate_ints(n, list(map(lookup, tables, rows)))
             if trace_filter and not holds:
                 continue
             # each value is derived in one place, before the first filter,
@@ -383,7 +416,7 @@ def _scan_range(
                 holds and (want_invert or want_rank_bound)
             ):
                 # the one analysis every check reads; r = rank(A) is its own
-                pair = GZPair(_candidate_matrix(alphabet, n, digits))
+                pair = GZPair(_candidate_matrix(alphabet, n, rows))
                 certificate = RankBoundCertificate(n, holds, delta, pair.r)
                 bound_broken = want_rank_bound and not certificate.theorem_satisfied
             # Keller maps meet the trace condition, so a candidate that fails

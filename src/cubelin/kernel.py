@@ -1,21 +1,38 @@
 """The integer certificate path, the one route to the trace condition.
 
-The search harness evaluates the trace condition and delta on up to
-millions of candidate matrices, and ``rank_bound_certificate`` in
-:mod:`cubelin.druzkowski` takes them from here too.  This module computes
-them over unbounded Python integers, the trace condition from the Gram
-sums, to which only the rows with a_ii != 0 contribute; the other rows
-are never sliced out of the flat input.  The rank is
-:func:`cubelin.linalg.rank`, which scales its matrix with
-:func:`integer_pairs` as well.
+The trace condition says that the Gram matrix A^T diag(a_ii) A vanishes.
+That matrix is sum_i a_ii r_i^T r_i over the rows r_i of A, and each
+term depends only on row i and its position (Druzkowski, Math. Ann. 264,
+1983).  :func:`row_code` packs row i's term into one Python int, its
+*row code*, so a matrix's trace condition and delta come from the sum of
+its n row codes: :func:`certificate_ints` reads both off that sum.  The
+search harness keeps one table of codes per row position, filled on
+first use, and ``rank_bound_certificate`` in :mod:`cubelin.druzkowski`
+packs its rows with the same routine.
 
-A matrix over Q(i) reaches it through :func:`integer_pairs`, which
-multiplies every entry by one common denominator L.  Scaling A by L keeps
-delta and the rank and multiplies the Gram matrix A^T diag(a_ii) A by L^3,
-so no answer changes.  Tests cross-check the trace condition and delta
-against a Q(i) Gram product kept in ``tests/helpers.py`` as the reference.
-:class:`cubelin.invert.GZPair` reads the same L: it decides a matrix A
-with denominators on L^2 A, which is over Z[i] because L A is.
+Layout of a code, lowest bits first:
+
+- n.bit_length() bits that count the rows with a_ii = 0: such a row's code
+  is exactly 1, and no other row adds to them;
+- the real parts of a_ii r_j r_k, one signed w-bit field for each (j, k),
+  at field j + n k, then the imaginary parts in the same order.
+
+The fields come from Kronecker substitution (Harvey, J. Symbolic Comput.
+44, 2009): with R = sum_j r_j 2^(w j) and R' = sum_k r_k 2^(w n k), the
+product R R' holds r_j r_k in field j + n k, so one row costs a few
+big-int products.  Signed fields add exactly, and a sum is 0 only if every
+field is 0 as long as no field reaches 2^w in absolute value.  A field of
+one row is at most 4 m^3, with m the largest |part| of an entry, so
+:func:`field_width` takes w = bit_length(4 n m^3) + 2 for n rows.
+
+The rank is :func:`cubelin.linalg.rank`.  A matrix over Q(i) reaches both
+through :func:`integer_pairs`, which multiplies every entry by one common
+denominator L.  Scaling A by L keeps delta and the rank and multiplies the
+Gram matrix by L^3, so no answer changes.  Tests cross-check the codes
+against the Gram loop and a Q(i) Gram product, both kept in
+``tests/helpers.py`` as references.  :class:`cubelin.invert.GZPair` reads
+the same L: it decides a matrix A with denominators on L^2 A, which is
+over Z[i] because L A is.
 
 :func:`certificate_ints` calls :func:`certificate_ints_pure`.  They stay
 two distinct functions because the benchmark in ``cubench/`` traces each
@@ -52,35 +69,45 @@ def integer_pairs(values: Sequence[GaussianRational]) -> list[tuple[int, int]]:
     ]
 
 
-def certificate_ints(n: int, flat: list[int]) -> tuple[bool, int]:
-    """(trace condition holds, delta) for a Gaussian-integer matrix, given
-    row-major as interleaved (re, im) integers."""
-    return certificate_ints_pure(n, flat)
+def field_width(n: int, pairs: Sequence[tuple[int, int]]) -> int:
+    """The field width w for codes of n rows whose entries are among
+    ``pairs``: every field of a sum of n codes stays below 2^(w-2) in
+    absolute value, so the sum reads 0 above the count only if every
+    field is 0."""
+    m = max((abs(x) for pair in pairs for x in pair), default=0)
+    return (4 * n * m ** 3).bit_length() + 2
 
 
-def certificate_ints_pure(n: int, flat: list[int]) -> tuple[bool, int]:
-    """The pair of :func:`certificate_ints` over unbounded integers."""
-    # (re row, im row, re a_ii, im a_ii) for each row with a_ii != 0; only
-    # these rows enter the Gram sums, so only they are sliced
-    diag = []
-    width = 2 * n
-    for i in range(n):
-        lo = i * width
-        dre = flat[lo + 2 * i]
-        dim_ = flat[lo + 2 * i + 1]
-        if dre or dim_:
-            diag.append((flat[lo : lo + width : 2], flat[lo + 1 : lo + width : 2], dre, dim_))
-    delta = n - len(diag)
+def row_code(i: int, row: Sequence[tuple[int, int]], width: int) -> int:
+    """The code of row i of an n x n Gaussian-integer matrix, given as its
+    n (re, im) pairs, with fields of ``width`` bits."""
+    n = len(row)
+    are, aim = row[i]
+    if not (are or aim):
+        return 1
+    # R and R', real and imaginary parts apart, by Horner's rule
+    step = width * n
+    rre = rim = sre = sim = 0
+    for re, im in reversed(row):
+        rre = (rre << width) + re
+        rim = (rim << width) + im
+        sre = (sre << step) + re
+        sim = (sim << step) + im
+    pre = rre * sre - rim * sim
+    pim = rre * sim + rim * sre
+    # a_ii R R': the real fields, then the imaginary ones n^2 fields higher
+    packed = are * pre - aim * pim + (are * pim + aim * pre << step * n)
+    return packed << n.bit_length()
 
-    for j in range(n):
-        for k in range(j, n):
-            sre = 0
-            sim = 0
-            for r, s, dre, dim_ in diag:
-                t1re = dre * r[j] - dim_ * s[j]
-                t1im = dre * s[j] + dim_ * r[j]
-                sre += t1re * r[k] - t1im * s[k]
-                sim += t1re * s[k] + t1im * r[k]
-            if sre or sim:
-                return False, delta
-    return True, delta
+
+def certificate_ints(n: int, codes: Sequence[int]) -> tuple[bool, int]:
+    """(trace condition holds, delta) for an n x n Gaussian-integer matrix,
+    given as its n row codes."""
+    return certificate_ints_pure(n, codes)
+
+
+def certificate_ints_pure(n: int, codes: Sequence[int]) -> tuple[bool, int]:
+    """The pair of :func:`certificate_ints`, read off the sum of the codes."""
+    total = sum(codes)
+    low = n.bit_length()
+    return total >> low == 0, total & ((1 << low) - 1)

@@ -17,7 +17,10 @@ powers one row at a time.  So is the composition whose power products are
 ``Polynomial`` products: the library keeps them packed term lists.  So is
 :class:`DirectPair`, the route run on A itself over Q(i): the library runs
 it on L^2 A over Z[i], for L the lcm of A's denominators, and rescales
-each answer back.
+each answer back.  So is the integer Gram loop: the library sums one
+packed code per row.  :func:`iter_candidate_matrices` builds every
+candidate of a search as a matrix, which the harness itself does only for
+the candidates that reach a check or a record.
 """
 
 import functools
@@ -25,6 +28,7 @@ import itertools
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from typing import Iterator
 
 import sympy
 
@@ -35,12 +39,14 @@ from cubelin import (
     Polynomial,
     InverseResult,
     ScalarMatrix,
+    SearchConfig,
     gz_reduce,
     is_keller,
     lift_inverse,
     parse_gaussian,
     rank_bound_certificate,
 )
+from cubelin import harness
 from cubelin.druzkowski import cubic_terms, expand_map
 from cubelin.invert import (
     INVERTIBLE,
@@ -421,6 +427,43 @@ def reference_certificate(A: ScalarMatrix) -> tuple[bool, int, int]:
     ``linalg.rank``."""
     trace = gram_matrix(A).is_zero()
     return trace, sum(1 for c in A.diagonal() if not c), len(rref_with_pivots(A)[1])
+
+
+def gram_loop_certificate(n: int, flat: list[int]) -> tuple[bool, int]:
+    """(trace condition, delta) of a Gaussian-integer matrix given row-major
+    as interleaved (re, im) integers, from the n(n+1)/2 Gram sums over the
+    rows with a_ii != 0: the library reads both off a sum of row codes."""
+    # (re row, im row, re a_ii, im a_ii) for each row with a_ii != 0
+    diag = []
+    width = 2 * n
+    for i in range(n):
+        lo = i * width
+        dre = flat[lo + 2 * i]
+        dim_ = flat[lo + 2 * i + 1]
+        if dre or dim_:
+            diag.append((flat[lo : lo + width : 2], flat[lo + 1 : lo + width : 2], dre, dim_))
+    delta = n - len(diag)
+
+    for j in range(n):
+        for k in range(j, n):
+            sre = 0
+            sim = 0
+            for r, s, dre, dim_ in diag:
+                t1re = dre * r[j] - dim_ * s[j]
+                t1im = dre * s[j] + dim_ * r[j]
+                sre += t1re * r[k] - t1im * s[k]
+                sim += t1re * s[k] + t1im * r[k]
+            if sre or sim:
+                return False, delta
+    return True, delta
+
+
+def iter_candidate_matrices(config: SearchConfig) -> Iterator[tuple[int, ScalarMatrix]]:
+    """All (index, matrix) pairs of a search, in canonical order, from the
+    harness's own digit stream."""
+    config.check_ceiling()
+    for index, rows in harness._iter_digit_vectors(config, 0, config.total_candidates()):
+        yield index, harness._candidate_matrix(config.alphabet, config.n, rows)
 
 
 def mixed_denominator_matrix(rng: random.Random, n: int, shape: int) -> ScalarMatrix:

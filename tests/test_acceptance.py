@@ -26,7 +26,6 @@ from cubelin import (
     run_search,
 )
 from cubelin.druzkowski import expand_map
-from cubelin.harness import iter_candidate_matrices
 from cubelin.invert import nilpotency_index
 from cubelin.poly import compose_polynomial, det, jacobian
 from helpers import (
@@ -34,6 +33,7 @@ from helpers import (
     cubic_part,
     gram_matrix,
     intertwines,
+    iter_candidate_matrices,
     paper_example,
     poly_to_sympy,
     sympy_det_jf_is_one,

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pickle
@@ -21,12 +22,10 @@ from cubelin.harness import (
     DEFAULT_CEILING,
     _chunk_bounds,
     enumeration_ceiling,
-    iter_candidate_matrices,
 )
 from cubelin.invert import GZPair, is_keller
-from cubelin.kernel import integer_pairs
 from cubelin.linalg import rank
-from helpers import count_keller_bits, splitmix64
+from helpers import count_keller_bits, iter_candidate_matrices, splitmix64
 
 
 def g(text):
@@ -378,7 +377,8 @@ class TestSampling:
                 })
                 for start, stop in ranges:
                     got = [
-                        (c, list(d)) for c, d in harness._iter_digit_vectors(cfg, start, stop)
+                        (c, [d for row in rows for d in row])
+                        for c, rows in harness._iter_digit_vectors(cfg, start, stop)
                     ]
                     expected = [
                         (c, [splitmix64(seed, c * width + e) % base for e in range(width)])
@@ -804,16 +804,18 @@ class TestAnomalyRecords:
             matrix_of([["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]]),
             matrix_of([["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]]),
         ]
-        pairs = integer_pairs(cfg.alphabet)
-        flats = [
-            [x for row in M.entries for v in row for x in pairs[cfg.alphabet.index(v)]]
-            for M in targets
-        ]
+        # every row of these targets has a zero diagonal entry, so its row
+        # code is 1, the code of every such row; the harness makes one
+        # kernel call per candidate in index order, so the call count names
+        # the candidate, in each of the two searches of run_planted
+        indices = {index for index, M in iter_candidate_matrices(cfg) if M in targets}
+        calls = itertools.count()
+        total = cfg.total_candidates()
         real = harness.certificate_ints
 
-        def planted(n, flat):
-            holds, delta = real(n, flat)
-            return (holds, 0) if flat in flats else (holds, delta)
+        def planted(n, codes):
+            holds, delta = real(n, codes)
+            return (holds, 0) if next(calls) % total in indices else (holds, delta)
 
         report = self.run_planted(monkeypatch, cfg, "certificate_ints", planted)
         assert report.totals["rank_bound"] == {"checked": 512, "anomalies": 2}

@@ -14,10 +14,14 @@ from cubelin import (
     rank_bound_certificate,
     run_search,
 )
-from cubelin import harness, kernel
-from cubelin.harness import iter_candidate_matrices
+from cubelin import druzkowski, harness, kernel
 from cubelin.linalg import rank
-from helpers import mixed_denominator_matrix, reference_certificate
+from helpers import (
+    gram_loop_certificate,
+    iter_candidate_matrices,
+    mixed_denominator_matrix,
+    reference_certificate,
+)
 
 
 def g(text):
@@ -28,16 +32,26 @@ ALPHABET = [g(s) for s in ("0", "1", "-1", "i", "-i")]
 
 
 def flat_of(M):
-    """M as the harness hands it to the kernel: one common scale for all
+    """M as the Gram loop oracle reads it: one common scale for all
     entries, row-major, (re, im) interleaved."""
     entries = [c for row in M.entries for c in row]
     return [x for pair in kernel.integer_pairs(entries) for x in pair]
 
 
+def codes_of(M):
+    """M's row codes as ``rank_bound_certificate`` hands them to the
+    kernel: one common scale for all entries, fields as wide as its own
+    entries need."""
+    n = M.rows
+    pairs = kernel.integer_pairs([c for row in M.entries for c in row])
+    width = kernel.field_width(n, pairs)
+    return [kernel.row_code(i, pairs[i * n : (i + 1) * n], width) for i in range(n)]
+
+
 def integer_triple(M):
     """The kernel's trace condition and delta, and the rank of
     ``linalg.rank``, which eliminates on the same integer scaling."""
-    return (*kernel.certificate_ints(M.rows, flat_of(M)), rank(M))
+    return (*kernel.certificate_ints(M.rows, codes_of(M)), rank(M))
 
 
 def gaussian_int_matrix(rng, n, span):
@@ -58,10 +72,10 @@ class TestAgreement:
     def test_exhaustive_two_by_two(self):
         for picks in itertools.product(ALPHABET, repeat=4):
             M = ScalarMatrix([picks[:2], picks[2:]])
-            flat = flat_of(M)
+            codes = codes_of(M)
             expected = reference_certificate(M)
-            assert kernel.certificate_ints(2, flat) == expected[:2]
-            assert kernel.certificate_ints_pure(2, flat) == expected[:2]
+            assert kernel.certificate_ints(2, codes) == expected[:2]
+            assert kernel.certificate_ints_pure(2, codes) == expected[:2]
             assert rank(M) == expected[2]
 
     def test_random_matrices(self):
@@ -69,10 +83,10 @@ class TestAgreement:
         for _ in range(400):
             n = rng.randint(1, 6)
             M = gaussian_int_matrix(rng, n, 3)
-            flat = flat_of(M)
+            codes = codes_of(M)
             expected = reference_certificate(M)
-            assert kernel.certificate_ints(n, flat) == expected[:2]
-            assert kernel.certificate_ints_pure(n, flat) == expected[:2]
+            assert kernel.certificate_ints(n, codes) == expected[:2]
+            assert kernel.certificate_ints_pure(n, codes) == expected[:2]
             assert rank(M) == expected[2]
 
     def test_rank_deficient_products(self):
@@ -118,10 +132,10 @@ class TestAgreement:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_rows_with_zero_diagonal_are_skipped(self, n):
-        # off-diagonal entries stay nonzero, so a row the Gram sums read by
-        # mistake changes them; each a_ii is zeroed with probability 1/2,
-        # so every delta from 0 to n occurs, and zero diagonals hold the
-        # trace condition
+        # off-diagonal entries stay nonzero, so a zero-diagonal row whose
+        # code held more than its count changes the sum; each a_ii is
+        # zeroed with probability 1/2, so every delta from 0 to n occurs,
+        # and zero diagonals hold the trace condition
         rng = random.Random(200 + n)
         nonzero = ALPHABET[1:] + [g("2-i"), g("-3i")]
         deltas = set()
@@ -132,20 +146,125 @@ class TestAgreement:
                 for i in range(n)
             ])
             expected = reference_certificate(M)
-            assert kernel.certificate_ints_pure(n, flat_of(M)) == expected[:2]
+            assert kernel.certificate_ints_pure(n, codes_of(M)) == expected[:2]
             deltas.add(expected[1])
         assert deltas == set(range(n + 1))
 
     def test_degenerate_sizes(self):
         assert kernel.certificate_ints(0, []) == (True, 0)
-        assert kernel.certificate_ints(1, [0, 1]) == (False, 0)
-        assert kernel.certificate_ints(1, [0, 0]) == (True, 1)
+        assert kernel.certificate_ints(1, codes_of(ScalarMatrix([[g("i")]]))) == (False, 0)
+        assert kernel.certificate_ints(1, codes_of(ScalarMatrix([[g("0")]]))) == (True, 1)
         assert rank(ScalarMatrix([], 0)) == 0
         assert rank(ScalarMatrix([[g("i")]])) == 1
         assert rank(ScalarMatrix([[g("0")]])) == 0
         # a 0 x m or n x 0 matrix keeps its shape and has rank 0
         assert rank(ScalarMatrix([], 3)) == 0
         assert rank(ScalarMatrix([[]] * 3, 0)) == 0
+
+
+ROW_CODE_ALPHABETS = {
+    "units": ["0", "1", "-1", "i", "-i"],
+    "mixed": ["0", "1/2", "-1/3+i", "2i"],
+    "digits": [str(k) for k in range(7)],
+    # 1048577 = 2^20 + 1, and 1/7 scales every part by 7: fields of 75 bits
+    "wide": ["0", "1048577+i", "-1/7"],
+}
+
+
+def row_code_config(n, alphabet, **sampling):
+    mode = "sample" if sampling else "enumerate"
+    return SearchConfig.from_dict(
+        {"n": n, "alphabet": ROW_CODE_ALPHABETS[alphabet], "mode": mode, **sampling}
+    )
+
+
+def search_certificates(config):
+    """(matrix, (holds, delta)) for every candidate of a search, from the
+    harness's own row tables and digit stream."""
+    n = config.n
+    pairs = kernel.integer_pairs(config.alphabet)
+    width = kernel.field_width(n, pairs)
+    tables = [harness._RowTable(i, pairs, width) for i in range(n)]
+    for _, rows in harness._iter_digit_vectors(config, 0, config.total_candidates()):
+        codes = [table[row] for table, row in zip(tables, rows)]
+        matrix = harness._candidate_matrix(config.alphabet, n, rows)
+        yield matrix, kernel.certificate_ints(n, codes)
+
+
+class TestRowCodes:
+    """Row codes, as a search and as ``rank_bound_certificate`` build them,
+    against the Gram loop and the Q(i) Gram product."""
+
+    def check(self, config, reference_every=1):
+        held = 0
+        for k, (M, got) in enumerate(search_certificates(config)):
+            assert got == gram_loop_certificate(config.n, flat_of(M)), M
+            # the certificate scales by M's own denominators and widths
+            assert kernel.certificate_ints(config.n, codes_of(M)) == got, M
+            if k % reference_every == 0:
+                assert got == reference_certificate(M)[:2], M
+            held += got[0]
+        return held
+
+    @pytest.mark.parametrize("alphabet", list(ROW_CODE_ALPHABETS))
+    def test_every_two_by_two(self, alphabet):
+        assert self.check(row_code_config(2, alphabet)) > 0
+
+    @pytest.mark.parametrize("alphabet", list(ROW_CODE_ALPHABETS))
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_sampled(self, alphabet, n):
+        self.check(row_code_config(n, alphabet, count=300, seed=n))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_wide_alphabet(self, n):
+        # every n = 1 and n = 3 matrix over the wide alphabet, trace-holding
+        # ones included
+        assert self.check(row_code_config(n, "wide"), reference_every=50) > 0
+
+    def test_a_narrowed_width_gives_a_wrong_answer(self, monkeypatch):
+        # the Gram matrix of diag(i, 32) is diag(-i, 2^15): 2^15 in the real
+        # field of (1, 1), the last real field, and -1 in the imaginary field
+        # of (0, 0), the first imaginary one.  At 15 bits the first carries
+        # into the second and cancels it, so the sum reads 0; the formula's
+        # 21 bits keep 6 to spare on this matrix
+        M = ScalarMatrix([[g("i"), g("0")], [g("0"), g("32")]])
+        real = kernel.field_width
+        assert real(2, [(0, 1), (32, 0)]) == 21
+        assert reference_certificate(M)[0] is False
+        assert rank_bound_certificate(M).trace_condition_holds is False
+
+        def narrowed(n, pairs):
+            return real(n, pairs) - 6
+
+        monkeypatch.setattr(druzkowski, "field_width", narrowed)
+        assert rank_bound_certificate(M).trace_condition_holds is True
+        # a search reads the width through the same routine
+        config = SearchConfig.from_dict(
+            {"n": 2, "alphabet": ["0", "i", "32"], "mode": "enumerate",
+             "filters": ["trace_zero_only"]}
+        )
+        honest = run_search(config, collect_records=True).records
+        monkeypatch.setattr(harness, "field_width", narrowed)
+        wrong = run_search(config, collect_records=True).records
+        text = [["i", "0"], ["0", "32"]]
+        assert text not in [r["matrix"] for r in honest]
+        assert text in [r["matrix"] for r in wrong]
+
+    def test_a_table_stops_growing_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(harness, "_TABLE_CAP", 3)
+        pairs = kernel.integer_pairs(ALPHABET)
+        width = kernel.field_width(2, pairs)
+        table = harness._RowTable(1, pairs, width)
+        rows = list(itertools.product(range(len(ALPHABET)), repeat=2))
+        codes = [table[row] for row in rows]
+        assert list(table) == rows[:3]
+        assert codes == [kernel.row_code(1, [pairs[d] for d in row], width) for row in rows]
+        # a search whose tables stay at the cap reports the same
+        config = sampled_config(3, 2000, 45, ["trace_zero_only"], ["rank_bound"])
+        capped = report_body(run_search(config))
+        monkeypatch.undo()
+        assert capped == report_body(run_search(config))
+        assert capped["totals"]["passed_filters"] > 0
 
 
 class TestIntegerPairs:
