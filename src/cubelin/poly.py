@@ -1,19 +1,32 @@
 """Sparse multivariate polynomials over Q(i), plus maps and matrices of them.
 
-A polynomial in n variables is a dict ``.terms`` from exponent tuples
-(length n, one non-negative integer per variable) to nonzero
-:class:`GaussianRational` coefficients.  The zero polynomial has an empty
-term dict.  Canonical term order is graded lexicographic (higher total
-degree first, then lexicographically larger exponent tuple first), which
-fixes the printed form and makes golden-file comparisons possible.
+A polynomial in n variables is stored as a packed term list: one
+``(key, re, im)`` per nonzero term, with ``re`` and ``im`` the
+coefficient's parts in stored form (a plain int, or a Fraction of
+denominator above 1, as in :mod:`cubelin.scalars`) and ``key`` the
+exponent tuple packed into an int (Monagan and Pearce, CASC 2007).  Field
+j of a key, ``width`` bits from bit j * width, holds the exponent of
+x_{j+1}, and the field above the last holds the total degree, so keys add
+as monomials multiply and sort by degree first.  The width is the
+polynomial's own: at least the bit length of its degree, so no field
+overflows, and at least four bits.  Key 0 is the constant monomial at
+every width.
+
+``.terms``, the dict from exponent tuples (length n, one non-negative
+integer per variable) to nonzero :class:`GaussianRational` coefficients,
+is a view: built on first read, for output, hashing, evaluation and the
+public API, and kept.  No operation reads it.  Canonical term order is
+graded lexicographic (higher total degree first, then lexicographically
+larger exponent tuple first), which fixes the printed form and makes
+golden-file comparisons possible.
 
 Products, matrix products, determinants, linear combinations and
-compositions run on one term kernel, :func:`_sum_of_products`: terms
-``(key, re, im)`` with raw int or Fraction parts, one accumulator, one
-:class:`GaussianRational` per surviving term.  A key is the exponent tuple
-packed into an int (Monagan and Pearce, CASC 2007; :func:`_packing`), so
-monomials multiply by one integer addition; ``.terms`` keeps tuples.  Minors
-and power products stay packed, unpacked once per entry or component.
+compositions run on one term kernel, :func:`_sum_of_products`: one
+accumulator on the raw int or Fraction parts.  Sums, negation and
+derivatives work on the packed lists too.  An operation's result takes the
+widest of the width its degree needs and its operands' widths; an operand
+narrower than that is repacked, once per width (:meth:`Polynomial._at`).
+A stored list is never changed in place, so results may share lists.
 
 Variables render as x1..xn.  A term like (1+i)*x1*x2^2 renders with the
 mixed coefficient parenthesized: ``(1+i)x1x2^2``.
@@ -22,7 +35,7 @@ mixed coefficient parenthesized: ``(1+i)x1x2^2``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import lshift
+from operator import itemgetter, lshift
 
 from .scalars import GaussianRational, ZERO, ONE, _coerce, _gaussian, _part, format_gaussian
 
@@ -37,25 +50,50 @@ class UnsupportedSizeError(ValueError):
     """Determinant size above the cofactor cap; use the nilpotency route."""
 
 
-def _packing(nvars: int, top: int):
-    """(pack, unpack, shift) for products of total degree at most ``top``.
+# Fields are never narrower than this, so polynomials of degree below 16
+# share one width and are never repacked: all that a Keller test up to
+# r = 7 makes (JG - I has degree 2, its products and det JG at most 2r).
+_MIN_WIDTH = 4
 
-    Field j of a key holds exponent j in ``top.bit_length()`` bits, and the
-    field from bit ``shift`` up holds the total degree.  No field overflows
-    in a product, so keys add as exponents do and sort by degree first.
-    """
-    width = top.bit_length() or 1
+
+def _field_width(top: int) -> int:
+    """The field width of keys of total degree at most ``top``."""
+    return max(top.bit_length(), _MIN_WIDTH)
+
+
+def _variable_key(nvars: int, index: int) -> int:
+    # x_{index+1}, packed at the narrowest width
+    return (1 << index * _MIN_WIDTH) + (1 << nvars * _MIN_WIDTH)
+
+
+def _pack(terms: dict, nvars: int, width: int) -> list:
     shifts = range(0, nvars * width, width)
-    shift, mask = nvars * width, (1 << width) - 1
+    shift = nvars * width
+    return [(sum(map(lshift, e, shifts)) + (sum(e) << shift), c.re, c.im) for e, c in terms.items()]
 
-    def pack(p: Polynomial) -> list:
-        terms = p.terms.items()
-        return [(sum(map(lshift, e, shifts)) + (sum(e) << shift), c.re, c.im) for e, c in terms]
 
-    def unpack(key: int) -> Exponents:
-        return tuple([(key >> s) & mask for s in shifts])
+def _repack(terms: list, nvars: int, old: int, new: int) -> list:
+    """``terms`` with every field, the degree's too, moved from ``old``-bit
+    to ``new``-bit fields; new must hold the degree."""
+    mask = (1 << old) - 1
+    moves = [(j * old, j * new) for j in range(nvars + 1)]
+    return [(sum([((k >> a) & mask) << b for a, b in moves]), re, im) for k, re, im in terms]
 
-    return pack, unpack, shift
+
+def _unpack(terms: list, nvars: int, width: int) -> dict:
+    """The ``.terms`` view of a packed list: one GaussianRational per term."""
+    shifts = range(0, nvars * width, width)
+    mask = (1 << width) - 1
+    return {tuple([(k >> s) & mask for s in shifts]): _gaussian(re, im) for k, re, im in terms}
+
+
+def _merge(a: list, b: list) -> list:
+    """The nonzero terms of a + b, both packed at one width."""
+    out = {k: (re, im) for k, re, im in a}
+    for k, re, im in b:
+        acc = out.get(k)
+        out[k] = (re, im) if acc is None else (_part(acc[0] + re), _part(acc[1] + im))
+    return [(k, re, im) for k, (re, im) in out.items() if re or im]
 
 
 def _sum_of_products(pairs, limit=None) -> list:
@@ -65,6 +103,7 @@ def _sum_of_products(pairs, limit=None) -> list:
     most of the cost.  Keys add with ``+``.  With ``limit`` set, b must be
     sorted and products with keys at or above it are skipped uncomputed:
     each term of a meets the prefix of b below ``limit`` less its own key.
+    The parts come out in stored form.
     """
     out = {}
     for a, b in pairs:
@@ -85,42 +124,60 @@ def _sum_of_products(pairs, limit=None) -> list:
                         acc[0] += re
                     if im:
                         acc[1] += im
-    return [(k, re, im) for k, (re, im) in out.items() if re or im]
+    return [
+        (k, re if type(re) is int else _part(re), im if type(im) is int else _part(im))
+        for k, (re, im) in out.items() if re or im
+    ]
 
 
-def _polynomial(nvars: int, terms: list, unpack) -> "Polynomial":
-    # one GaussianRational per term, its parts in stored form
-    return Polynomial._raw(
-        nvars, {unpack(k): _gaussian(_part(re), _part(im)) for k, re, im in terms}
-    )
-
-
-def _packed_rows(M: "PolyMatrix", pack) -> list:
-    return [[pack(p) for p in row] for row in M.entries]
+def _common_width(top: int, polys) -> int:
+    # the width of a result of degree at most top: no operand is narrowed
+    return max([_field_width(top), *(p._width for p in polys)])
 
 
 class Polynomial:
     """Sparse polynomial over Q(i) in a fixed number of variables."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_width", "_packed", "_terms", "_widened")
 
     def __init__(self, nvars: int, terms: dict[Exponents, GaussianRational] | None = None):
-        self.nvars = nvars
-        self.terms = {} if terms is None else {e: c for e, c in terms.items() if c}
+        terms = {} if terms is None else {e: c for e, c in terms.items() if c}
+        width = _field_width(max(map(sum, terms), default=0))
+        self.nvars, self._width, self._packed = nvars, width, _pack(terms, nvars, width)
+        self._terms, self._widened = terms, None
 
     @classmethod
-    def _raw(cls, nvars: int, terms: dict[Exponents, GaussianRational]) -> "Polynomial":
-        # terms must already be canonical (no zero coefficients).
+    def _of(cls, nvars: int, width: int, packed: list) -> "Polynomial":
+        # packed must already be canonical: distinct keys, nonzero stored parts
         out = object.__new__(cls)
-        out.nvars = nvars
-        out.terms = terms
+        out.nvars, out._width, out._packed = nvars, width, packed
+        out._terms = out._widened = None
         return out
+
+    def _at(self, width: int) -> list:
+        """The packed terms at ``width``, at least the stored width: the
+        stored list, or its repack, made once per width and kept."""
+        if width == self._width:
+            return self._packed
+        if self._widened is None:
+            self._widened = {}
+        packed = self._widened.get(width)
+        if packed is None:
+            packed = self._widened[width] = _repack(self._packed, self.nvars, self._width, width)
+        return packed
+
+    @property
+    def terms(self) -> dict[Exponents, GaussianRational]:
+        """Exponent tuple -> nonzero coefficient, built on first read."""
+        if self._terms is None:
+            self._terms = _unpack(self._packed, self.nvars, self._width)
+        return self._terms
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls._raw(nvars, {})
+        return cls._of(nvars, _MIN_WIDTH, [])
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
@@ -129,41 +186,44 @@ class Polynomial:
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
         value = value if isinstance(value, GaussianRational) else GaussianRational(value)
-        return cls._raw(nvars, {(0,) * nvars: value} if value else {})
+        return cls._of(nvars, _MIN_WIDTH, [(0, value.re, value.im)] if value else [])
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
-        return cls._raw(nvars, {(0,) * index + (1,) + (0,) * (nvars - index - 1): ONE})
+        return cls._of(nvars, _MIN_WIDTH, [(_variable_key(nvars, index), 1, 0)])
 
     @classmethod
     def linear_form(cls, coeffs) -> "Polynomial":
         """Sum of coeffs[j] * x_{j+1} over all j with nonzero coefficient."""
         coeffs = list(coeffs)
-        terms = {}
+        terms = []
         for j, c in enumerate(coeffs):
             c = c if isinstance(c, GaussianRational) else GaussianRational(c)
             if c:
-                terms[(0,) * j + (1,) + (0,) * (len(coeffs) - j - 1)] = c
-        return cls._raw(len(coeffs), terms)
+                terms.append((_variable_key(len(coeffs), j), c.re, c.im))
+        return cls._of(len(coeffs), _MIN_WIDTH, terms)
 
     # -- predicates and measures ---------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def total_degree(self) -> int:
         """Maximum term degree; 0 for the zero polynomial."""
-        return max(map(sum, self.terms), default=0)
+        return max(map(itemgetter(0), self._packed), default=0) >> (self.nvars * self._width)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._packed)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        if self.nvars != other.nvars or len(self._packed) != len(other._packed):
+            return False
+        width = max(self._width, other._width)
+        return sorted(self._at(width)) == sorted(other._at(width))
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
@@ -176,24 +236,18 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_arity(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            if acc is None:
-                out[e] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[e] = acc
-                else:
-                    del out[e]
-        return Polynomial._raw(self.nvars, out)
+        if not other._packed:
+            return self
+        if not self._packed:
+            return other
+        width = max(self._width, other._width)
+        return Polynomial._of(self.nvars, width, _merge(self._at(width), other._at(width)))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + -other
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.nvars, self._width, [(k, -re, -im) for k, re, im in self._packed])
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return self.mul(other)
@@ -202,16 +256,16 @@ class Polynomial:
         """Exact product; with ``truncate_above`` set, terms of total degree
         above the cap are dropped and never computed.
 
-        Under a cap, ``other``'s packed terms are sorted, hence by degree,
-        and each term of ``self`` meets only the prefix that fits.
+        Under a cap, a sorted copy of ``other``'s packed terms is ordered by
+        degree, and each term of ``self`` meets only the prefix that fits.
         """
         self._check_arity(other)
-        pack, unpack, shift = _packing(self.nvars, self.total_degree() + other.total_degree())
-        b, limit = pack(other), None
+        width = _common_width(self.total_degree() + other.total_degree(), (self, other))
+        b, limit = other._at(width), None
         if truncate_above is not None:
-            b.sort()
-            limit = (truncate_above + 1) << shift
-        return _polynomial(self.nvars, _sum_of_products([(pack(self), b)], limit), unpack)
+            b = sorted(b)
+            limit = (truncate_above + 1) << (self.nvars * width)
+        return Polynomial._of(self.nvars, width, _sum_of_products([(self._at(width), b)], limit))
 
     def cube(self, truncate_above: int | None = None) -> "Polynomial":
         return self.mul(self, truncate_above).mul(self, truncate_above)
@@ -219,14 +273,19 @@ class Polynomial:
     # -- calculus / evaluation -----------------------------------------
 
     def diff(self, var: int) -> "Polynomial":
-        """Exact partial derivative with respect to x_{var+1}."""
+        """Exact partial derivative with respect to x_{var+1}: the variable's
+        field and the degree field drop by one, the coefficient is times the
+        exponent.  Distinct terms have distinct derivatives, so nothing is
+        summed."""
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range")
-        # distinct terms have distinct derivatives, so nothing is summed
-        return Polynomial._raw(self.nvars, {
-            e[:var] + (k - 1,) + e[var + 1:]: c * k
-            for e, c in self.terms.items() if (k := e[var])
-        })
+        width = self._width
+        low, mask = var * width, (1 << width) - 1
+        step = (1 << low) + (1 << self.nvars * width)
+        return Polynomial._of(self.nvars, width, [
+            (k - step, _part(re * e), _part(im * e))
+            for k, re, im in self._packed if (e := (k >> low) & mask)
+        ])
 
     def evaluate(self, point) -> GaussianRational:
         """Exact value at a point (sequence of n GaussianRationals)."""
@@ -259,7 +318,7 @@ class Polynomial:
 
     def to_text(self) -> str:
         """Canonical graded-lex text form, e.g. ``x1^3+3x1^2x2-2i``."""
-        if not self.terms:
+        if not self._packed:
             return "0"
         pieces: list[str] = []
         for e, c in self.sorted_terms():
@@ -297,10 +356,10 @@ def linear_combination(coeffs, polys, nvars: int) -> Polynomial:
     """Sum coeffs[k] * polys[k] by the term kernel; exact, zero coefficients skipped.
 
     A coefficient is a GaussianRational, int or Fraction (TypeError for anything
-    else).  It enters the kernel as the one term ``((), re, im)``: () + e == e,
-    so the keys stay exponent tuples, which ``tuple`` returns as they are.
+    else).  It enters the kernel as the one term ``(0, re, im)``, key 0 being
+    the constant monomial, so each product keeps the polynomial's keys.
     """
-    pairs = []
+    chosen = []
     for c, p in zip(coeffs, polys):
         value = _coerce(c)
         if value is None:
@@ -309,8 +368,11 @@ def linear_combination(coeffs, polys, nvars: int) -> Polynomial:
             continue
         if p.nvars != nvars:
             raise ArityMismatchError(f"polynomials in {nvars} and {p.nvars} variables")
-        pairs.append(([((), value.re, value.im)], [(e, t.re, t.im) for e, t in p.terms.items()]))
-    return _polynomial(nvars, _sum_of_products(pairs), tuple)
+        chosen.append((value, p))
+    width = _common_width(0, (p for _, p in chosen))
+    return Polynomial._of(nvars, width, _sum_of_products(
+        ([(0, value.re, value.im)], p._at(width)) for value, p in chosen
+    ))
 
 
 class PolyMap:
@@ -358,47 +420,52 @@ class PolyMap:
         return f"PolyMap[{body}]"
 
 
-def _powers(memo: dict | None, arity: int, inner: PolyMap, degree: int) -> dict:
-    # compose_polynomial's memo, repacked if its top is below degree times
-    # inner's: None -> (top, unpack, inner packed), exponents -> power product
+def _powers(memo: dict | None, outer_width: int, arity: int, inner: PolyMap, degree: int) -> dict:
+    # compose_polynomial's memo, rebuilt if it is narrower than this call
+    # needs: None -> (outer width, width, inner packed), outer key -> power product
     if arity != inner.dimension:
         raise ArityMismatchError(f"outer arity {arity} vs inner dimension {inner.dimension}")
-    memo, top = {} if memo is None else memo, degree * inner.max_degree()
-    if memo.get(None, (-1,))[0] < top:
-        pack, unpack, _ = _packing(inner.nvars, top)
+    memo = {} if memo is None else memo
+    width = _common_width(degree * inner.max_degree(), inner.components)
+    widths = memo.get(None, (0, 0))
+    if widths[0] < outer_width or widths[1] < width:
         memo.clear()
-        memo[None] = (top, unpack, [pack(p) for p in inner.components])
-        memo[(0,) * inner.dimension] = [(0, 1, 0)]
+        memo[None] = (outer_width, width, [p._at(width) for p in inner.components])
+        memo[0] = [(0, 1, 0)]
     return memo
 
 
 def compose_polynomial(outer: Polynomial, inner: PolyMap, _memo: dict | None = None) -> Polynomial:
     """Exact substitution of inner's components for outer's variables: one
     kernel call sums outer's terms times their power products from the memo,
-    each its parent (one factor off the last nonzero slot) times one packed
+    each its parent (one factor off the last nonzero field) times one packed
     component.  ``_memo`` may be shared by calls with one inner."""
-    memo = _powers(_memo, outer.nvars, inner, outer.total_degree())
-    _, unpack, factors = memo[None]
+    memo = _powers(_memo, outer._width, outer.nvars, inner, outer.total_degree())
+    outer_width, width, factors = memo[None]
+    shift = outer.nvars * outer_width  # of the degree field
+    fields = (1 << shift) - 1
+    steps = [(1 << j * outer_width) + (1 << shift) for j in range(outer.nvars)]
 
-    def power(exps: Exponents) -> list:
-        value = memo.get(exps)
+    def power(key: int) -> list:
+        value = memo.get(key)
         if value is None:
-            j = max(k for k, e in enumerate(exps) if e)
-            parent = power(exps[:j] + (exps[j] - 1,) + exps[j + 1:])
-            value = memo[exps] = _sum_of_products([(parent, factors[j])])
+            j = ((key & fields).bit_length() - 1) // outer_width
+            value = memo[key] = _sum_of_products([(power(key - steps[j]), factors[j])])
         return value
 
-    return _polynomial(inner.nvars, _sum_of_products(
-        ([(0, c.re, c.im)], power(e)) for e, c in outer.terms.items()
-    ), unpack)
+    return Polynomial._of(inner.nvars, width, _sum_of_products(
+        ([(0, re, im)], power(k)) for k, re, im in outer._at(outer_width)
+    ))
 
 
 def compose(outer: PolyMap, inner: PolyMap) -> PolyMap:
     """Exact map composition outer(inner(X)), with no degree truncation.
 
-    The components share one memo, packed once for outer's largest degree.
+    The components share one memo, built once for outer's widest
+    component and largest degree.
     """
-    memo = _powers({}, outer.nvars, inner, outer.max_degree())
+    outer_width = _common_width(0, outer.components)
+    memo = _powers({}, outer_width, outer.nvars, inner, outer.max_degree())
     return PolyMap(
         [compose_polynomial(p, inner, memo) for p in outer.components],
         nvars=inner.nvars,
@@ -458,22 +525,30 @@ class PolyMatrix:
         )
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Each entry is one kernel sum of a_ik * b_kj over k; each operand
-        is packed once."""
+        """Each entry is one kernel sum of a_ik * b_kj over k, at one width
+        for the whole product."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in polynomial matrix product")
         if self.nvars != other.nvars:
             raise ArityMismatchError(f"matrices in {self.nvars} and {other.nvars} variables")
         nvars = self.nvars
-        pack, unpack, _ = _packing(nvars, self.max_degree() + other.max_degree())
-        columns = list(zip(*_packed_rows(other, pack)))
+        width = _common_width(
+            self.max_degree() + other.max_degree(), (*self._entries(), *other._entries())
+        )
+        columns = list(zip(*other._packed_rows(width)))
         return PolyMatrix([
-            [_polynomial(nvars, _sum_of_products(zip(row, column)), unpack) for column in columns]
-            for row in _packed_rows(self, pack)
+            [Polynomial._of(nvars, width, _sum_of_products(zip(row, column))) for column in columns]
+            for row in self._packed_rows(width)
         ], nvars=nvars)
 
+    def _entries(self):
+        return (p for row in self.entries for p in row)
+
+    def _packed_rows(self, width: int) -> list:
+        return [[p._at(width) for p in row] for row in self.entries]
+
     def max_degree(self) -> int:
-        return max((p.total_degree() for row in self.entries for p in row), default=0)
+        return max((p.total_degree() for p in self._entries()), default=0)
 
     def evaluate(self, point):
         """Entrywise evaluation; returns a grid of GaussianRationals."""
@@ -510,9 +585,9 @@ def det(M: PolyMatrix) -> Polynomial:
         )
     if n == 0:
         return Polynomial.one(M.nvars)
-    # minors stay packed term lists until the end
-    pack, unpack, _ = _packing(M.nvars, n * M.max_degree())
-    rows = _packed_rows(M, pack)
+    # minors are packed term lists at one width
+    width = _common_width(n * M.max_degree(), M._entries())
+    rows = M._packed_rows(width)
     memo: dict[tuple[int, ...], list] = {}
 
     def expand(cols: tuple[int, ...]) -> list:
@@ -531,4 +606,4 @@ def det(M: PolyMatrix) -> Polynomial:
         memo[cols] = value
         return value
 
-    return _polynomial(M.nvars, expand(tuple(range(n))), unpack)
+    return Polynomial._of(M.nvars, width, expand(tuple(range(n))))

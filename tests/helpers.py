@@ -9,8 +9,9 @@ oracles only.  So are degree
 truncation and the truncated composition: the library composes exactly and
 truncates only inside ``Polynomial.mul`` and ``Polynomial.cube``.  So is
 the tuple-keyed product below, with the matrix product, determinant and
-linear combination built on it: the library runs all four on one packed
-term kernel.  So is the inversion decision truncated at min(d, 3^(r-1)):
+linear combination built on it, and the tuple-keyed derivative: the
+library runs them on packed term lists, the first four on one term
+kernel.  So is the inversion decision truncated at min(d, 3^(r-1)):
 the library decides G at 3^(r-1) and compares d with the lifted degree.
 So is the nilpotency index by full matrix powers: the library takes the
 powers one row at a time.  So is the composition whose power products are
@@ -286,7 +287,15 @@ def reference_mul(self, other, truncate_above=None):
                     out[e] = acc
                 else:
                     del out[e]
-    return Polynomial._raw(self.nvars, out)
+    return Polynomial(self.nvars, out)
+
+
+def reference_diff(p: Polynomial, var: int) -> Polynomial:
+    """d p / d x_{var+1} on exponent tuples: ``Polynomial.diff`` as it was
+    before it moved packed fields, kept as its oracle."""
+    return Polynomial(p.nvars, {
+        e[:var] + (k - 1,) + e[var + 1:]: c * k for e, c in p.terms.items() if (k := e[var])
+    })
 
 
 def reference_matmul(M: PolyMatrix, N: PolyMatrix) -> PolyMatrix:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -136,6 +137,13 @@ RANK_ONE_NON_KELLER = json.dumps([["1/2", "-1/3+i"], ["1/2", "-1/3+i"]])
 RANK_ONE_KELLER = json.dumps([["1/2", "-1/16"], ["1", "-1/8"]])
 
 
+# CI's sampled Keller searches with every check, at n = 3 and n = 4
+KELLER_SEARCH = {"n": 3, "alphabet": ["0", "1", "-1", "i", "-i"], "mode": "sample",
+                 "count": 200, "seed": 6, "filters": ["keller_only"],
+                 "checks": ["rank_bound", "invert", "corollary"]}
+KELLER4_SEARCH = {**KELLER_SEARCH, "n": 4, "count": 100}
+
+
 class TestPinnedOutput:
     """sha256 of the ``--json`` output, recorded before compositions kept
     their power products packed: F^{-1}'s text must not change with the
@@ -171,6 +179,21 @@ class TestPinnedOutput:
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("config, digest", [
+        (KELLER_SEARCH, "e3769eeddaff62a8afe619000fa09afcaff65eefe5262145e227131ed7ef83d3"),
+        (KELLER4_SEARCH, "824f963af8b4f764d539958a1c14f4e3f59dcf0a4d51224b2b59198d1a13ffd5"),
+    ], ids=["keller", "keller4"])
+    def test_keller_search_digest(self, capsys, tmp_path, config, digest):
+        # the Keller route end to end: the records' Keller bits, inverses and
+        # corollaries, recorded before polynomials kept their terms packed;
+        # the summary's run time, the one field that varies, is cut
+        path = tmp_path / "search.json"
+        path.write_text(json.dumps(config))
+        code, out, _ = run(capsys, "search", str(path), "--json", "--records")
+        assert code == 0
+        body = re.sub(r', "duration_seconds": [^,}]*}$', "}", out, flags=re.M)
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 class TestReduce:

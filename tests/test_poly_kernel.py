@@ -1,20 +1,32 @@
-"""Differential tests of the packed term kernel in ``cubelin.poly``.
+"""Differential tests of the packed term lists in ``cubelin.poly``.
 
-``Polynomial.mul``, ``PolyMatrix.__mul__``, ``det``,
-``linear_combination`` and the compositions all run on one kernel that
-packs exponents into ints and sums raw re/im parts.  Each is compared
-here with the oracles in ``helpers`` on seeded inputs: 0 to 4 variables,
-int and Fraction parts, forced cancellation, every truncation cap,
-degree sums at the edges of the packed field widths, and zero and
-constant components.
+A polynomial is stored as packed terms, and ``Polynomial.mul``,
+``PolyMatrix.__mul__``, ``det``, ``linear_combination`` and the
+compositions all run on one kernel that adds packed keys and sums raw
+re/im parts; sums, negation and derivatives move packed fields too.  Each
+is compared here with the oracles in ``helpers`` on seeded inputs: 0 to 4
+variables, int, Fraction and mixed parts, forced cancellation, every
+truncation cap, degree sums at the edges of the packed field widths,
+operands stored at different widths, and zero and constant components.
+The structural tests pin that the Keller test never builds ``.terms``
+and that a product repacks an operand once per width.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from cubelin import GaussianRational, PolyMap, Polynomial, ScalarMatrix, decide_automorphism
+from cubelin import (
+    GaussianRational,
+    GZPair,
+    PolyMap,
+    Polynomial,
+    ScalarMatrix,
+    decide_automorphism,
+    poly,
+)
 from cubelin.druzkowski import expand_map
 from cubelin.invert import nilpotency_index
 from cubelin.poly import (
@@ -32,9 +44,12 @@ from helpers import (
     random_polynomial,
     reference_compose,
     reference_det,
+    reference_diff,
     reference_linear_combination,
     reference_matmul,
     reference_mul,
+    reference_nilpotency_index,
+    three_by_three_keller_corpus,
 )
 
 DENOMINATORS = (1, 3)  # int parts only, then Fraction parts as well
@@ -315,3 +330,214 @@ class TestStoredParts:
         ):
             assert all_stored(q) and q.terms
             assert all(type(part) is int for c in q.terms.values() for part in (c.re, c.im))
+
+
+def sampled_operand(rng: random.Random, nvars: int, kind: str, den: int) -> Polynomial:
+    """A zero, constant, degree-1 or degree-20 polynomial.  Degree 20 needs
+    five-bit fields, the others are stored at the narrowest width, so the
+    kinds meet at different widths."""
+    if kind == "zero":
+        return Polynomial.zero(nvars)
+    if kind == "constant" or not nvars:
+        return Polynomial.constant(nvars, random_gaussian(rng, 3, den) or GaussianRational(1))
+    p = random_polynomial(rng, nvars, max_degree=1, den=den)
+    if kind == "degree 20":
+        exps = [0] * nvars
+        for _ in range(20):
+            exps[rng.randrange(nvars)] += 1
+        top = GaussianRational(Fraction(1, den), 1)
+        p = p + random_polynomial(rng, nvars, max_degree=3, den=den)
+        p = p + Polynomial(nvars, {tuple(exps): top})
+    return p
+
+
+KINDS = ("zero", "constant", "degree 1", "degree 20")
+
+
+def snapshot(*polys: Polynomial) -> list:
+    """Copies of each operand's stored list and kept repacks."""
+    return [(p, list(p._packed), {w: list(t) for w, t in (p._widened or {}).items()})
+            for p in polys]
+
+
+def assert_unchanged(copies: list) -> None:
+    # no operation changes a stored or kept list in place
+    for p, packed, widened in copies:
+        assert p._packed == packed
+        assert all(p._widened[w] == t for w, t in widened.items())
+
+
+class TestPackedForm:
+    """Every operation on the packed form against the tuple-keyed oracles,
+    for each pair of operand kinds, widths apart where the kinds differ."""
+
+    @pytest.mark.parametrize("den", (1, 2, 3))  # int parts, then mixed parts
+    @pytest.mark.parametrize("nvars", range(5))
+    def test_operations_against_the_oracles(self, nvars, den):
+        rng = random.Random(800 + 10 * nvars + den)
+        for first, second in itertools.product(KINDS, repeat=2):
+            a, b = sampled_operand(rng, nvars, first, den), sampled_operand(rng, nvars, second, den)
+            copies = snapshot(a, b)
+            one, minus = GaussianRational(1), GaussianRational(-1)
+            results = [a * b, a + b, a - b, -a]
+            assert results[0] == reference_mul(a, b)
+            assert results[1] == reference_linear_combination([one, one], [a, b], nvars)
+            assert results[2] == reference_linear_combination([one, minus], [a, b], nvars)
+            assert results[3] == reference_linear_combination([minus], [a], nvars)
+            for cap in (0, 1, 2, 20, 21):
+                results.append(a.mul(b, cap))
+                assert results[-1] == reference_mul(a, b, cap)
+            for var in range(nvars):
+                results.append(a.diff(var))
+                assert results[-1] == reference_diff(a, var)
+            results.append(a.cube())
+            assert results[-1] == reference_mul(reference_mul(a, a), a)
+            for p in (a, b, *results):
+                assert p.total_degree() == max(map(sum, p.terms), default=0)
+                assert p.is_zero() == (not p.terms) == (not p)
+            assert (a == b) == (a.terms == b.terms)
+            assert all_stored(a, b, *results)
+            assert_unchanged(copies)
+
+    @pytest.mark.parametrize("den", (1, 3))
+    def test_fraction_parts_only(self, den):
+        # operands divided by 7, so their parts are Fractions: the scaled
+        # operands of maps-rat
+        rng = random.Random(850 + den)
+        seventh = Polynomial.constant(3, GaussianRational(Fraction(1, 7)))
+        for first, second in itertools.product(KINDS[2:], repeat=2):
+            a = sampled_operand(rng, 3, first, den) * seventh
+            b = sampled_operand(rng, 3, second, den) * seventh
+            assert any(type(c.re) is Fraction for c in a.terms.values())
+            assert a * b == reference_mul(a, b)
+            assert a + b == reference_linear_combination([1, 1], [a, b], 3)
+            assert a.diff(1) == reference_diff(a, 1)
+            assert all_stored(a * b, a + b, a - a, a.diff(1))
+
+    @pytest.mark.parametrize("nvars", range(5))
+    def test_equal_polynomials_at_different_widths(self, nvars):
+        rng = random.Random(900 + nvars)
+        for kind in KINDS[:3]:
+            p = sampled_operand(rng, nvars, kind, 3)
+            wide = sampled_operand(rng, nvars, "degree 20", 3) if nvars else p
+            q = (p + wide) - wide
+            assert q == p and p == q
+            assert hash(q) == hash(p)
+            assert q.terms == p.terms
+            repacked = Polynomial._of(nvars, 9, p._at(9))
+            assert repacked == p and hash(repacked) == hash(p)
+            assert repacked.terms == p.terms and all_stored(repacked)
+            if nvars:
+                assert q._width > p._width
+                assert q != p + Polynomial.one(nvars)
+
+    @pytest.mark.parametrize("den", (1, 3))
+    def test_products_of_mixed_widths(self, den):
+        rng = random.Random(950 + den)
+        for nvars in range(1, 5):
+            entries = [sampled_operand(rng, nvars, rng.choice(KINDS), den) for _ in range(8)]
+            M = PolyMatrix([entries[:2], entries[2:4]], nvars=nvars)
+            N = PolyMatrix([entries[4:6], entries[6:]], nvars=nvars)
+            copies = snapshot(*entries)
+            assert M * N == reference_matmul(M, N)
+            assert det(M) == reference_det(M)
+            coeffs = [random_gaussian(rng, 2, den) for _ in entries]
+            assert (linear_combination(coeffs, entries, nvars)
+                    == reference_linear_combination(coeffs, entries, nvars))
+            outer = PolyMap(entries[:nvars], nvars=nvars)
+            inner = PolyMap(
+                [sampled_operand(rng, nvars, rng.choice(KINDS[:3]), den) for _ in range(nvars)],
+                nvars=nvars,
+            )
+            assert compose(outer, inner) == reference_compose(outer, inner)
+            assert_unchanged(copies)
+
+
+def counted_unpacks(monkeypatch) -> list:
+    """Make ``poly._unpack``, which builds ``.terms``, record each call."""
+    calls = []
+    real = poly._unpack
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(poly, "_unpack", counted)
+    return calls
+
+
+def counted_repacks(monkeypatch) -> list:
+    """Make ``poly._repack`` record each (list, new width) it repacks."""
+    made = []
+    real = poly._repack
+
+    def counted(terms, nvars, old, new):
+        made.append((terms, new))
+        return real(terms, nvars, old, new)
+
+    monkeypatch.setattr(poly, "_repack", counted)
+    return made
+
+
+def upper_triangular(rng: random.Random, n: int, diagonal: bool) -> PolyMatrix:
+    """Entries of degree 6 in 2 variables above the diagonal, and x1^6 at
+    (0, 0) if ``diagonal``: nilpotent exactly when that entry is zero."""
+    x1 = Polynomial.variable(2, 0)
+    sixth = x1.cube() * x1.cube()
+
+    def entry(i, j):
+        if i == j == 0 and diagonal:
+            return sixth
+        if j <= i:
+            return Polynomial.zero(2)
+        return sixth * Polynomial.constant(2, random_gaussian(rng)) + random_polynomial(rng, 2)
+
+    return PolyMatrix([[entry(i, j) for j in range(n)] for i in range(n)], nvars=2)
+
+
+class TestStructure:
+    def test_keller_test_builds_no_terms(self, monkeypatch):
+        # full rank and not Keller, a Keller corpus, and a non-integral map
+        # whose test runs on its conjugate
+        A = ScalarMatrix([[GaussianRational(*z) for z in row] for row in
+                          [[(1, 0), (0, 1), (0, 0)], [(0, 0), (1, 0), (-1, 0)],
+                           [(0, 1), (0, 0), (1, 0)]]])
+        calls = counted_unpacks(monkeypatch)
+        pair = GZPair(A)
+        assert pair.keller is False and pair.r == 3
+        for B in three_by_three_keller_corpus():
+            assert GZPair(B).keller is True
+        assert calls == []
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_nilpotency_repacks_each_entry_once_per_width(self, monkeypatch, diagonal):
+        # rows of degree 12 and more times entries of degree 6 reach degree
+        # 18, which needs five-bit fields: each entry is repacked once for
+        # all the products at that width
+        M = upper_triangular(random.Random(990), 4, diagonal)
+        made = counted_repacks(monkeypatch)
+        products = []
+        real_mul = PolyMatrix.__mul__
+        monkeypatch.setattr(PolyMatrix, "__mul__",
+                            lambda self, other: products.append(self) or real_mul(self, other))
+        index = nilpotency_index(M)
+        monkeypatch.undo()
+        expected = reference_nilpotency_index(M)
+        assert index == expected and (expected is None) == diagonal
+        keys = [(id(terms), width) for terms, width in made]
+        assert len(keys) == len(set(keys))
+        entries = {id(p._packed) for row in M.entries for p in row}
+        widened = [width for terms, width in made if id(terms) in entries]
+        assert widened and set(widened) == {5}
+        assert len(widened) <= 16 < 16 * (len(products) - 1)
+
+    def test_keller_test_of_a_four_by_four_repacks_nothing(self, monkeypatch):
+        # every polynomial of an n = 4 Keller test has degree below 16
+        rng = random.Random(995)
+        made = counted_repacks(monkeypatch)
+        for _ in range(5):
+            A = ScalarMatrix([[rng.choice([GaussianRational(*z) for z in
+                                           [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]])
+                               for _ in range(4)] for _ in range(4)])
+            GZPair(A).keller
+        assert made == []
