@@ -51,7 +51,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .druzkowski import _square_matrix, cubic_terms, expand_map
@@ -68,7 +67,6 @@ from .poly import (
     jacobian,
     linear_combination,
 )
-from .scalars import ONE, _part
 
 INVERTIBLE = "Invertible"
 NOT_INVERTIBLE = "NotInvertible"
@@ -157,17 +155,7 @@ def _rescale(H: PolyMap, scale: int) -> PolyMap:
     # L^(3-3k) as (numerator, denominator): Fraction(int, int) is the
     # constructor's fast path, which int * Fraction does not take
     factors = [(scale**3, 1)] + [(1, scale ** (3 * k)) for k in range(H.max_degree())]
-
-    def rescaled(p: Polynomial) -> Polynomial:
-        # the degree is a key's top field, so the packed terms are read as they are
-        shift, terms = p.nvars * p._width, []
-        for key, re, im in p._packed:
-            w, d = factors[key >> shift]
-            terms.append((key, _part(Fraction(re * w, d)) if re else 0,
-                          _part(Fraction(im * w, d)) if im else 0))
-        return Polynomial._of(p.nvars, p._width, terms)
-
-    return PolyMap([rescaled(p) for p in H.components], nvars=H.nvars)
+    return PolyMap([p._scaled_by_degree(factors) for p in H.components], nvars=H.nvars)
 
 
 @dataclass(frozen=True)
@@ -366,11 +354,8 @@ def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
     -u_i^3, u_i = B_i . G^{-1}(Y), is formed in the r reduced variables; one
     composition, sharing the power products of C's rows, substitutes
     Y = C Z into them and G^{-1}'s r components; then Z_i is added.  It is
-    a ring homomorphism, so the substituted -u_i^3 is -l_i^3 exactly.  Only
-    the distinct rows of B up to a scalar are cubed and substituted: where
-    B_i = lam B_j, -u_i^3 is lam^3 times -u_j^3, before the substitution
-    and after it.  The check C F^{-1} == G^{-1}(C Z), on r linear forms,
-    proves two things:
+    a ring homomorphism, so the substituted -u_i^3 is -l_i^3 exactly.  The
+    check C F^{-1} == G^{-1}(C Z), on r linear forms, proves two things:
 
     - F o F^{-1} == id: with A = B C (held by :class:`GZPair`),
       A F^{-1} = B G^{-1}(C Z) = l, so F(F^{-1})_i = Z_i - l_i^3 + l_i^3.
@@ -388,39 +373,15 @@ def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
     if compose(g_inverse, pair.G) != PolyMap.identity(r):
         raise ValueError("supplied map is not a verified inverse of the reduced map")
     n = pair.n
-    distinct, multiples = _distinct_rows(pair.B.entries)
-    collapsed = [linear_combination(row, g_inverse.components, r) for row in distinct]
+    collapsed = [linear_combination(row, g_inverse.components, r) for row in pair.B.entries]
     reduced = PolyMap([*g_inverse.components, *(-u.cube() for u in collapsed)], nvars=r)
     substituted = compose(reduced, pair.projection()).components
-    cubes = [
-        substituted[r + k] if factor == ONE else linear_combination([factor], [substituted[r + k]], n)
-        for k, factor in multiples
-    ]
     Z = [Polynomial.variable(n, i) for i in range(n)]
-    inverse = PolyMap([c + z for c, z in zip(cubes, Z)], nvars=n)
+    inverse = PolyMap([c + z for c, z in zip(substituted[r:], Z)], nvars=n)
     for row, target in zip(pair.C.entries, substituted[:r]):
         if linear_combination(row, inverse.components, n) != target:
             raise RuntimeError("internal check failed: lifted map does not invert F")
     return inverse
-
-
-def _distinct_rows(rows) -> tuple[list, list]:
-    """The rows up to scalar multiples, and for each row (k, lam^3) with
-    row == lam * distinct[k]: then -u^3 for that row is lam^3 times the
-    k-th's, so each distinct row is cubed and substituted once.  A zero row
-    is 0 times the first row."""
-    distinct, multiples = [], []
-    for row in rows:
-        for k, first in enumerate(distinct):
-            pivot = next((j for j, c in enumerate(first) if c), None)
-            lam = ONE if pivot is None else row[pivot] / first[pivot]
-            if all(a == lam * b for a, b in zip(row, first)):
-                multiples.append((k, lam * lam * lam))
-                break
-        else:
-            multiples.append((len(distinct), ONE))
-            distinct.append(row)
-    return distinct, multiples
 
 
 def _decide(B: ScalarMatrix, C: ScalarMatrix) -> PolyMap | None:

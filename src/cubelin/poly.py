@@ -35,6 +35,7 @@ mixed coefficient parenthesized: ``(1+i)x1x2^2``.
 from __future__ import annotations
 
 from bisect import bisect_left
+from fractions import Fraction
 from operator import itemgetter, lshift
 
 from .scalars import GaussianRational, ZERO, ONE, _coerce, _gaussian, _part, format_gaussian
@@ -286,6 +287,17 @@ class Polynomial:
             (k - step, _part(re * e), _part(im * e))
             for k, re, im in self._packed if (e := (k >> low) & mask)
         ])
+
+    def _scaled_by_degree(self, factors) -> "Polynomial":
+        """Each degree-k coefficient times w / d, (w, d) = factors[k] two
+        ints, both parts alike.  The degree is a key's top field, so the
+        keys stay as they are."""
+        shift, terms = self.nvars * self._width, []
+        for key, re, im in self._packed:
+            w, d = factors[key >> shift]
+            terms.append((key, _part(Fraction(re * w, d)) if re else 0,
+                          _part(Fraction(im * w, d)) if im else 0))
+        return Polynomial._of(self.nvars, self._width, terms)
 
     def evaluate(self, point) -> GaussianRational:
         """Exact value at a point (sequence of n GaussianRationals)."""

@@ -255,12 +255,20 @@ class TestLiftInverse:
         assert pair.r == 0
         assert lift_inverse(pair, g_inverse) == reference_lift(pair, g_inverse)
 
+    def test_agrees_with_reference_on_proportional_and_zero_rows(self):
+        # strictly upper triangular, so Keller: row 1 is (2+i) times row 2
+        # and row 3 is zero
+        A = mat([["0", "0", "2+i"], ["0", "0", "1"], ["0", "0", "0"]])
+        pair, g_inverse = decided_pair(A)
+        lifted = lift_inverse(pair, g_inverse)
+        assert lifted == reference_lift(pair, g_inverse)
+        x1, x2, x3 = (Polynomial.variable(3, i) for i in range(3))
+        assert lifted == PolyMap([x1 - Polynomial.constant(3, g("2+i") ** 3) * x3.cube(),
+                                  x2 - x3.cube(), x3])
+
     def test_calls_compose_twice(self, paper, monkeypatch):
         # G^{-1} o G, then the one substitution Y = C Z; G o G^{-1} is
-        # proved by the check of C F^{-1}, not composed again.  The
-        # substitution carries G^{-1}'s r components and one negated cube
-        # per distinct row of B: paper-example's B has row 2 = -i row 1 and
-        # row 4 = row 3
+        # proved by the check of C F^{-1}, not composed again
         pair, g_inverse = decided_pair(paper)
         real_compose = invert.compose
         calls = []
@@ -271,18 +279,17 @@ class TestLiftInverse:
 
         monkeypatch.setattr(invert, "compose", counted)
         assert lift_inverse(pair, g_inverse) == reference_lift(pair, g_inverse)
-        assert calls == [(pair.r, pair.r), (pair.r + 2, pair.n)]
+        assert calls == [(pair.r, pair.r), (pair.r + pair.n, pair.n)]
 
     @staticmethod
     def plant_constant(monkeypatch, pair, position):
         # add 1 to one component of the lift's substitution Y = C Z, which
-        # carries G^{-1}'s r components and then the negated cubes of B's
-        # distinct rows
+        # carries G^{-1}'s r components and then the n negated cubes
         real_compose = invert.compose
 
         def corrupted(outer, inner, *args):
             result = real_compose(outer, inner, *args)
-            if inner.nvars != pair.n:
+            if outer.dimension != pair.r + pair.n:
                 return result
             components = list(result.components)
             components[position] = components[position] + Polynomial.one(inner.nvars)
@@ -291,14 +298,10 @@ class TestLiftInverse:
         monkeypatch.setattr(invert, "compose", corrupted)
 
     def test_rejects_a_corrupted_cube(self, paper, monkeypatch):
-        # a constant added to the negated cube of row 3 (index r + 1), which
-        # row 4 repeats, shifts F^{-1} by e_3 + e_4, which C does not kill,
-        # so C F^{-1} != G^{-1}(C Z).  Row 1's cube is shared with row 2 =
-        # -i row 1, so a constant there shifts F^{-1} by e_1 + i e_2, which
-        # C = [1 i 0 1; 0 0 1 0] kills: the check proves F o F^{-1} == id
-        # for an exact substitution, which it does not recompute
+        # a constant added to the first negated cube (index r) shifts
+        # F^{-1}_1 by e_1, which C does not kill, so C F^{-1} != G^{-1}(C Z)
         pair, g_inverse = decided_pair(paper)
-        self.plant_constant(monkeypatch, pair, pair.r + 1)
+        self.plant_constant(monkeypatch, pair, pair.r)
         with pytest.raises(RuntimeError, match="does not invert F"):
             lift_inverse(pair, g_inverse)
 
@@ -311,76 +314,6 @@ class TestLiftInverse:
         self.plant_constant(monkeypatch, pair, position)
         with pytest.raises(RuntimeError, match="does not invert F"):
             lift_inverse(pair, g_inverse)
-
-
-class TestDistinctRows:
-    """The lift cubes and substitutes each row of B once up to a scalar:
-    B_i = lam B_j makes the substituted -u_i^3 lam^3 times the j-th's."""
-
-    def test_rows_up_to_scalar_multiples(self):
-        rows = [[g(v) for v in row] for row in
-                [["1", "i"], ["2+i", "-1+2i"], ["0", "0"], ["1", "1"], ["-i", "-i"]]]
-        distinct, multiples = invert._distinct_rows(rows)
-        assert distinct == [rows[0], rows[3]]
-        assert multiples == [(0, g("1")), (0, g("2+i") ** 3), (0, g("0")), (1, g("1")),
-                             (1, g("-i") ** 3)]
-
-    def test_a_zero_first_row_stands_for_the_zero_rows(self):
-        rows = [[g("0"), g("0")], [g("1"), g("0")], [g("0"), g("0")]]
-        distinct, multiples = invert._distinct_rows(rows)
-        assert distinct == rows[:2]
-        assert multiples == [(0, g("1")), (1, g("1")), (0, g("1"))]
-
-    @staticmethod
-    def substituted_cubes(monkeypatch, pair) -> list:
-        # the number of negated cubes in the lift's substitution Y = C Z
-        real_compose = invert.compose
-        counts = []
-
-        def counted(outer, inner, *args):
-            if inner.nvars == pair.n:
-                counts.append(outer.dimension - pair.r)
-            return real_compose(outer, inner, *args)
-
-        monkeypatch.setattr(invert, "compose", counted)
-        return counts
-
-    @pytest.mark.parametrize("s", [["2+i", "1", "1", "1"], ["2", "1+i", "i", "3-i"]])
-    def test_orbit_members_with_non_unit_row_factors(self, paper, monkeypatch, s):
-        # rows 1 and 2 of paper-example are proportional, and so are rows 3
-        # and 4; scaling rows by different s_i makes the factors non-units
-        A = orbit_member(paper, [0, 1, 2, 3], [g(v) for v in s])
-        pair, g_inverse = decided_pair(A)
-        factors = {lam for _, lam in invert._distinct_rows(pair.B.entries)[1]}
-        assert factors - {g("1"), g("-1"), g("i"), g("-i")}
-        counts = self.substituted_cubes(monkeypatch, pair)
-        lifted = lift_inverse(pair, g_inverse)
-        assert counts == [2]
-        assert lifted == reference_lift(pair, g_inverse)
-        assert decide_automorphism(A).inverse == lifted
-
-    def test_keller_map_with_a_zero_row_and_a_factor_of_two_plus_i(self, monkeypatch):
-        # strictly upper triangular, so Keller: row 1 is (2+i) times row 2
-        # and row 3 is zero, so one cube stands for all three rows
-        A = mat([["0", "0", "2+i"], ["0", "0", "1"], ["0", "0", "0"]])
-        pair, g_inverse = decided_pair(A)
-        counts = self.substituted_cubes(monkeypatch, pair)
-        lifted = lift_inverse(pair, g_inverse)
-        assert counts == [1]
-        assert lifted == reference_lift(pair, g_inverse)
-        x1, x2, x3 = (Polynomial.variable(3, i) for i in range(3))
-        assert lifted == PolyMap([x1 - Polynomial.constant(3, g("2+i") ** 3) * x3.cube(),
-                                  x2 - x3.cube(), x3])
-
-    def test_zero_rows_in_a_four_by_four(self, monkeypatch):
-        # rank 2 with two zero rows: the zero rows are 0 times the first
-        A = mat([["0", "1", "i", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "1"],
-                 ["0", "0", "0", "0"]])
-        pair, g_inverse = decided_pair(A)
-        counts = self.substituted_cubes(monkeypatch, pair)
-        lifted = lift_inverse(pair, g_inverse)
-        assert counts == [2]
-        assert lifted == reference_lift(pair, g_inverse)
 
 
 class TestCorollaryPipeline:
