@@ -2,11 +2,10 @@
 
 Candidates come either from exhaustive enumeration or from seeded
 sampling.  A candidate is n rows of digits, one alphabet index per entry.
-Enumeration is ``itertools.product`` over the K^n rows, one factor per
-row, which is the same order as one product over all n^2 entries: candidate
-c is c read as a base-K numeral whose most significant digit is entry
-(1,1), and a chunk of candidates is an ``islice`` of that stream.  Sampling
-uses SplitMix64: the digit for entry e of candidate c is
+Enumeration is ``itertools.product`` over the n^2 entries: candidate c is
+c read as a base-K numeral whose most significant digit is entry (1,1),
+and a chunk of candidates is an ``islice`` of that stream.  Sampling uses
+SplitMix64: the digit for entry e of candidate c is
 
     splitmix64(seed, c * n^2 + e) mod K
 
@@ -15,17 +14,30 @@ stream.  The stream is evaluated a block of whole candidates at a time, at
 most 4096 outputs: output j of the block gets bits 128j .. 128j+127 of one
 Python int, and the generator's additions, shifts and 64-bit products run
 on every lane at once as a few whole-int operations; the words come back
-out through ``array("Q")``.  Work splits into one contiguous index chunk
-per worker, with at most one worker per CPU, and the per-chunk results
-merge in chunk order, which makes reports byte-stable for every worker
-count.
+out through ``array("Q")``.  Both modes hand over one flat list of digits
+per block of whole candidates, at most 4096 digits or one candidate.
+Work splits into one contiguous index chunk per worker, with at most one
+worker per CPU, and the per-chunk results merge in chunk order, which
+makes reports byte-stable for every worker count.
 
-The trace condition and delta of a candidate are read off the sum of its
-n row codes (see :mod:`cubelin.kernel`).  A row's code depends only on its
-digits and its position, so each range keeps one table per row position,
-keyed by the row's digit tuple and filled on first use; a candidate then
-costs n lookups and one kernel call.  The tables live for one range only
-and stop growing at a fixed size.
+A block is screened before its candidates enter the per-candidate loop.
+A candidate whose Gram diagonal entries (0, 0) and (1, 1) do not both
+vanish fails the trace condition (see :mod:`cubelin.kernel`), and row i's
+share of them depends on three of its digits: a_ii, a_i0 and a_i1.  So
+each range keeps one table of diagonal codes per row position, keyed by
+those digits.  The keys are zipped from strided slices of the block, and
+the lookups, the sums and the choice of survivors are whole-list
+operations, with no Python step per candidate.  At n = 4 over
+{0, +-1, +-i} about 2% of candidates survive.  The screen is off where a
+filter, check or record builds a pair for every candidate (keller_only,
+corollary, records); there every candidate enters the loop.
+
+The trace condition and delta of a candidate in the loop are read off the
+sum of its n row codes by :func:`cubelin.kernel.certificate_ints`, the one
+place that decides them.  A row's code depends
+only on its digits and its position, so each range also keeps one table
+per row position, keyed by the row's digit tuple.  Every table is filled
+on first use, lives for one range only and stops growing at a fixed size.
 
 Checks per candidate: "rank_bound" evaluates the rank-bound certificate
 and counts violations as anomalies; "invert" runs the exact inversion
@@ -47,12 +59,13 @@ from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product, repeat
+from itertools import chain, compress, islice, product, repeat
+from operator import not_
 from typing import Iterator, Sequence
 
 from .druzkowski import RankBoundCertificate
 from .invert import _DIMENSION_CAP, GZPair, corollary_pipeline, decide_automorphism, is_keller
-from .kernel import certificate_ints, field_width, integer_pairs, row_code
+from .kernel import certificate_ints, diagonal_code, field_width, integer_pairs, row_code
 from .linalg import ScalarMatrix
 from .matrixio import matrix_entries_text
 from .scalars import GaussianRational, format_gaussian, parse_gaussian
@@ -308,27 +321,26 @@ class SearchReport:
         return json.dumps(self.to_dict())
 
 
-def _iter_digit_vectors(
+def _iter_digit_blocks(
     config: SearchConfig, start: int, stop: int
-) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
-    """(index, rows) of candidates ``start`` .. ``stop - 1``, where rows are
-    the n tuples of the candidate's digits, one per matrix row."""
-    n = config.n
-    width = n * n
+) -> Iterator[tuple[int, list[int]]]:
+    """(first, digits) for blocks of whole candidates that cover ``start`` ..
+    ``stop - 1``: ``digits`` holds the n^2 digits of candidates ``first``,
+    ``first + 1``, ... one after another, each row-major."""
+    width = config.n * config.n
     base = len(config.alphabet)
+    per_block = max(1, _BLOCK_LANES // width)
     if config.mode == "enumerate":
-        # the same big-endian order as one product over all n^2 digits
-        rows = product(product(range(base), repeat=n), repeat=n)
-        yield from enumerate(islice(rows, start, stop), start)
+        stream = chain.from_iterable(
+            islice(product(range(base), repeat=width), start, stop)
+        )
+        for first in range(start, stop, per_block):
+            yield first, list(islice(stream, min(per_block, stop - first) * width))
     else:
-        seed = config.seed
-        per_block = max(1, _BLOCK_LANES // width)
         for first in range(start, stop, per_block):
             count = min(per_block, stop - first)
-            words = _splitmix64_block(seed, first * width, count * width)
-            # n digits to a row and n rows to a candidate, as zip groups them
-            rows = zip(*[iter([w % base for w in words])] * n)
-            yield from zip(range(first, first + count), zip(*[rows] * n))
+            words = _splitmix64_block(config.seed, first * width, count * width)
+            yield first, [w % base for w in words]
 
 
 def _candidate_matrix(
@@ -338,9 +350,10 @@ def _candidate_matrix(
     return ScalarMatrix._raw(entries, n)
 
 
-# Entries a row table keeps: every row of an n = 4 search over 5 letters
-# (625) or of an n = 6 one over 5 (15,625) fits; an n = 9 sample draws from
-# 5^9 rows per position and would otherwise keep every one it meets.
+# Entries a table keeps: every row of an n = 4 search over 5 letters (625)
+# or of an n = 6 one over 5 (15,625) fits, and a diagonal table has at most
+# K^3 keys; an n = 9 sample draws from 5^9 rows per position and would
+# otherwise keep every one it meets.
 _TABLE_CAP = 1 << 14
 
 
@@ -357,12 +370,51 @@ class _RowTable(dict):
         self.pairs = pairs
         self.width = width
 
+    def code(self, digits: tuple[int, ...]) -> int:
+        return row_code(self.position, [self.pairs[d] for d in digits], self.width)
+
     def __missing__(self, digits: tuple[int, ...]) -> int:
-        pairs = self.pairs
-        code = row_code(self.position, [pairs[d] for d in digits], self.width)
+        code = self.code(digits)
         if len(self) < _TABLE_CAP:
             self[digits] = code
         return code
+
+
+class _DiagonalTable(_RowTable):
+    """The diagonal codes of one row position, keyed by the digit of the
+    row's diagonal entry followed by the digits of its first one or two
+    entries, at most K^3 keys."""
+
+    __slots__ = ()
+
+    def code(self, digits: tuple[int, ...]) -> int:
+        pairs = self.pairs
+        return diagonal_code(pairs[digits[0]], [pairs[d] for d in digits[1:]], self.width)
+
+
+def _block_candidates(
+    first: int, digits: list[int], n: int, screen: list[_DiagonalTable] | None
+) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """(index, rows) of the candidates of a block whose diagonal codes sum
+    to 0, or of every candidate where ``screen`` is None."""
+    width = n * n
+    if screen is None:
+        # n digits to a row and n rows to a candidate, as zip groups them
+        rows = zip(*[iter(digits)] * n)
+        return list(enumerate(zip(*[rows] * n), first))
+    # a strided slice holds one entry of every candidate, so the keys, the
+    # codes and their sums are whole-list operations with no step per
+    # candidate; only the survivors are cut into rows
+    columns = range(min(n, 2))
+    codes = [
+        map(table.__getitem__, zip(*[digits[i * n + j :: width] for j in (i, *columns)]))
+        for i, table in enumerate(screen)
+    ]
+    kept = compress(range(0, len(digits), width), map(not_, map(sum, zip(*codes))))
+    return [
+        (first + offset // width, tuple(zip(*[iter(digits[offset : offset + width])] * n)))
+        for offset in kept
+    ]
 
 
 def _empty_totals(config: SearchConfig) -> dict:
@@ -401,8 +453,19 @@ def _scan_range(
     want_invert = "invert" in config.checks
     want_corollary = "corollary" in config.checks
 
+    # a candidate that fails the trace condition is only counted, unless a
+    # filter, check or record builds a pair for every candidate; then every
+    # candidate enters the loop, and elsewhere the diagonal screen drops most
+    # of those that fail
+    screen = None
+    if not (keller_filter or want_corollary or collect_records):
+        screen = [_DiagonalTable(i, pairs, width) for i in range(n)]
     passed = 0
-    for index, rows in _iter_digit_vectors(config, start, stop):
+    candidates = chain.from_iterable(
+        _block_candidates(first, digits, n, screen)
+        for first, digits in _iter_digit_blocks(config, start, stop)
+    )
+    for index, rows in candidates:
         try:
             holds, delta = certificate_ints(n, list(map(lookup, tables, rows)))
             if trace_filter and not holds:
@@ -478,7 +541,10 @@ def _scan_range(
             raise RuntimeError(f"candidate {index}: {exc}") from exc
 
     # every candidate of the range is visited, and each check sees every
-    # candidate that passes the filters
+    # candidate that passes the filters: with none, every candidate, the
+    # screened ones too
+    if not config.filters:
+        passed = stop - start
     totals["visited"] = stop - start
     totals["passed_filters"] = passed
     for name in config.checks:

@@ -32,8 +32,10 @@ exact identity on the collapsed forms (no truncation).  The lift works in
 the reduced space too: -u_j^3 is formed in r variables, Y = C Z is
 substituted into it and G^{-1} by one ring homomorphism, then Z_j is added.
 It checks G^{-1} o G == id, then C F^{-1} == G^{-1}(C Z) on r linear
-forms, which proves F o F^{-1} == id, G o G^{-1} == id and C o F == G o C;
-F^{-1} o F == id follows (see :func:`decide_automorphism`).
+forms, which proves G o G^{-1} == id and C o F == G o C.  F o F^{-1} == id
+rests on the substitution being a ring homomorphism, which that check
+re-tests only outside ker C; F^{-1} o F == id follows (see
+:func:`decide_automorphism`).
 
 The paper's corollary, :func:`corollary_pipeline`, reads the same route
 under its hypotheses: in dimension at most nine, a Keller map with a
@@ -207,7 +209,9 @@ class GZPair:
     def _factors(self) -> tuple[ScalarMatrix, ScalarMatrix]:
         A = self.matrix
         B, C = rank_factorization(A)
-        if B * C != A:
+        # at full rank C is I_n, and B * C == A is B == A
+        full = C.rows == self.n and C == ScalarMatrix.identity(self.n)
+        if (B if full else B * C) != A:
             raise RuntimeError(
                 "internal check failed: rank factorization does not multiply back"
             )
@@ -357,10 +361,15 @@ def lift_inverse(pair: GZPair, g_inverse: PolyMap) -> PolyMap:
     a ring homomorphism, so the substituted -u_i^3 is -l_i^3 exactly.  The
     check C F^{-1} == G^{-1}(C Z), on r linear forms, proves two things:
 
-    - F o F^{-1} == id: with A = B C (held by :class:`GZPair`),
-      A F^{-1} = B G^{-1}(C Z) = l, so F(F^{-1})_i = Z_i - l_i^3 + l_i^3.
+    - A F^{-1} == l: with A = B C (held by :class:`GZPair`),
+      A F^{-1} = B G^{-1}(C Z) = l.
     - G° o G^{-1} == id for G°(W) = W + C (B W)^{*3}, formed from B and C:
       C F^{-1} - G^{-1}(C Z) is Y - G°(G^{-1}(Y)) at Y = C Z, and C is onto.
+
+    F o F^{-1} == id, F(F^{-1})_i = Z_i - l_i^3 + l_i^3, rests on the
+    substitution being a ring homomorphism.  The check re-tests that only
+    outside ker C: an error in the substituted cubes that C maps to 0
+    leaves C F^{-1} as it is, and passes.
 
     With G^{-1} o G == id, checked first, G = G° o G^{-1} o G = G°: the G
     of the pair is F's reduced partner, so G o G^{-1} == id, and
@@ -433,11 +442,12 @@ def decide_automorphism(A, degree_bound: int | None = None) -> InverseResult:
 
     The whole route runs on the pair's conjugate, the pair of L^2 A over
     Z[i] for L the lcm of A's denominators (see :class:`GZPair`); in this
-    paragraph A, B, C, F and G are the conjugate's.  Both composition
-    orders are verified exactly there.  F o F^{-1} == id is checked
-    directly by the lift.  F^{-1} o F == id follows from B C == A and
-    C o F == G o C (checked by :func:`gz_reduce`, on the conjugate) and
-    G^{-1} o G == id (checked by the lift):
+    paragraph A, B, C, F and G are the conjugate's.  F o F^{-1} == id
+    rests on the lift's substitution being a ring homomorphism, which the
+    lift's check re-tests only outside ker C (see :func:`lift_inverse`).
+    F^{-1} o F == id follows from B C == A and C o F == G o C (checked by
+    :func:`gz_reduce`, on the conjugate) and G^{-1} o G == id (checked by
+    the lift):
 
         F^{-1}(F(X)) = F(X) - (B G^{-1}(C F(X)))^{*3}
                      = F(X) - (B G^{-1}(G(C X)))^{*3}

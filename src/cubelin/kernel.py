@@ -25,6 +25,17 @@ field is 0 as long as no field reaches 2^w in absolute value.  A field of
 one row is at most 4 m^3, with m the largest |part| of an entry, so
 :func:`field_width` takes w = bit_length(4 n m^3) + 2 for n rows.
 
+The search harness screens candidates before it reads their row codes.
+A matrix that meets the trace condition has a zero Gram diagonal, and
+row i's share a_ii a_ij^2 of diagonal entry (j, j) depends on only two
+of its entries.  :func:`diagonal_code` packs row i's shares of entries
+(0, 0) and (1, 1), or of (0, 0) alone where n = 1, into one int with the
+same w: the real part of (j, j) in field j and its imaginary part in
+field 2 + j, and no count.  Each field is one of a row code's fields, so the
+sum of a matrix's n diagonal codes cannot carry either, and it is 0
+exactly when both entries vanish.  A matrix whose sum is not 0 fails the
+trace condition; one whose sum is 0 still needs its row codes.
+
 The rank is :func:`cubelin.linalg.rank`.  A matrix over Q(i) reaches both
 through :func:`integer_pairs`, which multiplies every entry by one common
 denominator L.  Scaling A by L keeps delta and the rank and multiplies the
@@ -98,6 +109,21 @@ def row_code(i: int, row: Sequence[tuple[int, int]], width: int) -> int:
     # a_ii R R': the real fields, then the imaginary ones n^2 fields higher
     packed = are * pre - aim * pim + (are * pim + aim * pre << step * n)
     return packed << n.bit_length()
+
+
+def diagonal_code(
+    diagonal: tuple[int, int], entries: Sequence[tuple[int, int]], width: int
+) -> int:
+    """The diagonal code of a row whose diagonal entry is ``diagonal`` and
+    whose first one or two entries are ``entries``, as (re, im) pairs, with
+    fields of ``width`` bits."""
+    are, aim = diagonal
+    code = 0
+    for j, (re, im) in enumerate(entries):
+        # a_ii times a_ij^2
+        sre, sim = re * re - im * im, 2 * re * im
+        code += (are * sre - aim * sim << width * j) + (are * sim + aim * sre << width * (2 + j))
+    return code
 
 
 def certificate_ints(n: int, codes: Sequence[int]) -> tuple[bool, int]:

@@ -395,6 +395,18 @@ def gram_matrix(A: ScalarMatrix) -> ScalarMatrix:
     return transpose(A) * scaled
 
 
+def gram_diagonal_vanishes(A: ScalarMatrix) -> bool:
+    """Whether Gram entries (0, 0) and (1, 1), or (0, 0) alone for n = 1,
+    vanish, each summed as sum_i a_ii a_ij^2 over Q(i): the search
+    harness's screen, with no packing."""
+    n = A.rows
+    a = A.entries
+    return not any(
+        sum((a[i][i] * a[i][j] * a[i][j] for i in range(n)), GaussianRational(0))
+        for j in range(min(n, 2))
+    )
+
+
 def rref_with_pivots(M: ScalarMatrix) -> tuple[ScalarMatrix, tuple[int, ...]]:
     """Reduced row echelon form plus the pivot column indices.
 
@@ -471,8 +483,15 @@ def iter_candidate_matrices(config: SearchConfig) -> Iterator[tuple[int, ScalarM
     """All (index, matrix) pairs of a search, in canonical order, from the
     harness's own digit stream."""
     config.check_ceiling()
-    for index, rows in harness._iter_digit_vectors(config, 0, config.total_candidates()):
+    for index, rows in iter_candidate_rows(config):
         yield index, harness._candidate_matrix(config.alphabet, config.n, rows)
+
+
+def iter_candidate_rows(config: SearchConfig) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """(index, rows) of every candidate of a search, rows as digit tuples,
+    from the harness's own digit blocks with no screen."""
+    for first, digits in harness._iter_digit_blocks(config, 0, config.total_candidates()):
+        yield from harness._block_candidates(first, digits, config.n, None)
 
 
 def mixed_denominator_matrix(rng: random.Random, n: int, shape: int) -> ScalarMatrix:

@@ -142,6 +142,12 @@ KELLER_SEARCH = {"n": 3, "alphabet": ["0", "1", "-1", "i", "-i"], "mode": "sampl
                  "count": 200, "seed": 6, "filters": ["keller_only"],
                  "checks": ["rank_bound", "invert", "corollary"]}
 KELLER4_SEARCH = {**KELLER_SEARCH, "n": 4, "count": 100}
+# searches whose candidates enter the per-candidate checks only where the
+# trace condition may hold: sampled n = 4 with no filter, and CI's enum3.json
+RANK4_SEARCH = {"n": 4, "alphabet": ["0", "1", "-1", "i", "-i"], "mode": "sample",
+                "count": 3000, "seed": 5, "checks": ["rank_bound"]}
+ENUM3_SEARCH = {"n": 3, "alphabet": ["0", "1", "i"], "mode": "enumerate",
+                "checks": ["rank_bound"]}
 
 
 class TestPinnedOutput:
@@ -186,14 +192,27 @@ class TestPinnedOutput:
     ], ids=["keller", "keller4"])
     def test_keller_search_digest(self, capsys, tmp_path, config, digest):
         # the Keller route end to end: the records' Keller bits, inverses and
-        # corollaries, recorded before polynomials kept their terms packed;
-        # the summary's run time, the one field that varies, is cut
+        # corollaries, recorded before polynomials kept their terms packed
+        assert self.search_digest(capsys, tmp_path, config, "--records") == digest
+
+    @pytest.mark.parametrize("config, digest", [
+        (RANK4_SEARCH, "4dc4be32a1aa65230c61f639fb12ebf46f938676e4609af9d8213cf477b49327"),
+        (ENUM3_SEARCH, "fba17056a5fa14522e6272bd18b10d0f736b0b8797f030084f2514001938df6b"),
+    ], ids=["rank4", "enum3"])
+    def test_rank_search_digest(self, capsys, tmp_path, config, digest):
+        # recorded while every candidate still went through the per-candidate
+        # loop, before a block screen on the Gram diagonal skipped most of them
+        assert self.search_digest(capsys, tmp_path, config) == digest
+
+    @staticmethod
+    def search_digest(capsys, tmp_path, config, *flags):
         path = tmp_path / "search.json"
         path.write_text(json.dumps(config))
-        code, out, _ = run(capsys, "search", str(path), "--json", "--records")
+        code, out, _ = run(capsys, "search", str(path), "--json", *flags)
         assert code == 0
+        # the summary's run time, the one field that varies, is cut
         body = re.sub(r', "duration_seconds": [^,}]*}$', "}", out, flags=re.M)
-        assert hashlib.sha256(body.encode()).hexdigest() == digest
+        return hashlib.sha256(body.encode()).hexdigest()
 
 
 class TestReduce:

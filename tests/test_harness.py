@@ -25,7 +25,12 @@ from cubelin.harness import (
 )
 from cubelin.invert import GZPair, is_keller
 from cubelin.linalg import rank
-from helpers import count_keller_bits, iter_candidate_matrices, splitmix64
+from helpers import (
+    count_keller_bits,
+    gram_diagonal_vanishes,
+    iter_candidate_matrices,
+    splitmix64,
+)
 
 
 def g(text):
@@ -377,8 +382,9 @@ class TestSampling:
                 })
                 for start, stop in ranges:
                     got = [
-                        (c, [d for row in rows for d in row])
-                        for c, rows in harness._iter_digit_vectors(cfg, start, stop)
+                        (first + k, digits[k * width : (k + 1) * width])
+                        for first, digits in harness._iter_digit_blocks(cfg, start, stop)
+                        for k in range(len(digits) // width)
                     ]
                     expected = [
                         (c, [splitmix64(seed, c * width + e) % base for e in range(width)])
@@ -475,12 +481,16 @@ class TestDeterminism:
             {"n": 2, "alphabet": FULL_ALPHABET, "mode": "enumerate", "checks": checks},
         ):
             cfg = SearchConfig.from_dict(data)
-            base = self._strip_duration(run_search(cfg, workers=1, collect_records=True))
-            for workers in WORKER_COUNTS:
-                other = self._strip_duration(
-                    run_search(cfg, workers=workers, collect_records=True)
+            # without records the diagonal screen runs, block by block
+            for records in (True, False):
+                base = self._strip_duration(
+                    run_search(cfg, workers=1, collect_records=records)
                 )
-                assert other == base
+                for workers in WORKER_COUNTS:
+                    other = self._strip_duration(
+                        run_search(cfg, workers=workers, collect_records=records)
+                    )
+                    assert other == base
 
     def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
         # a stand-in pool records its size and maps in this process, so the
@@ -540,6 +550,33 @@ class TestDeterminism:
         )
         report = run_search(cfg)
         assert report.totals["visited"] == 16
+
+
+class TestScreenedRuns:
+    """A run that screens its candidates reports what the same config
+    reports with records on, where every candidate enters the loop."""
+
+    @pytest.mark.parametrize("data", [
+        {"n": 2, "alphabet": FULL_ALPHABET, "mode": "enumerate", "checks": ["rank_bound"]},
+        {"n": 2, "alphabet": FULL_ALPHABET, "mode": "enumerate", "checks": ["invert"]},
+        {"n": 2, "alphabet": ["0", "1/2", "-1/3+i", "2i"], "mode": "enumerate",
+         "filters": ["trace_zero_only"], "checks": ["rank_bound", "invert"]},
+        {"n": 1, "alphabet": FULL_ALPHABET, "mode": "enumerate",
+         "filters": ["trace_zero_only"]},
+        {"n": 3, "alphabet": FULL_ALPHABET, "mode": "sample", "count": 600, "seed": 8,
+         "checks": ["invert"]},
+        {"n": 3, "alphabet": ["0", "1048577+i", "-1/7"], "mode": "sample", "count": 600,
+         "seed": 8, "filters": ["trace_zero_only"], "checks": ["rank_bound"]},
+        {"n": 4, "alphabet": FULL_ALPHABET, "mode": "sample", "count": 1500, "seed": 8,
+         "checks": ["rank_bound"]},
+    ], ids=["rank-bound", "invert", "rational", "one", "invert3", "wide3", "rank4"])
+    def test_totals_and_anomalies_match_a_records_run(self, data):
+        cfg = SearchConfig.from_dict(data)
+        screened = run_search(cfg)
+        full = run_search(cfg, collect_records=True)
+        assert screened.totals == full.totals
+        assert screened.anomalies == full.anomalies
+        assert screened.totals["passed_filters"] > 0
 
 
 class TestRecords:
@@ -806,16 +843,19 @@ class TestAnomalyRecords:
         ]
         # every row of these targets has a zero diagonal entry, so its row
         # code is 1, the code of every such row; the harness makes one
-        # kernel call per candidate in index order, so the call count names
-        # the candidate, in each of the two searches of run_planted
-        indices = {index for index, M in iter_candidate_matrices(cfg) if M in targets}
-        calls = itertools.count()
-        total = cfg.total_candidates()
+        # kernel call per candidate that enters its loop, in index order, so
+        # the call count names the candidate.  run_planted's first search
+        # screens on the Gram diagonal, its records search does not
+        candidates = list(iter_candidate_matrices(cfg))
+        indices = {index for index, M in candidates if M in targets}
+        called = [index for index, M in candidates if gram_diagonal_vanishes(M)]
+        called += [index for index, _ in candidates]
+        calls = iter(called)
         real = harness.certificate_ints
 
         def planted(n, codes):
             holds, delta = real(n, codes)
-            return (holds, 0) if next(calls) % total in indices else (holds, delta)
+            return (holds, 0) if next(calls) in indices else (holds, delta)
 
         report = self.run_planted(monkeypatch, cfg, "certificate_ints", planted)
         assert report.totals["rank_bound"] == {"checked": 512, "anomalies": 2}

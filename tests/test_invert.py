@@ -361,6 +361,28 @@ class TestReducedKeller:
         with pytest.raises(RuntimeError, match="does not multiply back"):
             is_keller(paper)
 
+    def test_full_rank_factors_are_checked_without_a_product(self, monkeypatch):
+        # rank_factorization gives C = I_n at full rank, where the check
+        # compares B with A and multiplies nothing
+        A = ScalarMatrix([[g("1"), g("i")], [g("0"), g("2")]])
+        products = []
+        real_mul = ScalarMatrix.__mul__
+        monkeypatch.setattr(
+            ScalarMatrix, "__mul__", lambda X, Y: products.append(X) or real_mul(X, Y)
+        )
+        assert GZPair(A).B == A and GZPair(A).C == ScalarMatrix.identity(2)
+        assert products == []
+        # a planted B != A beside C = I still raises, and a planted C != I
+        # beside B = A is still multiplied out: 2A != A
+        wrong_b = ScalarMatrix([[g("1"), g("i")], [g("0"), g("3")]])
+        two = ScalarMatrix([[g("2"), g("0")], [g("0"), g("2")]])
+        for planted in ((wrong_b, ScalarMatrix.identity(2)), (A, two)):
+            products.clear()
+            monkeypatch.setattr(invert, "rank_factorization", lambda M, planted=planted: planted)
+            with pytest.raises(RuntimeError, match="does not multiply back"):
+                GZPair(A).B
+            assert products == ([] if planted[0] is wrong_b else [A])
+
 
 class TestDerivedOnRead:
     """``GZPair(A)`` holds the square-checked A only; every other value is

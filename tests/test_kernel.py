@@ -17,8 +17,10 @@ from cubelin import (
 from cubelin import druzkowski, harness, kernel
 from cubelin.linalg import rank
 from helpers import (
+    gram_diagonal_vanishes,
     gram_loop_certificate,
     iter_candidate_matrices,
+    iter_candidate_rows,
     mixed_denominator_matrix,
     reference_certificate,
 )
@@ -185,7 +187,7 @@ def search_certificates(config):
     pairs = kernel.integer_pairs(config.alphabet)
     width = kernel.field_width(n, pairs)
     tables = [harness._RowTable(i, pairs, width) for i in range(n)]
-    for _, rows in harness._iter_digit_vectors(config, 0, config.total_candidates()):
+    for _, rows in iter_candidate_rows(config):
         codes = [table[row] for table, row in zip(tables, rows)]
         matrix = harness._candidate_matrix(config.alphabet, n, rows)
         yield matrix, kernel.certificate_ints(n, codes)
@@ -265,6 +267,100 @@ class TestRowCodes:
         monkeypatch.undo()
         assert capped == report_body(run_search(config))
         assert capped["totals"]["passed_filters"] > 0
+
+
+def screened(monkeypatch, config):
+    """The indices of the candidates that the harness's own screen keeps
+    in a run of ``config``, in order."""
+    kept = []
+    real = harness._block_candidates
+
+    def spy(first, digits, n, screen):
+        assert screen is not None
+        candidates = real(first, digits, n, screen)
+        kept.extend(index for index, _ in candidates)
+        return candidates
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_block_candidates", spy)
+        run_search(config)
+    return kept
+
+
+class TestDiagonalScreen:
+    """The screen keeps exactly the candidates whose Gram diagonal entries
+    (0, 0) and (1, 1) vanish, by the Q(i) oracle, so it keeps every one
+    that meets the trace condition."""
+
+    def check(self, monkeypatch, config):
+        kept = set(screened(monkeypatch, config))
+        held = 0
+        for index, M in iter_candidate_matrices(config):
+            assert (index in kept) == gram_diagonal_vanishes(M), M
+            holds = kernel.certificate_ints(config.n, codes_of(M))[0]
+            assert not holds or index in kept, M
+            held += holds
+        return held
+
+    # diag(i, 32) has Gram diagonal (-i, 2^15): at 15 bits, 6 below the
+    # formula's, the real field of (1, 1) carries into the imaginary field
+    # of (0, 0) and cancels it, as in the row codes
+    ALPHABETS = {**ROW_CODE_ALPHABETS, "carry": ["0", "i", "32"]}
+
+    @pytest.mark.parametrize("alphabet", list(ALPHABETS))
+    @pytest.mark.parametrize("checks", [["rank_bound"], []])
+    def test_every_two_by_two(self, monkeypatch, alphabet, checks):
+        config = SearchConfig.from_dict(
+            {"n": 2, "alphabet": self.ALPHABETS[alphabet], "mode": "enumerate",
+             "checks": checks}
+        )
+        assert self.check(monkeypatch, config) > 0
+
+    @pytest.mark.parametrize("alphabet", list(ROW_CODE_ALPHABETS))
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_sampled(self, monkeypatch, alphabet, n):
+        self.check(monkeypatch, row_code_config(n, alphabet, count=300, seed=n))
+
+    @pytest.mark.parametrize("alphabet", list(ROW_CODE_ALPHABETS))
+    def test_one_by_one(self, monkeypatch, alphabet):
+        # only field (0, 0) exists, and a_11^3 vanishes only at 0
+        config = row_code_config(1, alphabet)
+        assert screened(monkeypatch, config) == [0]
+        assert self.check(monkeypatch, config) == 1
+
+    def test_fields_hold_each_share(self):
+        # read back signed, field j of a diagonal code is the real part of
+        # a_ii a_ij^2 and field 2 + j its imaginary part, for parts of both
+        # signs and for one entry as for two
+        rng = random.Random(93)
+        width = 16
+        for _ in range(400):
+            diagonal, *entries = [
+                (rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(2, 3))
+            ]
+            code = kernel.diagonal_code(diagonal, entries, width)
+            fields = []
+            for _ in range(4):
+                low = code & ((1 << width) - 1)
+                low -= (low >> (width - 1)) << width
+                fields.append(low)
+                code = (code - low) >> width
+            assert code == 0
+            shares = [complex(*diagonal) * complex(*entry) ** 2 for entry in entries]
+            shares += [0] * (2 - len(shares))
+            assert fields == [int(s.real) for s in shares] + [int(s.imag) for s in shares]
+
+    def test_most_candidates_never_reach_the_kernel(self, monkeypatch):
+        # a rank_bound search at n = 4 calls the kernel only on survivors
+        config = row_code_config(4, "units", count=4000, seed=3)
+        survivors = screened(monkeypatch, config)
+        calls = []
+        real = harness.certificate_ints
+        monkeypatch.setattr(
+            harness, "certificate_ints", lambda n, codes: calls.append(1) or real(n, codes)
+        )
+        run_search(config)
+        assert len(calls) == len(survivors) < config.count // 10
 
 
 class TestIntegerPairs:
